@@ -12,7 +12,7 @@ and its payload may be shared freely across threads.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -367,10 +367,6 @@ def dot(a, b) -> Var:
     return sum_(mul(as_var(a), as_var(b)))
 
 
-def l2_norm(a) -> Var:
-    return sqrt(sum_(square(as_var(a))))
-
-
 # -- reverse pass -------------------------------------------------------------
 
 
@@ -419,10 +415,3 @@ def grad(output: Var, wrt: Sequence[Var]) -> list[Var]:
         a = adjoints.get(id(w))
         out.append(a if a is not None else constant(np.zeros_like(w.data)))
     return out
-
-
-def value_and_grad(fn: Callable[..., Var], args: Iterable[Var]) -> tuple[Var, list[Var]]:
-    """Evaluate ``fn(*args)`` and differentiate it w.r.t. every arg."""
-    args = list(args)
-    out = fn(*args)
-    return out, grad(out, args)

@@ -13,6 +13,7 @@ The environment variable ``HYPERFL_SEED`` overrides the config seed.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -76,18 +77,20 @@ ATTACK_DEFAULTS = {
 }
 
 
+@functools.cache
 def _schema() -> dict:
     with resources.files("hyperfl").joinpath("schema/experiment.schema.json").open("rb") as f:
         return json.load(f)
 
 
-def _validate(raw: dict, schema: dict) -> None:
+def _validate(raw: dict, schema: dict, what: str) -> None:
+    """Raise ConfigError naming the first offending path, in path order."""
     validator = jsonschema.Draft7Validator(schema)
     errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
     if errors:
         e = errors[0]
         where = "/".join(str(p) for p in e.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {where}: {e.message}")
+        raise ConfigError(f"{what} invalid at {where}: {e.message}")
 
 
 def _merge(defaults: dict, user: dict) -> dict:
@@ -108,7 +111,7 @@ def default_image_shape(dim: int) -> list[int]:
 
 def resolve(raw: dict) -> dict:
     """Validate a config dict and materialize every default into it."""
-    _validate(raw, _schema())
+    _validate(raw, _schema(), "config")
     out = _merge(_DEFAULTS, raw)
     out["algorithm"] = out["algorithm"].replace("-", "_")
 
@@ -124,8 +127,6 @@ def resolve(raw: dict) -> dict:
 
     if "attack" in out:
         out["attack"] = _merge(ATTACK_DEFAULTS, out["attack"])
-
-    _validate({k: v for k, v in out.items()}, _schema())
     return out
 
 
@@ -246,18 +247,10 @@ def load_attack_overrides(path: str | Path) -> tuple[AttackConfig, int]:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"attack config is not valid JSON at line {e.lineno}: {e.msg}")
-    schema = _schema()
-    _validate_fragment(raw, {**schema["definitions"]["attack"], "definitions": schema["definitions"]})
+    definitions = _schema()["definitions"]
+    _validate(raw, {**definitions["attack"], "definitions": definitions}, "attack config")
     merged = _merge(ATTACK_DEFAULTS, raw)
     return AttackConfig(**{k: v for k, v in merged.items() if k != "samples"}), int(merged["samples"])
-
-
-def _validate_fragment(raw: dict, schema: dict) -> None:
-    try:
-        jsonschema.validate(raw, schema)
-    except jsonschema.ValidationError as e:
-        where = "/".join(str(p) for p in e.absolute_path) or "<root>"
-        raise ConfigError(f"attack config invalid at {where}: {e.message}")
 
 
 # -- builders -------------------------------------------------------------------

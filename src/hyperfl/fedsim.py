@@ -50,6 +50,7 @@ from .network import (
     tree_copy,
     tree_norm,
     tree_scale,
+    tree_sq_norm,
     tree_sub,
 )
 
@@ -255,10 +256,6 @@ def minibatches(n: int, batch_size: int, rng: np.random.Generator) -> list[np.nd
     return [order[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
-def _sq_norm(tree: ParamSet) -> float:
-    return float(sum(np.vdot(g, g) for g in tree.values()))
-
-
 # -- local training ------------------------------------------------------------------
 
 
@@ -304,7 +301,7 @@ def local_train_hyperfl(
         loss, grads = loss_and_grad_params(params, full_spec, x[idx], y[idx])
         g_cls = {k: grads[k] for k in phi_c}
         losses.append(loss)
-        step_sq_norms.append(_sq_norm(g_cls))
+        step_sq_norms.append(tree_sq_norm(g_cls))
         phi_c, opt_c = sgd_step(phi_c, g_cls, cfg.eta_g, opt_c)
 
     # Step 2: hypernetwork + embedding, classifier frozen
@@ -316,7 +313,7 @@ def local_train_hyperfl(
             d_theta = {k: grads[k] for k in theta}
             d_phi, dv = hypernet_backward(d_theta, v, phi_h, bundle.hyper)
             losses.append(loss)
-            step_sq_norms.append(_sq_norm(d_phi) + float(np.vdot(dv, dv)))
+            step_sq_norms.append(tree_sq_norm(d_phi) + tree_sq_norm({"v": dv}))
             phi_h, opt_h = sgd_step(phi_h, d_phi, cfg.eta_h, opt_h)
             vt, opt_v = sgd_step({"v": v}, {"v": dv}, cfg.eta_v, opt_v)
             v = vt["v"]
@@ -360,7 +357,7 @@ def local_train_fedavg(
         for idx in minibatches(client.train.n, cfg.batch_size, rng):
             loss, grads = loss_and_grad_params(model, full_spec, x[idx], y[idx])
             losses.append(loss)
-            step_sq_norms.append(_sq_norm(grads))
+            step_sq_norms.append(tree_sq_norm(grads))
             model, opt = sgd_step(model, grads, cfg.eta_g, opt)
 
     delta = tree_sub(model, global_model)
@@ -537,15 +534,46 @@ def evaluate_clients(
     ]
 
 
+# per trained client: (new state, stats, hypernet drift, extractor drift)
+Trained = dict[int, tuple[ClientState, LocalStats, float, float]]
+
+
+def _records(
+    t: int, clients: Sequence[ClientState], accs: Sequence[float], trained: Trained
+) -> list[RoundRecord]:
+    """One row per client; a client that did not train keeps NaN step metrics."""
+    records = []
+    for c, acc in zip(clients, accs):
+        if c.id in trained:
+            _, stats, hdrift, edrift = trained[c.id]
+            loss, sq_norm = stats.train_loss, stats.grad_sq_norm
+        else:
+            loss = sq_norm = hdrift = edrift = math.nan
+        records.append(
+            RoundRecord(
+                round=t,
+                client_id=str(c.id),
+                train_loss=loss,
+                test_acc=acc,
+                grad_sq_norm=sq_norm,
+                hypernet_drift=hdrift,
+                extractor_drift=edrift,
+            )
+        )
+    return records
+
+
 def initial_records(
     server: ServerState, clients: Sequence[ClientState], bundle: ModelBundle
 ) -> list[RoundRecord]:
     """Round-0 rows: initial test accuracy, every step metric unmeasured."""
-    accs = evaluate_clients(server, clients, bundle)
-    return [
-        RoundRecord(round=0, client_id=str(c.id), test_acc=acc)
-        for c, acc in zip(clients, accs)
-    ]
+    return _records(0, clients, evaluate_clients(server, clients, bundle), {})
+
+
+def _extractor_norm(delta: ParamSet, bundle: ModelBundle) -> float:
+    """L2 norm of the feature-extractor tensors of a full-model delta."""
+    fe_names = bundle.fe.param_shapes()
+    return tree_norm({k: a for k, a in delta.items() if k in fe_names})
 
 
 # -- the round --------------------------------------------------------------------------
@@ -568,116 +596,86 @@ def run_round(
     """
     wire = wire if wire is not None else Wire()
     t = server.round_t + 1
-    m = len(clients)
     sample_rng = derive_rng(seed, _TAG_SAMPLE, t)
-    force_full = t == cfg.total_rounds
-    sampled = sample_clients(m, cfg.sampling_rate, sample_rng, force_full=force_full)
+    last_round = t == cfg.total_rounds  # everyone takes part in the last round
+    sampled = sample_clients(len(clients), cfg.sampling_rate, sample_rng, last_round).tolist()
+    algorithm = server.algorithm
+    trained: Trained = {}
+    changes: dict = {}  # server fields this round replaces
 
-    if server.algorithm == "pfedhn":
-        return _run_round_pfedhn(server, clients, bundle, cfg, seed, wire, sampled, t)
+    if algorithm == "pfedhn":
+        changes = _pfedhn_updates(server, clients, bundle, cfg, seed, wire, sampled, t, trained)
+    else:
+        upload_names = _allowed_upload_names(algorithm, bundle)
+        # broadcast phase: payloads decoded from wire bytes on the "client side"
+        received: dict[int, ParamSet] = {}
+        for cid in sampled:
+            if algorithm == "local":  # no broadcast, train from own model
+                received[cid] = clients[cid].model
+            else:
+                sent = server.varphi_bar if algorithm == "hyperfl" else server.global_model
+                msg = wire.send("server", f"client:{cid}", "broadcast", t, sent, upload_names)
+                received[cid] = msg.tensors()
 
-    upload_names = _allowed_upload_names(server.algorithm, bundle)
+        train = local_train_hyperfl if algorithm == "hyperfl" else local_train_fedavg
+
+        def train_one(cid: int) -> tuple[ClientState, ParamSet, LocalStats]:
+            step_rng = derive_rng(seed, _TAG_STEP, cid, t)
+            return train(clients[cid], received[cid], bundle, cfg, step_rng)
+
+        if workers > 1 and len(sampled) > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(train_one, sampled))
+        else:
+            results = [train_one(cid) for cid in sampled]
+
+        uploads: list[ParamSet] = []
+        for cid, (new_c, upload, stats) in zip(sampled, results):
+            if algorithm == "hyperfl":
+                hdrift = tree_norm(tree_sub(new_c.phi_h, received[cid]))
+                edrift = tree_norm(tree_sub(new_c.last_theta, clients[cid].last_theta))
+            else:  # the unsanitized upload is the model delta
+                hdrift, edrift = math.nan, _extractor_norm(upload, bundle)
+            if algorithm == "dp_fedavg":
+                upload = dp_sanitize(upload, dp, derive_rng(seed, _TAG_DPNOISE, cid, t))
+            trained[cid] = (new_c, stats, hdrift, edrift)
+            if algorithm != "local":
+                msg = wire.send(f"client:{cid}", "server", "upload", t, upload, upload_names)
+                uploads.append(msg.tensors())
+
+        # aggregation phase, ascending client id, weights n_i over the sampled subset
+        if uploads:
+            sizes = np.array([clients[cid].train.n for cid in sampled], dtype=np.float64)
+            merged = aggregate(uploads, list(sizes / sizes.sum()))
+            if algorithm == "hyperfl":
+                changes = {"varphi_bar": merged}
+            else:
+                changes = {"global_model": tree_add(server.global_model, merged)}
+
+    new_server = replace(server, round_t=t, **changes)
     new_clients = list(clients)
-    stats_by_id: dict[int, LocalStats] = {}
-    drift_by_id: dict[int, tuple[float, float]] = {}  # (hypernet, extractor)
-
-    # broadcast phase: payloads decoded from wire bytes on the "client side"
-    received: dict[int, ParamSet] = {}
-    for cid in sampled:
-        cid = int(cid)
-        if server.algorithm == "hyperfl":
-            msg = wire.send("server", f"client:{cid}", "broadcast", t, server.varphi_bar, upload_names)
-            received[cid] = msg.tensors()
-        elif server.algorithm in ("fedavg", "dp_fedavg"):
-            msg = wire.send("server", f"client:{cid}", "broadcast", t, server.global_model, upload_names)
-            received[cid] = msg.tensors()
-        else:  # local: no broadcast, train from own model
-            received[cid] = clients[cid].model
-
-    def train_one(cid: int) -> tuple[int, ClientState, ParamSet, LocalStats]:
-        step_rng = derive_rng(seed, _TAG_STEP, cid, t)
-        client = clients[cid]
-        if server.algorithm == "hyperfl":
-            new_c, upload, stats = local_train_hyperfl(client, received[cid], bundle, cfg, step_rng)
-        else:
-            new_c, upload, stats = local_train_fedavg(client, received[cid], bundle, cfg, step_rng)
-        return cid, new_c, upload, stats
-
-    ids = [int(c) for c in sampled]
-    if workers > 1 and len(ids) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(train_one, ids))
-    else:
-        results = [train_one(cid) for cid in ids]
-
-    uploads_by_id: dict[int, ParamSet] = {}
-    for cid, new_c, upload, stats in results:
-        if server.algorithm == "dp_fedavg":
-            noise_rng = derive_rng(seed, _TAG_DPNOISE, cid, t)
-            upload = dp_sanitize(upload, dp, noise_rng)
-        stats_by_id[cid] = stats
-        old = clients[cid]
-        if server.algorithm == "hyperfl":
-            hdrift = tree_norm(tree_sub(new_c.phi_h, received[cid]))
-            edrift = tree_norm(tree_sub(new_c.last_theta, old.last_theta))
-        else:
-            fe_names = set(bundle.fe.param_shapes())
-            diff = tree_sub(new_c.model, received[cid])
-            edrift = math.sqrt(sum(float(np.vdot(v, v)) for k, v in diff.items() if k in fe_names))
-            hdrift = math.nan
-        drift_by_id[cid] = (hdrift, edrift)
+    for cid, (new_c, *_) in trained.items():
         new_clients[cid] = new_c
-        if server.algorithm != "local":
-            msg = wire.send(f"client:{cid}", "server", "upload", t, upload, upload_names)
-            uploads_by_id[cid] = msg.tensors()
-
-    # aggregation phase, ascending client id, weights n_i over the sampled subset
-    new_server = server
-    if server.algorithm != "local" and uploads_by_id:
-        order = sorted(uploads_by_id)
-        sizes = np.array([clients[cid].train.n for cid in order], dtype=np.float64)
-        weights = sizes / sizes.sum()
-        merged = aggregate([uploads_by_id[cid] for cid in order], list(weights))
-        if server.algorithm == "hyperfl":
-            new_server = replace(server, round_t=t, varphi_bar=merged)
-        else:
-            new_server = replace(server, round_t=t, global_model=tree_add(server.global_model, merged))
-    else:
-        new_server = replace(server, round_t=t)
-
     accs = evaluate_clients(new_server, new_clients, bundle)
-    records = []
-    for c, acc in zip(new_clients, accs):
-        stats = stats_by_id.get(c.id)
-        hdrift, edrift = drift_by_id.get(c.id, (math.nan, math.nan))
-        records.append(
-            RoundRecord(
-                round=t,
-                client_id=str(c.id),
-                train_loss=stats.train_loss if stats else math.nan,
-                test_acc=acc,
-                grad_sq_norm=stats.grad_sq_norm if stats else math.nan,
-                hypernet_drift=hdrift,
-                extractor_drift=edrift,
-            )
-        )
-    return new_server, new_clients, records
+    return new_server, new_clients, _records(t, new_clients, accs, trained)
 
 
-def _run_round_pfedhn(
+def _pfedhn_updates(
     server: ServerState,
     clients: Sequence[ClientState],
     bundle: ModelBundle,
     cfg: RoundConfig,
     seed: int,
     wire: Wire,
-    sampled: np.ndarray,
+    sampled: list[int],
     t: int,
-) -> tuple[ServerState, list[ClientState], list[RoundRecord]]:
+    trained: Trained,
+) -> dict:
     """Server-side hypernetwork round: generate, send, train, pull back VJP.
 
     Sampled clients are processed in ascending id; the server applies one
-    update per client (sequential, as in the underlying method).
+    update per client (sequential, as in the underlying method).  Fills
+    ``trained`` and returns the server fields the round replaces.
     """
     hyper = bundle.pfedhn_hyper()
     allowed = _allowed_upload_names("pfedhn", bundle)
@@ -688,11 +686,7 @@ def _run_round_pfedhn(
     embeddings = {cid: v.copy() for cid, v in server.embeddings.items()}
     opt_v = {cid: {"v": st["v"].copy()} for cid, st in server.opt_v.items()}
 
-    new_clients = list(clients)
-    stats_by_id: dict[int, LocalStats] = {}
-    drift_by_id: dict[int, tuple[float, float]] = {}
-
-    for cid in [int(c) for c in sampled]:
+    for cid in sampled:
         model_sent = hypernet_forward(embeddings[cid], phi_h, hyper)
         msg = wire.send("server", f"client:{cid}", "broadcast", t, model_sent, allowed)
         received = msg.tensors()
@@ -707,33 +701,10 @@ def _run_round_pfedhn(
         phi_h, opt_h = sgd_step(phi_h, d_phi, server_cfg, opt_h)
         vt, opt_v[cid] = sgd_step({"v": embeddings[cid]}, {"v": dv}, server_cfg, opt_v[cid])
         embeddings[cid] = vt["v"]
+        hdrift = tree_norm(d_phi) * cfg.server_lr
+        trained[cid] = (new_c, stats, hdrift, _extractor_norm(delta, bundle))
 
-        fe_names = set(bundle.fe.param_shapes())
-        edrift = math.sqrt(sum(float(np.vdot(a, a)) for k, a in delta.items() if k in fe_names))
-        drift_by_id[cid] = (tree_norm(d_phi) * cfg.server_lr, edrift)
-        stats_by_id[cid] = stats
-        new_clients[cid] = new_c
-
-    new_server = replace(
-        server, round_t=t, varphi_bar=phi_h, embeddings=embeddings, opt_h=opt_h, opt_v=opt_v
-    )
-    accs = evaluate_clients(new_server, new_clients, bundle)
-    records = []
-    for c, acc in zip(new_clients, accs):
-        stats = stats_by_id.get(c.id)
-        hdrift, edrift = drift_by_id.get(c.id, (math.nan, math.nan))
-        records.append(
-            RoundRecord(
-                round=t,
-                client_id=str(c.id),
-                train_loss=stats.train_loss if stats else math.nan,
-                test_acc=acc,
-                grad_sq_norm=stats.grad_sq_norm if stats else math.nan,
-                hypernet_drift=hdrift,
-                extractor_drift=edrift,
-            )
-        )
-    return new_server, new_clients, records
+    return {"varphi_bar": phi_h, "embeddings": embeddings, "opt_h": opt_h, "opt_v": opt_v}
 
 
 # -- experiment loop -----------------------------------------------------------------------

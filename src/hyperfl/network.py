@@ -13,6 +13,7 @@ product of ``dL/db`` with the input, a structure the attack module exploits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -151,14 +152,25 @@ def tree_scale(a, c: float) -> ParamSet:
     return {k: np.asarray(v, dtype=np.float64) * c for k, v in a.items()}
 
 
+def _dot(a, b) -> float:
+    # numpy's own einsum loop, not BLAS ddot: ddot's summation order (and so
+    # the last bits of the result) changes with the BLAS thread count
+    return float(np.einsum("i,i->", np.ravel(a), np.ravel(b)))
+
+
 def tree_dot(a, b) -> float:
     if a.keys() != b.keys():
         raise DimensionError("parameter trees have different key sets")
-    return float(sum(np.vdot(a[k], b[k]) for k in sorted(a)))
+    return float(sum(_dot(a[k], b[k]) for k in sorted(a)))
+
+
+def tree_sq_norm(a) -> float:
+    """Sum of squares over every tensor, accumulated in the tree's key order."""
+    return float(sum(_dot(v, v) for v in a.values()))
 
 
 def tree_norm(a) -> float:
-    return float(np.sqrt(sum(float(np.vdot(v, v)) for v in a.values())))
+    return math.sqrt(tree_sq_norm(a))
 
 
 def tree_copy(a) -> ParamSet:

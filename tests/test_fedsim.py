@@ -411,11 +411,13 @@ def test_dp_with_noise_differs_from_fedavg():
     assert s_fed.global_model["fe0/W"].tobytes() != s_dp.global_model["fe0/W"].tobytes()
 
 
-def test_round_records_shape_and_nan_policy():
+@pytest.mark.parametrize("algorithm", fs.ALGORITHMS)
+def test_round_records_shape_and_nan_policy(algorithm):
     bundle = small_bundle()
     shards = make_shards(4, n=18)
     cfg = quick_cfg(total_rounds=4, sampling_rate=0.5, batch_size=6)
-    _, _, records = fs.run_experiment("hyperfl", bundle, shards, cfg, seed=17)
+    dp = fs.DPConfig(clip_norm=1.0, sigma=0.01)
+    _, _, records = fs.run_experiment(algorithm, bundle, shards, cfg, seed=17, dp=dp)
     # round 0 rows for everyone, then 4 clients per round
     assert len(records) == 4 + 4 * 4
     r0 = [r for r in records if r.round == 0]
@@ -427,6 +429,16 @@ def test_round_records_shape_and_nan_policy():
     assert all(not math.isnan(r.test_acc) for r in r2)
     last = [r for r in records if r.round == 4]
     assert sum(not math.isnan(r.train_loss) for r in last) == 4  # full participation
+    trained = [r for r in records if not math.isnan(r.train_loss)]
+    assert all(math.isfinite(r.extractor_drift) for r in trained)
+    assert all(math.isfinite(r.grad_sq_norm) for r in trained)
+    has_hypernet = algorithm in ("hyperfl", "pfedhn")
+    assert all(math.isfinite(r.hypernet_drift) == has_hypernet for r in trained)
+    # every row that did not train keeps NaN step metrics, drift included
+    for r in records:
+        if math.isnan(r.train_loss):
+            assert math.isnan(r.grad_sq_norm)
+            assert math.isnan(r.hypernet_drift) and math.isnan(r.extractor_drift)
 
 
 def test_last_round_forces_full_participation():

@@ -5,6 +5,11 @@ forward pass, central finite differences (h = 1e-5), and hand-unrolled
 optimizer recurrences.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -423,6 +428,37 @@ def test_tree_arithmetic_and_norms():
     np.testing.assert_array_equal(nn.tree_scale(a, 2.0)["x"], np.array([6.0, 8.0]))
     with pytest.raises(DimensionError):
         nn.tree_dot(a, {"x": b["x"]})
+
+
+_NORM_BITS_SCRIPT = """
+import numpy as np
+from hyperfl import network as nn
+rng = np.random.default_rng(5)
+for n in (51_200, 51_200, 51_200, 60_000, 100_000):
+    a = {"w": rng.normal(size=n)}
+    b = {"w": rng.normal(size=n)}
+    print(nn.tree_sq_norm(a).hex(), nn.tree_norm(a).hex(), nn.tree_dot(a, b).hex())
+"""
+
+
+def test_tree_norms_independent_of_blas_threads():
+    # vectors the size of HyperFL's largest head gradient, where OpenBLAS ddot
+    # splits the sum across threads
+    src_dir = str(Path(nn.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", _NORM_BITS_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        outputs.append(run.stdout)
+    assert outputs[0].count("\n") == 5
+    assert outputs[0] == outputs[1]
 
 
 @settings(max_examples=25, deadline=None)
