@@ -250,7 +250,8 @@ def _gradient_loss_sym(sim: Mapping[str, ad.Var], obs: Mapping[str, np.ndarray],
             term = ad.sum_(ad.square(ad.sub(sim[k], ad.constant(obs[k]))))
             total = term if total is None else ad.add(total, term)
         return total
-    # cosine distance over the concatenation of all tensors
+    # cosine distance over the concatenation of all tensors; obs_sq uses numpy's
+    # pairwise .sum() like the tape's sum_ below (not tree_sq_norm): cos(o, o) stays within 1 eps
     obs_sq = float(sum(np.sum(np.square(o)) for o in obs.values()))
     if obs_sq == 0.0:
         raise ConsistencyError("observed gradient is identically zero; cosine loss undefined")

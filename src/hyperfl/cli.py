@@ -114,18 +114,18 @@ def cmd_train(args) -> int:
         timings.append((t, now - clock["t"]))
         clock["t"] = now
         latest["state"] = (server, clients)
-        if t > 0 and cfg.snapshot_every > 0 and t % cfg.snapshot_every == 0:
+        on_cadence = t > 0 and cfg.snapshot_every > 0 and t % cfg.snapshot_every == 0
+        if t == rounds.total_rounds or on_cadence:
             _write_snapshot(out / "snapshots" / f"round_{t:04d}.hfl", server, clients)
 
     try:
-        server, clients, records = fs.run_experiment(
+        _, _, records = fs.run_experiment(
             cfg.algorithm,
             bundle,
             shards,
             rounds,
             seed=cfg.seed,
             dp=cfg.dp_config,
-            workers=cfg.workers,
             on_round=on_round,
         )
     except NumericError:
@@ -133,7 +133,6 @@ def cmd_train(args) -> int:
             _write_snapshot(out / "snapshots" / "emergency.hfl", *latest["state"])
         raise
 
-    _write_snapshot(out / "snapshots" / f"round_{server.round_t:04d}.hfl", server, clients)
     mx.write_metrics_csv(out / "metrics.csv", records)
     mx.write_timings_csv(out / "timings.csv", timings)
 
@@ -168,7 +167,7 @@ def cmd_attack(args) -> int:
     bundle = cfgmod.build_bundle(cfg)
     ds = cfgmod.build_dataset(cfg)
     shards = cfgmod.build_shards(cfg, ds)
-    server, clients = fs.tensors_to_state(ckpt.read_checkpoint(snap_path), bundle, shards)
+    server, clients = fs.tensors_to_state(ckpt.read_checkpoint(snap_path), shards)
     if server.algorithm != cfg.algorithm:
         raise CapabilityError(
             f"snapshot was produced by {server.algorithm!r} but the run config says {cfg.algorithm!r}"

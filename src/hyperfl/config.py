@@ -17,7 +17,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -34,11 +34,8 @@ from .network import NetSpec, OptimConfig, dense_net
 
 ENV_SEED = "HYPERFL_SEED"
 
-_OPTIM_G = {"learning_rate": 0.1, "momentum": 0.5, "weight_decay": 5e-4}
-_OPTIM_HV = {"learning_rate": 0.01, "momentum": 0.5, "weight_decay": 5e-4}
-
 _DEFAULTS = {
-    "workers": 1,
+    "workers": 1,  # accepted and ignored: sampled clients always train one after another
     "snapshot_every": 0,
     "partition": {
         "clients": 20,
@@ -49,32 +46,14 @@ _DEFAULTS = {
         "test_fraction": 1.0 / 6.0,
     },
     "model": {"activation": "relu"},
-    "hypernet": {"embedding_dim": 64, "hidden_dim": 100, "hidden_bias": True},
-    "rounds": {
-        "local_epochs": 5,
-        "batch_size": 50,
-        "sampling_rate": 1.0,
-        "total_rounds": 200,
-        "server_lr": 0.01,
-        "eta_g": dict(_OPTIM_G),
-        "eta_h": dict(_OPTIM_HV),
-        "eta_v": dict(_OPTIM_HV),
-    },
+    "hypernet": {f.name: f.default for f in fields(HypernetSpec) if f.default is not MISSING},
+    "rounds": asdict(RoundConfig()),
     "dp": {"clip_norm": None, "sigma": 0.0},
 }
 
 _DATASET_DEFAULTS = {"synthetic": {"separation": 3.0}, "pattern": {}, "idx": {"num_classes": None}}
 
-ATTACK_DEFAULTS = {
-    "iterations": 10_000,
-    "step_size": 0.1,
-    "grad_loss": "cosine",
-    "tv_coeff": 1e-6,
-    "init": "uniform",
-    "optimizer": "adam",
-    "seed": 0,
-    "samples": 50,
-}
+ATTACK_DEFAULTS = {**asdict(AttackConfig()), "samples": 50}
 
 
 @functools.cache
@@ -147,10 +126,6 @@ class ExperimentConfig:
     @property
     def output_dir(self) -> Path:
         return Path(self.data["output_dir"])
-
-    @property
-    def workers(self) -> int:
-        return int(self.data["workers"])
 
     @property
     def snapshot_every(self) -> int:

@@ -15,8 +15,8 @@ Determinism
 Every random decision draws from a stream derived by hashing
 ``(experiment_seed, purpose tag, client id, round)`` through numpy's
 SeedSequence.  Client training is a pure function of (state, received bytes,
-stream), uploads are consumed in ascending client id, and so results are
-bit-identical for any number of worker threads.
+stream), and sampled clients train one after another in ascending client id,
+so a seeded run is bit-identical on every rerun.
 
 Algorithm tags: ``hyperfl``, ``fedavg``, ``dp_fedavg``, ``local``,
 ``pfedhn``.
@@ -25,7 +25,6 @@ Algorithm tags: ``hyperfl``, ``fedavg``, ``dp_fedavg``, ``local``,
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -156,8 +155,7 @@ class ClientState:
     """One client's private state; algorithm-dependent fields default None.
 
     HyperFL clients carry (v, phi_h, phi_c); FedAvg-family clients carry the
-    whole model in ``model``.  ``last_theta`` remembers the previous round's
-    generated extractor so round-over-round drift can be reported.
+    whole model in ``model``.
     """
 
     id: int
@@ -169,7 +167,6 @@ class ClientState:
     model: ParamSet | None = None
     opt_c: OptimState | None = None
     opt_v: OptimState | None = None
-    last_theta: ParamSet | None = None
 
     def __post_init__(self):
         if self.train.n < 1:
@@ -265,6 +262,34 @@ class LocalStats:
     grad_sq_norm: float  # mean over the round's SGD steps
 
 
+def _sgd_epochs(
+    params: ParamSet,
+    frozen: ParamSet,
+    opt: OptimState | None,
+    data: Dataset,
+    spec: NetSpec,
+    cfg: RoundConfig,
+    epochs: int,
+    rng: np.random.Generator,
+) -> tuple[ParamSet, OptimState, list[float], list[float]]:
+    """``epochs`` shuffled passes of ``cfg.eta_g`` SGD on ``params``, ``frozen`` held fixed.
+
+    Returns (params, optimizer state, per-step losses, per-step gradient
+    squared norms); the inputs are not mutated.
+    """
+    losses: list[float] = []
+    sq_norms: list[float] = []
+    for _ in range(epochs):
+        for idx in minibatches(data.n, cfg.batch_size, rng):
+            loss, grads = loss_and_grad_params({**frozen, **params}, spec, data.x[idx], data.y[idx])
+            # keep the tape's sorted name order: tree_sq_norm sums in dict order
+            grads = {k: g for k, g in grads.items() if k in params}
+            losses.append(loss)
+            sq_norms.append(tree_sq_norm(grads))
+            params, opt = sgd_step(params, grads, cfg.eta_g, opt)
+    return params, opt, losses, sq_norms
+
+
 def local_train_hyperfl(
     client: ClientState,
     varphi_bar: ParamSet,
@@ -283,26 +308,17 @@ def local_train_hyperfl(
     and embedding momentum persist across rounds.
     """
     phi_h = tree_copy(varphi_bar)
-    phi_c = tree_copy(client.phi_c)
     v = client.v.copy()
-    opt_c = client.opt_c or init_optim_state(phi_c)
     opt_v = client.opt_v or {"v": np.zeros_like(v)}
     opt_h = init_optim_state(phi_h)
-
     x, y = client.train.x, client.train.y
     full_spec = bundle.full
-    losses: list[float] = []
-    step_sq_norms: list[float] = []
 
     # Step 1: classifier only
     theta = hypernet_forward(v, phi_h, bundle.hyper)
-    for idx in minibatches(client.train.n, cfg.batch_size, rng):
-        params = {**theta, **phi_c}
-        loss, grads = loss_and_grad_params(params, full_spec, x[idx], y[idx])
-        g_cls = {k: grads[k] for k in phi_c}
-        losses.append(loss)
-        step_sq_norms.append(tree_sq_norm(g_cls))
-        phi_c, opt_c = sgd_step(phi_c, g_cls, cfg.eta_g, opt_c)
+    phi_c, opt_c, losses, step_sq_norms = _sgd_epochs(
+        client.phi_c, theta, client.opt_c, client.train, full_spec, cfg, 1, rng
+    )
 
     # Step 2: hypernetwork + embedding, classifier frozen
     for _ in range(cfg.local_epochs):
@@ -318,19 +334,8 @@ def local_train_hyperfl(
             vt, opt_v = sgd_step({"v": v}, {"v": dv}, cfg.eta_v, opt_v)
             v = vt["v"]
 
-    new_client = replace(
-        client,
-        v=v,
-        phi_h=phi_h,
-        phi_c=phi_c,
-        opt_c=opt_c,
-        opt_v=opt_v,
-        last_theta=hypernet_forward(v, phi_h, bundle.hyper),
-    )
-    stats = LocalStats(
-        train_loss=float(np.mean(losses)),
-        grad_sq_norm=float(np.mean(step_sq_norms)),
-    )
+    new_client = replace(client, v=v, phi_h=phi_h, phi_c=phi_c, opt_c=opt_c, opt_v=opt_v)
+    stats = LocalStats(float(np.mean(losses)), float(np.mean(step_sq_norms)))
     return new_client, tree_copy(phi_h), stats
 
 
@@ -346,24 +351,12 @@ def local_train_fedavg(
     Local-only mode reuses this with the client's own model in place of a
     global one (and no aggregation afterwards).
     """
-    model = tree_copy(global_model)
-    opt = client.opt_c or init_optim_state(model)
-    x, y = client.train.x, client.train.y
-    full_spec = bundle.full
-    losses: list[float] = []
-    step_sq_norms: list[float] = []
-
-    for _ in range(cfg.local_epochs):
-        for idx in minibatches(client.train.n, cfg.batch_size, rng):
-            loss, grads = loss_and_grad_params(model, full_spec, x[idx], y[idx])
-            losses.append(loss)
-            step_sq_norms.append(tree_sq_norm(grads))
-            model, opt = sgd_step(model, grads, cfg.eta_g, opt)
-
-    delta = tree_sub(model, global_model)
+    model, opt, losses, step_sq_norms = _sgd_epochs(
+        global_model, {}, client.opt_c, client.train, bundle.full, cfg, cfg.local_epochs, rng
+    )
     new_client = replace(client, model=model, opt_c=opt)
     stats = LocalStats(float(np.mean(losses)), float(np.mean(step_sq_norms)))
-    return new_client, delta, stats
+    return new_client, tree_sub(model, global_model), stats
 
 
 def dp_sanitize(update: ParamSet, dp: DPConfig, rng: np.random.Generator) -> ParamSet:
@@ -475,7 +468,6 @@ def init_experiment(
     if algorithm == "hyperfl":
         phi_h0, v0 = init_hypernet(bundle.hyper, seed)
         phi_c0 = init_params(bundle.cls, init_rng)
-        theta0 = hypernet_forward(v0, phi_h0, bundle.hyper)
         for cid, (train, test) in enumerate(shards):
             clients.append(
                 ClientState(
@@ -485,7 +477,6 @@ def init_experiment(
                     v=v0.copy(),
                     phi_h=tree_copy(phi_h0),
                     phi_c=tree_copy(phi_c0),
-                    last_theta=tree_copy(theta0),
                 )
             )
         server = ServerState(algorithm=algorithm, varphi_bar=tree_copy(phi_h0))
@@ -517,21 +508,21 @@ def init_experiment(
 # -- evaluation ----------------------------------------------------------------------
 
 
-def client_eval_model(client: ClientState, server: ServerState, bundle: ModelBundle) -> ParamSet:
+def _theta(client: ClientState, bundle: ModelBundle) -> ParamSet:
+    """A HyperFL client's generated feature extractor h(v; phi_h)."""
+    return hypernet_forward(client.v, client.phi_h, bundle.hyper)
+
+
+def client_eval_model(client: ClientState, bundle: ModelBundle) -> ParamSet:
     """The parameters a client would use for inference right now."""
     if client.model is not None:
         return {**client.model}
-    theta = hypernet_forward(client.v, client.phi_h, bundle.hyper)
-    return {**theta, **client.phi_c}
+    return {**_theta(client, bundle), **client.phi_c}
 
 
-def evaluate_clients(
-    server: ServerState, clients: Sequence[ClientState], bundle: ModelBundle
-) -> list[float]:
+def evaluate_clients(clients: Sequence[ClientState], bundle: ModelBundle) -> list[float]:
     spec = bundle.full
-    return [
-        accuracy(client_eval_model(c, server, bundle), spec, c.test.x, c.test.y) for c in clients
-    ]
+    return [accuracy(client_eval_model(c, bundle), spec, c.test.x, c.test.y) for c in clients]
 
 
 # per trained client: (new state, stats, hypernet drift, extractor drift)
@@ -567,7 +558,7 @@ def initial_records(
     server: ServerState, clients: Sequence[ClientState], bundle: ModelBundle
 ) -> list[RoundRecord]:
     """Round-0 rows: initial test accuracy, every step metric unmeasured."""
-    return _records(0, clients, evaluate_clients(server, clients, bundle), {})
+    return _records(0, clients, evaluate_clients(clients, bundle), {})
 
 
 def _extractor_norm(delta: ParamSet, bundle: ModelBundle) -> float:
@@ -587,12 +578,12 @@ def run_round(
     dp: DPConfig,
     seed: int,
     wire: Wire | None = None,
-    workers: int = 1,
 ) -> tuple[ServerState, list[ClientState], list[RoundRecord]]:
     """One communication round; returns one record per client.
 
-    Sampled clients train and get fresh step metrics; unsampled clients keep
-    NaN step metrics but are still evaluated on their test shards.
+    Sampled clients train one after another in ascending id and get fresh
+    step metrics; unsampled clients keep NaN step metrics but are still
+    evaluated on their test shards.
     """
     wire = wire if wire is not None else Wire()
     t = server.round_t + 1
@@ -607,33 +598,21 @@ def run_round(
         changes = _pfedhn_updates(server, clients, bundle, cfg, seed, wire, sampled, t, trained)
     else:
         upload_names = _allowed_upload_names(algorithm, bundle)
-        # broadcast phase: payloads decoded from wire bytes on the "client side"
-        received: dict[int, ParamSet] = {}
+        train = local_train_hyperfl if algorithm == "hyperfl" else local_train_fedavg
+        uploads: list[ParamSet] = []
         for cid in sampled:
+            client = clients[cid]
             if algorithm == "local":  # no broadcast, train from own model
-                received[cid] = clients[cid].model
-            else:
+                received = client.model
+            else:  # decoded from wire bytes on the "client side"
                 sent = server.varphi_bar if algorithm == "hyperfl" else server.global_model
                 msg = wire.send("server", f"client:{cid}", "broadcast", t, sent, upload_names)
-                received[cid] = msg.tensors()
-
-        train = local_train_hyperfl if algorithm == "hyperfl" else local_train_fedavg
-
-        def train_one(cid: int) -> tuple[ClientState, ParamSet, LocalStats]:
+                received = msg.tensors()
             step_rng = derive_rng(seed, _TAG_STEP, cid, t)
-            return train(clients[cid], received[cid], bundle, cfg, step_rng)
-
-        if workers > 1 and len(sampled) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(train_one, sampled))
-        else:
-            results = [train_one(cid) for cid in sampled]
-
-        uploads: list[ParamSet] = []
-        for cid, (new_c, upload, stats) in zip(sampled, results):
+            new_c, upload, stats = train(client, received, bundle, cfg, step_rng)
             if algorithm == "hyperfl":
-                hdrift = tree_norm(tree_sub(new_c.phi_h, received[cid]))
-                edrift = tree_norm(tree_sub(new_c.last_theta, clients[cid].last_theta))
+                hdrift = tree_norm(tree_sub(new_c.phi_h, received))
+                edrift = tree_norm(tree_sub(_theta(new_c, bundle), _theta(client, bundle)))
             else:  # the unsanitized upload is the model delta
                 hdrift, edrift = math.nan, _extractor_norm(upload, bundle)
             if algorithm == "dp_fedavg":
@@ -656,7 +635,7 @@ def run_round(
     new_clients = list(clients)
     for cid, (new_c, *_) in trained.items():
         new_clients[cid] = new_c
-    accs = evaluate_clients(new_server, new_clients, bundle)
+    accs = evaluate_clients(new_clients, bundle)
     return new_server, new_clients, _records(t, new_clients, accs, trained)
 
 
@@ -717,15 +696,13 @@ def run_experiment(
     cfg: RoundConfig,
     seed: int,
     dp: DPConfig | None = None,
-    workers: int = 1,
     wire: Wire | None = None,
     on_round: Callable[[int, ServerState, list[ClientState]], None] | None = None,
 ) -> tuple[ServerState, list[ClientState], list[RoundRecord]]:
     """Initialize, run ``cfg.total_rounds`` rounds, collect all records.
 
-    ``workers`` only controls thread-pool width; any value yields the same
-    bits.  ``on_round`` (if given) fires after every round with the fresh
-    states; snapshotting hooks in there.
+    ``on_round`` (if given) fires after the initial state (round 0) and after
+    every round with the fresh states; snapshotting hooks in there.
     """
     dp = dp or DPConfig()
     server, clients = init_experiment(algorithm, bundle, shards, seed)
@@ -733,9 +710,7 @@ def run_experiment(
     if on_round is not None:
         on_round(0, server, clients)
     for _ in range(cfg.total_rounds):
-        server, clients, round_records = run_round(
-            server, clients, bundle, cfg, dp, seed, wire=wire, workers=workers
-        )
+        server, clients, round_records = run_round(server, clients, bundle, cfg, dp, seed, wire=wire)
         records.extend(round_records)
         if on_round is not None:
             on_round(server.round_t, server, clients)
@@ -779,7 +754,7 @@ def state_to_tensors(server: ServerState, clients: Sequence[ClientState]) -> Par
 
 
 def tensors_to_state(
-    flat: ParamSet, bundle: ModelBundle, shards: Sequence[tuple[Dataset, Dataset]]
+    flat: ParamSet, shards: Sequence[tuple[Dataset, Dataset]]
 ) -> tuple[ServerState, list[ClientState]]:
     """Rebuild (server, clients) from a flattened snapshot plus data shards.
 
@@ -808,11 +783,6 @@ def tensors_to_state(
         phi_h = subtree(base + "phi_h/") or None
         phi_c = subtree(base + "phi_c/") or None
         model = subtree(base + "model/") or None
-        theta = (
-            hypernet_forward(np.asarray(v), phi_h, bundle.hyper)
-            if (v is not None and phi_h is not None)
-            else None
-        )
         clients.append(
             ClientState(
                 id=cid,
@@ -822,7 +792,6 @@ def tensors_to_state(
                 phi_h=phi_h,
                 phi_c=phi_c,
                 model=model,
-                last_theta=theta,
             )
         )
     server = ServerState(

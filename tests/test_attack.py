@@ -209,6 +209,18 @@ def test_ig_attack_cosine_scale_invariance():
     assert x1.tobytes() == x2.tobytes()
 
 
+def test_cosine_loss_of_a_gradient_with_itself_is_zero_to_rounding():
+    # obs_sq is summed like the tape sums sim_sq; another summation order
+    # (e.g. network.tree_sq_norm's einsum) leaves several ulp of self-distance
+    rng = np.random.default_rng(254)
+    eps = np.finfo(float).eps
+    for _ in range(50):
+        sizes = rng.integers(10, 60_001, size=4)
+        obs = {f"g{i}": rng.normal(size=int(n)) for i, n in enumerate(sizes)}
+        loss = atk._gradient_loss_sym({k: ad.Var(o) for k, o in obs.items()}, obs, "cosine")
+        assert abs(float(loss.data)) <= eps
+
+
 def test_ig_attack_refuses_hyperfl_transcript():
     _, tr = hyperfl_tr()
     with pytest.raises(CapabilityError):

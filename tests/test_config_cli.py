@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hyperfl import checkpoint as ckpt
 from hyperfl import cli
 from hyperfl import config as cfgmod
 from hyperfl import datakit as dk
@@ -267,6 +268,30 @@ def test_metrics_bytes_invariant_to_worker_count(tmp_path):
     b = train_run(tmp_path, "b", workers=2)
     assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
     assert (a / "final_accuracy.json").read_bytes() == (b / "final_accuracy.json").read_bytes()
+
+
+def test_workers_below_one_exits_1(tmp_path, capsys):
+    cfg_path = write_config(tmp_path / "w.json", base_config(tmp_path / "run", workers=0))
+    assert cli.main(["train", str(cfg_path)]) == 1
+    assert "workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "total, every, want",
+    [(4, 2, [2, 4]), (3, 2, [2, 3]), (2, 0, [2]), (0, 0, [0]), (0, 3, [0])],
+)
+def test_train_writes_each_snapshot_once(tmp_path, monkeypatch, total, every, want):
+    written = []
+    write = ckpt.write_checkpoint
+
+    def record(path, tensors):
+        written.append(Path(path).name)
+        write(path, tensors)
+
+    monkeypatch.setattr(ckpt, "write_checkpoint", record)
+    out = train_run(tmp_path, snapshot_every=every, rounds={"total_rounds": total})
+    assert written == [f"round_{t:04d}.hfl" for t in want]
+    assert sorted(p.name for p in (out / "snapshots").iterdir()) == written
 
 
 def test_env_seed_recorded_in_resolved_config(tmp_path, monkeypatch):

@@ -362,19 +362,6 @@ def test_local_mode_sends_nothing_and_diverges():
     assert clients[0].model["fe0/W"].tobytes() != clients[1].model["fe0/W"].tobytes()
 
 
-def test_run_experiment_deterministic_across_workers():
-    bundle = small_bundle()
-    shards = make_shards(4, n=18)
-    cfg = quick_cfg(total_rounds=3, sampling_rate=0.5, batch_size=6)
-    outs = []
-    for workers in (1, 4):
-        _, _, records = fs.run_experiment(
-            "hyperfl", bundle, shards, cfg, seed=21, workers=workers
-        )
-        outs.append(records)
-    assert outs[0] == outs[1]  # RoundRecord dataclasses compare exactly
-
-
 def test_run_experiment_deterministic_across_runs():
     bundle = small_bundle()
     shards = make_shards(3, n=18)
@@ -439,6 +426,30 @@ def test_round_records_shape_and_nan_policy(algorithm):
         if math.isnan(r.train_loss):
             assert math.isnan(r.grad_sq_norm)
             assert math.isnan(r.hypernet_drift) and math.isnan(r.extractor_drift)
+
+
+def test_hyperfl_extractor_drift_is_generated_extractor_change():
+    bundle = small_bundle()
+    shards = make_shards(3, n=18)
+    cfg = quick_cfg(total_rounds=3, sampling_rate=0.5, batch_size=6)
+    dp = fs.DPConfig()
+    server, clients = fs.init_experiment("hyperfl", bundle, shards, seed=19)
+
+    def h(c):
+        return hn.hypernet_forward(c.v, c.phi_h, bundle.hyper)
+
+    checked = 0
+    for _ in range(cfg.total_rounds):
+        server, new_clients, records = fs.run_round(server, clients, bundle, cfg, dp, seed=19)
+        for r in records:
+            if math.isnan(r.train_loss):
+                continue
+            cid = int(r.client_id)
+            assert r.extractor_drift == nn.tree_norm(nn.tree_sub(h(new_clients[cid]), h(clients[cid])))
+            assert r.extractor_drift > 0
+            checked += 1
+        clients = new_clients
+    assert checked == 2 + 2 + 3  # two sampled per round, everyone in the last
 
 
 def test_last_round_forces_full_participation():
@@ -565,7 +576,7 @@ def test_state_snapshot_round_trip_resumes_identically():
         server, clients, _ = fs.run_round(server, clients, bundle, cfg, dp, seed=33)
 
     blob = ckpt.dump_params(fs.state_to_tensors(server, clients))
-    server2, clients2 = fs.tensors_to_state(ckpt.load_params(blob), bundle, shards)
+    server2, clients2 = fs.tensors_to_state(ckpt.load_params(blob), shards)
     assert server2.round_t == server.round_t
 
     s_a, c_a, rec_a = fs.run_round(server, clients, bundle, cfg, dp, seed=33)
