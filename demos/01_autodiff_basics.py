@@ -1,7 +1,8 @@
-"""A tour of the reverse-mode engine underneath everything else.
+"""A tour of the reverse-mode engine underneath training and the attacks.
 
-Every training step, every hypernetwork generation, and the whole attack
-harness run on the same small Var graph.  This script differentiates a
+Every training step's loss gradient and the whole attack harness run on the
+same small Var graph; the hypernetwork's own passes are closed-form numpy,
+tested bitwise against their traced form.  This script differentiates a
 couple of expressions by hand, checks one against finite differences, and
 then takes a gradient of a gradient, which is the operation the inversion
 attack leans on.

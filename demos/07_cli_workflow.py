@@ -5,6 +5,7 @@ then a look at what landed on disk.  Runs in a temporary directory.
 """
 
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -65,7 +66,7 @@ print("attack digest:", summary["attack"])
 env_run = subprocess.run(
     [sys.executable, "-m", "hyperfl.cli", "train", str(tmp / "experiment.json")],
     capture_output=True, text=True,
-    env={"HYPERFL_SEED": "99", "PATH": ""},
+    env={**os.environ, "HYPERFL_SEED": "99"},
 )
 resolved = json.loads((run_dir / "config.resolved.json").read_text())
 print("\nHYPERFL_SEED=99 overrode the config seed:", resolved["seed"] == 99)

@@ -484,9 +484,9 @@ def init_experiment(
         hyper = bundle.pfedhn_hyper()
         phi_h0, v0 = init_hypernet(hyper, seed)
         embeddings = {cid: v0.copy() for cid in range(len(shards))}
+        model0 = hypernet_forward(v0, phi_h0, hyper)
         for cid, (train, test) in enumerate(shards):
-            model0 = hypernet_forward(v0, phi_h0, hyper)
-            clients.append(ClientState(id=cid, train=train, test=test, model=model0))
+            clients.append(ClientState(id=cid, train=train, test=test, model=tree_copy(model0)))
         server = ServerState(
             algorithm=algorithm,
             varphi_bar=phi_h0,
@@ -513,16 +513,29 @@ def _theta(client: ClientState, bundle: ModelBundle) -> ParamSet:
     return hypernet_forward(client.v, client.phi_h, bundle.hyper)
 
 
-def client_eval_model(client: ClientState, bundle: ModelBundle) -> ParamSet:
-    """The parameters a client would use for inference right now."""
+def client_eval_model(
+    client: ClientState, bundle: ModelBundle, theta: ParamSet | None = None
+) -> ParamSet:
+    """The parameters a client would use for inference right now.
+
+    ``theta`` is the HyperFL client's generated extractor when the caller
+    already has it; otherwise it is generated here.
+    """
     if client.model is not None:
         return {**client.model}
-    return {**_theta(client, bundle), **client.phi_c}
+    return {**(_theta(client, bundle) if theta is None else theta), **client.phi_c}
 
 
-def evaluate_clients(clients: Sequence[ClientState], bundle: ModelBundle) -> list[float]:
+def evaluate_clients(
+    clients: Sequence[ClientState], bundle: ModelBundle, thetas: dict[int, ParamSet] | None = None
+) -> list[float]:
+    """Test accuracy per client; ``thetas`` maps client id to a known ``_theta``."""
     spec = bundle.full
-    return [accuracy(client_eval_model(c, bundle), spec, c.test.x, c.test.y) for c in clients]
+    thetas = thetas or {}
+    return [
+        accuracy(client_eval_model(c, bundle, thetas.get(c.id)), spec, c.test.x, c.test.y)
+        for c in clients
+    ]
 
 
 # per trained client: (new state, stats, hypernet drift, extractor drift)
@@ -592,6 +605,7 @@ def run_round(
     sampled = sample_clients(len(clients), cfg.sampling_rate, sample_rng, last_round).tolist()
     algorithm = server.algorithm
     trained: Trained = {}
+    thetas: dict[int, ParamSet] = {}  # hyperfl: each trained client's new extractor
     changes: dict = {}  # server fields this round replaces
 
     if algorithm == "pfedhn":
@@ -612,7 +626,8 @@ def run_round(
             new_c, upload, stats = train(client, received, bundle, cfg, step_rng)
             if algorithm == "hyperfl":
                 hdrift = tree_norm(tree_sub(new_c.phi_h, received))
-                edrift = tree_norm(tree_sub(_theta(new_c, bundle), _theta(client, bundle)))
+                thetas[cid] = _theta(new_c, bundle)
+                edrift = tree_norm(tree_sub(thetas[cid], _theta(client, bundle)))
             else:  # the unsanitized upload is the model delta
                 hdrift, edrift = math.nan, _extractor_norm(upload, bundle)
             if algorithm == "dp_fedavg":
@@ -635,7 +650,7 @@ def run_round(
     new_clients = list(clients)
     for cid, (new_c, *_) in trained.items():
         new_clients[cid] = new_c
-    accs = evaluate_clients(new_clients, bundle)
+    accs = evaluate_clients(new_clients, bundle, thetas)
     return new_server, new_clients, _records(t, new_clients, accs, trained)
 
 

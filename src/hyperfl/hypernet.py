@@ -7,15 +7,21 @@ per target tensor.  Given an embedding ``v`` of dimension ``d``:
     theta[name] = (hidden @ W_name.T + b_name)  # head, reshaped to the
                                                 # target tensor's shape
 
-Backward rules into both ``phi_h`` and ``v`` are exact vector-Jacobian
-products computed through the autodiff engine, so a task loss can be trained
-end to end while only ``phi_h`` ever leaves the client.
+:func:`hypernet_forward` and :func:`hypernet_backward` are closed-form numpy:
+the backward pass returns the exact vector-Jacobian products into both
+``phi_h`` and ``v``, so a task loss can be trained end to end while only
+``phi_h`` ever leaves the client.  Both follow the operation order of the
+traced :func:`hypernet_forward_sym` and are checked bitwise against it in the
+tests; the attacks differentiate through that traced form, which they need
+for second-order terms.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -67,14 +73,21 @@ class HypernetSpec:
         return shapes
 
 
+@functools.cache
+def _phi_shapes(spec: HypernetSpec) -> MappingProxyType:
+    """Read-only ``spec.param_shapes()``, built once per spec."""
+    return MappingProxyType(spec.param_shapes())
+
+
 def _check_phi(phi_h, spec: HypernetSpec) -> None:
-    shapes = spec.param_shapes()
-    if set(phi_h.keys()) != set(shapes.keys()):
+    shapes = _phi_shapes(spec)
+    if phi_h.keys() != shapes.keys():
         raise DimensionError(
             f"hypernet parameter names {sorted(phi_h)} do not match spec {sorted(shapes)}"
         )
     for name, shape in shapes.items():
-        got = np.asarray(getattr(phi_h[name], "data", phi_h[name])).shape
+        val = phi_h[name]
+        got = val.shape if isinstance(val, (np.ndarray, ad.Var)) else np.shape(val)
         if got != shape:
             raise DimensionError(f"{name}: expected shape {shape}, got {got}")
 
@@ -107,36 +120,69 @@ def hypernet_forward_sym(v, phi_h, spec: HypernetSpec) -> dict[str, ad.Var]:
     return theta
 
 
+def _trunk(v, phi_h, spec: HypernetSpec) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """Checked float64 inputs and the hidden layer: (row, hidden, phi)."""
+    _check_phi(phi_h, spec)
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (spec.embedding_dim,):
+        raise DimensionError(f"embedding must have shape ({spec.embedding_dim},), got {v.shape}")
+    phi = {name: np.asarray(val, dtype=np.float64) for name, val in phi_h.items()}
+    # same operations, in the same order, as hypernet_forward_sym
+    row = v.reshape(1, spec.embedding_dim)
+    hidden = row @ phi["hyper/trunk/W"].T.copy()
+    if spec.hidden_bias:
+        hidden = hidden + phi["hyper/trunk/b"].reshape(1, spec.hidden_dim)
+    hidden = hidden * (hidden > 0.0).astype(np.float64)
+    return row, hidden, phi
+
+
 def hypernet_forward(v: np.ndarray, phi_h: ParamSet, spec: HypernetSpec) -> ParamSet:
-    theta = hypernet_forward_sym(v, phi_h, spec)
-    return {name: var.data.copy() for name, var in theta.items()}
+    """θ = h(v; φ_h), bitwise equal to the data of :func:`hypernet_forward_sym`."""
+    _, hidden, phi = _trunk(v, phi_h, spec)
+    theta: ParamSet = {}
+    for name, shape in spec.target:
+        w, b = phi[f"hyper/head/{name}/W"], phi[f"hyper/head/{name}/b"]
+        theta[name] = (hidden @ w.T.copy() + b.reshape(1, -1)).reshape(shape)
+    return theta
 
 
 def hypernet_backward(
     d_theta: ParamSet, v: np.ndarray, phi_h: ParamSet, spec: HypernetSpec
 ) -> tuple[ParamSet, np.ndarray]:
-    """Pull a cotangent on θ back to (φ_h, v): exact VJPs through the forward map."""
+    """Pull a cotangent on θ back to (φ_h, v): exact VJPs, in closed form.
+
+    Returns ``(d_phi, dv)`` with ``d_phi`` in sorted name order.  Every
+    tensor is bitwise equal to ``autodiff.grad`` of ⟨d_theta, θ⟩ through
+    :func:`hypernet_forward_sym`: the trunk is recomputed with the same
+    operations, and per-head contributions to the hidden layer are summed in
+    ``spec.target`` order, as the tape sums them.
+    """
     target_names = {name for name, _ in spec.target}
-    if set(d_theta.keys()) != target_names:
+    if d_theta.keys() != target_names:
         raise DimensionError(
             f"cotangent names {sorted(d_theta)} do not match target names {sorted(target_names)}"
         )
-    v_leaf = ad.Var(np.asarray(v, dtype=np.float64))
-    phi_leaves = {name: ad.Var(np.asarray(val, dtype=np.float64)) for name, val in phi_h.items()}
-    theta = hypernet_forward_sym(v_leaf, phi_leaves, spec)
+    row, hidden, phi = _trunk(v, phi_h, spec)
 
-    # <d_theta, theta> has gradient J^T d_theta by construction.
-    total = ad.constant(0.0)
+    d_phi: ParamSet = {}
+    d_hidden = None
     for name, shape in spec.target:
         cot = np.asarray(d_theta[name], dtype=np.float64)
         if cot.shape != shape:
             raise DimensionError(f"cotangent {name}: expected shape {shape}, got {cot.shape}")
-        total = ad.add(total, ad.dot(theta[name], ad.constant(cot)))
+        g = cot.reshape(1, -1)
+        d_phi[f"hyper/head/{name}/W"] = g.T @ hidden
+        d_phi[f"hyper/head/{name}/b"] = cot.flatten()
+        contrib = g @ np.ascontiguousarray(phi[f"hyper/head/{name}/W"])
+        d_hidden = contrib if d_hidden is None else d_hidden + contrib
 
-    names = sorted(phi_leaves)
-    grads = ad.grad(total, [phi_leaves[n] for n in names] + [v_leaf])
-    d_phi = {n: g.data.copy() for n, g in zip(names, grads[:-1])}
-    return d_phi, grads[-1].data.copy()
+    d_pre = d_hidden * (hidden > 0.0)
+    d_phi["hyper/trunk/W"] = d_pre.T @ row
+    if spec.hidden_bias:
+        d_phi["hyper/trunk/b"] = d_pre.reshape(spec.hidden_dim)
+    dv = (d_pre @ np.ascontiguousarray(phi["hyper/trunk/W"])).reshape(spec.embedding_dim)
+    # tree_sq_norm sums in dict order: keep the tape's sorted order
+    return {name: d_phi[name] for name in sorted(d_phi)}, dv
 
 
 def init_hypernet(spec: HypernetSpec, seed: int) -> tuple[ParamSet, np.ndarray]:

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hyperfl import autodiff as ad
 from hyperfl import hypernet as hn
 from hyperfl import network as nn
 from hyperfl.errors import DimensionError
@@ -29,6 +32,21 @@ def straightline_forward(v, phi_h, spec):
         flat = phi_h[f"hyper/head/{name}/W"] @ hidden + phi_h[f"hyper/head/{name}/b"]
         theta[name] = flat.reshape(shape)
     return theta
+
+
+def tape_backward(d_theta, v, phi_h, spec):
+    """Reference VJP: ``ad.grad`` of <d_theta, theta> through the traced forward."""
+    v_leaf = ad.Var(np.asarray(v, dtype=np.float64))
+    phi_leaves = {name: ad.Var(np.asarray(val, dtype=np.float64)) for name, val in phi_h.items()}
+    theta = hn.hypernet_forward_sym(v_leaf, phi_leaves, spec)
+    total = ad.constant(0.0)
+    for name, _ in spec.target:
+        cot = np.asarray(d_theta[name], dtype=np.float64)
+        total = ad.add(total, ad.dot(theta[name], ad.constant(cot)))
+    names = sorted(phi_leaves)
+    grads = ad.grad(total, [phi_leaves[n] for n in names] + [v_leaf])
+    d_phi = {n: g.data.copy() for n, g in zip(names, grads[:-1])}
+    return d_phi, grads[-1].data.copy()
 
 
 # -- forward ---------------------------------------------------------------------
@@ -190,6 +208,87 @@ def test_backward_rejects_wrong_cotangent_names():
     v = RNG.normal(size=8)
     with pytest.raises(DimensionError):
         hn.hypernet_backward({"nope": np.zeros(3)}, v, phi, SPEC)
+
+
+def zero_cotangent():
+    return {name: np.zeros(shape) for name, shape in SPEC.target}
+
+
+def test_backward_rejects_wrong_embedding_shape():
+    with pytest.raises(DimensionError):
+        hn.hypernet_backward(zero_cotangent(), RNG.normal(size=9), random_phi(2), SPEC)
+
+
+def test_backward_rejects_wrong_cotangent_shape():
+    d_theta = zero_cotangent()
+    d_theta["fe1/W"] = np.zeros((10, 6))  # transposed
+    with pytest.raises(DimensionError):
+        hn.hypernet_backward(d_theta, RNG.normal(size=8), random_phi(2), SPEC)
+
+
+@pytest.mark.parametrize("name", ["hyper/trunk/W", "hyper/trunk/b", "hyper/head/fe0/b/b"])
+def test_backward_rejects_missing_or_misshapen_phi(name):
+    v = RNG.normal(size=8)
+    missing = random_phi(2)
+    del missing[name]
+    with pytest.raises(DimensionError):
+        hn.hypernet_backward(zero_cotangent(), v, missing, SPEC)
+    misshapen = random_phi(2)
+    misshapen[name] = np.zeros(misshapen[name].shape + (1,))
+    with pytest.raises(DimensionError):
+        hn.hypernet_backward(zero_cotangent(), v, misshapen, SPEC)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    widths=st.lists(st.integers(min_value=1, max_value=9), min_size=2, max_size=4),
+    embedding_dim=st.integers(min_value=1, max_value=10),
+    hidden_dim=st.integers(min_value=1, max_value=16),
+    hidden_bias=st.booleans(),
+    v_scale=st.sampled_from([0.0, 0.01, 1.0, 30.0]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_closed_form_is_bitwise_the_tape(widths, embedding_dim, hidden_dim, hidden_bias, v_scale, seed):
+    # 1-3 extractor layers; the v scale and a shifted trunk bias leave some
+    # ReLUs dead (all of them at scale 0 without a bias)
+    fe = nn.dense_net("fe", widths)
+    spec = hn.HypernetSpec(
+        target=hn.target_from_netspec(fe),
+        embedding_dim=embedding_dim,
+        hidden_dim=hidden_dim,
+        hidden_bias=hidden_bias,
+    )
+    rng = np.random.default_rng(seed)
+    phi = {k: rng.normal(size=s) for k, s in spec.param_shapes().items()}
+    if hidden_bias:
+        phi["hyper/trunk/b"] -= 0.5
+    v = v_scale * rng.normal(size=embedding_dim)
+    d_theta = {name: rng.normal(size=shape) for name, shape in spec.target}
+
+    theta = hn.hypernet_forward(v, phi, spec)
+    theta_sym = hn.hypernet_forward_sym(v, phi, spec)
+    assert list(theta) == list(theta_sym)
+    for name, var in theta_sym.items():
+        assert theta[name].shape == var.shape
+        assert theta[name].tobytes() == var.data.tobytes(), name
+
+    d_phi, dv = hn.hypernet_backward(d_theta, v, phi, spec)
+    want_phi, want_v = tape_backward(d_theta, v, phi, spec)
+    assert list(d_phi) == list(want_phi) == sorted(phi)
+    for name, want in want_phi.items():
+        assert d_phi[name].shape == want.shape
+        assert d_phi[name].tobytes() == want.tobytes(), name
+    assert dv.shape == want_v.shape
+    assert dv.tobytes() == want_v.tobytes()
+
+
+def test_backward_returns_fresh_arrays():
+    # the head-bias VJP equals the cotangent; it must not alias it
+    phi = random_phi(4)
+    d_theta = {name: RNG.normal(size=shape) for name, shape in SPEC.target}
+    d_phi, _ = hn.hypernet_backward(d_theta, RNG.normal(size=8), phi, SPEC)
+    d_phi["hyper/head/fe0/b/b"][:] = 0.0
+    assert np.all(d_theta["fe0/b"] != 0.0)
 
 
 # -- init ---------------------------------------------------------------------------
