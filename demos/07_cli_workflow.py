@@ -1,7 +1,8 @@
 """The whole pipeline through the command line, file formats included.
 
 train -> attack -> report, driven exactly the way a shell user would do it,
-then a look at what landed on disk.  Runs in a temporary directory.
+then a look at what landed on disk.  Runs in a temporary directory that is
+removed at the end.
 """
 
 import json
@@ -11,7 +12,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-tmp = Path(tempfile.mkdtemp(prefix="hyperfl_demo_"))
+workdir = tempfile.TemporaryDirectory(prefix="hyperfl_demo_")
+tmp = Path(workdir.name)
 run_dir = tmp / "run"
 
 config = {
@@ -70,3 +72,5 @@ env_run = subprocess.run(
 )
 resolved = json.loads((run_dir / "config.resolved.json").read_text())
 print("\nHYPERFL_SEED=99 overrode the config seed:", resolved["seed"] == 99)
+
+workdir.cleanup()

@@ -6,6 +6,12 @@ from traced primitives, so calling :func:`grad` on an expression that already
 contains gradients (a gradient-matching loss, for example) yields exact
 second-order derivatives instead of a dead end.
 
+The reverse pass visits only the nodes that lead to a ``wrt`` node: a
+vector-Jacobian product into a constant, a held-fixed parameter or any other
+node with no path to ``wrt`` is never built.  The skipped products could not
+have reached a requested adjoint, and the rest run in the same order, so
+every adjoint is what the full reverse pass would give, bit for bit.
+
 All arithmetic is 64-bit.  Operations never mutate their inputs; a ``Var``
 and its payload may be shared freely across threads.
 """
@@ -212,8 +218,11 @@ def transpose(a) -> Var:
     a = as_var(a)
     if a.data.ndim != 2:
         raise DimensionError(f"transpose expects a 2-d operand, got shape {a.data.shape}")
-    out = Var(a.data.T.copy())
-    out.parents = ((a, lambda g: transpose(g)),)
+    # the transpose of a transpose is its input's own (immutable) payload;
+    # BLAS only ever sees C-contiguous buffers, as with the copy
+    src = a.parents[0][0].data if a.parents and a.parents[0][1] is transpose else None
+    out = Var(src if src is not None and src.flags.c_contiguous else a.data.T.copy())
+    out.parents = ((a, transpose),)
     return out
 
 
@@ -395,17 +404,31 @@ def grad(output: Var, wrt: Sequence[Var]) -> list[Var]:
     The returned Vars are themselves graph nodes, so they can be fed back
     into further expressions and differentiated again.  Nodes that do not
     influence ``output`` get a zero adjoint of their own shape.
+
+    Only nodes on a path from ``output`` down to a ``wrt`` node are visited:
+    a parent that cannot reach ``wrt`` gets no vector-Jacobian product.
     """
     output = as_var(output)
     if output.data.size != 1:
         raise DimensionError(f"grad needs a scalar output, got shape {output.data.shape}")
 
+    order = _topo_order(output)
+    live = {id(w) for w in wrt}
+    for node in order:  # parents come before their children
+        if id(node) not in live:
+            for parent, _ in node.parents:
+                if id(parent) in live:
+                    live.add(id(node))
+                    break
+
     adjoints: dict[int, Var] = {id(output): constant(np.ones_like(output.data))}
-    for node in reversed(_topo_order(output)):
+    for node in reversed(order):
         g = adjoints.get(id(node))
         if g is None:
             continue
         for parent, vjp in node.parents:
+            if id(parent) not in live:
+                continue
             contrib = vjp(g)
             prev = adjoints.get(id(parent))
             adjoints[id(parent)] = contrib if prev is None else add(prev, contrib)

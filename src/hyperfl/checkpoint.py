@@ -20,7 +20,9 @@ bit-for-bit.
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
 from pathlib import Path
 from typing import Mapping
 
@@ -100,7 +102,21 @@ def load_params(data: bytes) -> dict[str, np.ndarray]:
 
 
 def write_checkpoint(path: str | Path, params: Mapping[str, np.ndarray]) -> None:
-    Path(path).write_bytes(dump_params(params))
+    """Write ``params`` to ``path`` atomically.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces ``path``: a crash mid-write leaves the previous file as it was.
+    """
+    path = Path(path)
+    # one temporary name per writing thread: concurrent writers never share it
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(dump_params(params))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_checkpoint(path: str | Path) -> dict[str, np.ndarray]:

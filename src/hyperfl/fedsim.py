@@ -281,9 +281,7 @@ def _sgd_epochs(
     sq_norms: list[float] = []
     for _ in range(epochs):
         for idx in minibatches(data.n, cfg.batch_size, rng):
-            loss, grads = loss_and_grad_params({**frozen, **params}, spec, data.x[idx], data.y[idx])
-            # keep the tape's sorted name order: tree_sq_norm sums in dict order
-            grads = {k: g for k, g in grads.items() if k in params}
+            loss, grads = loss_and_grad_params(params, spec, data.x[idx], data.y[idx], frozen)
             losses.append(loss)
             sq_norms.append(tree_sq_norm(grads))
             params, opt = sgd_step(params, grads, cfg.eta_g, opt)
@@ -324,9 +322,7 @@ def local_train_hyperfl(
     for _ in range(cfg.local_epochs):
         for idx in minibatches(client.train.n, cfg.batch_size, rng):
             theta = hypernet_forward(v, phi_h, bundle.hyper)
-            params = {**theta, **phi_c}
-            loss, grads = loss_and_grad_params(params, full_spec, x[idx], y[idx])
-            d_theta = {k: grads[k] for k in theta}
+            loss, d_theta = loss_and_grad_params(theta, full_spec, x[idx], y[idx], phi_c)
             d_phi, dv = hypernet_backward(d_theta, v, phi_h, bundle.hyper)
             losses.append(loss)
             step_sq_norms.append(tree_sq_norm(d_phi) + tree_sq_norm({"v": dv}))

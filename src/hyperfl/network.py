@@ -264,11 +264,23 @@ def grad_params(params: ParamSet, spec: NetSpec, x, y) -> ParamSet:
     return loss_and_grad_params(params, spec, x, y)[1]
 
 
-def loss_and_grad_params(params: ParamSet, spec: NetSpec, x, y) -> tuple[float, ParamSet]:
-    """Loss and its parameter gradients from one traced forward pass."""
-    x = _validate(params, spec, x)
+def loss_and_grad_params(
+    params: ParamSet, spec: NetSpec, x, y, frozen: ParamSet | None = None
+) -> tuple[float, ParamSet]:
+    """Loss and its parameter gradients from one traced forward pass.
+
+    ``frozen`` tensors, if given, complete ``params`` to the network's full
+    parameter set and enter the pass as constants: gradients come back for
+    ``params`` only, in sorted name order.  A name in both raises
+    :class:`DimensionError`.
+    """
+    frozen = frozen or {}
+    shared = params.keys() & frozen.keys()
+    if shared:
+        raise DimensionError(f"parameters {sorted(shared)} are both trained and frozen")
+    x = _validate({**frozen, **params}, spec, x)
     leaves = {n: ad.Var(v) for n, v in params.items()}
-    loss = forward_loss_sym(leaves, spec, x, y)
+    loss = forward_loss_sym({**frozen, **leaves}, spec, x, y)
     names = sorted(leaves)
     grads = ad.grad(loss, [leaves[n] for n in names])
     return float(loss.data), {n: g.data.copy() for n, g in zip(names, grads)}
@@ -348,7 +360,14 @@ def sgd_step(
     new_state: OptimState = {}
     for name, p in params.items():
         g = np.asarray(grads[name], dtype=np.float64)
-        m = cfg.momentum * state[name] + (g + cfg.weight_decay * p)
+        # the formula's operations in its order, with two fresh arrays
+        m, new_p = np.empty(g.shape), np.empty(g.shape)
+        np.multiply(cfg.weight_decay, p, out=m)
+        np.add(g, m, out=m)
+        np.multiply(cfg.momentum, state[name], out=new_p)
+        np.add(new_p, m, out=m)
+        np.multiply(cfg.learning_rate, m, out=new_p)
+        np.subtract(p, new_p, out=new_p)
         new_state[name] = m
-        new_params[name] = p - cfg.learning_rate * m
+        new_params[name] = new_p
     return new_params, new_state

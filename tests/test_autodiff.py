@@ -330,3 +330,143 @@ def test_grad_is_linear_in_upstream_objective(seed):
     (g1,) = ad.grad(f1, [xv])
     (g2,) = ad.grad(f2, [xv])
     np.testing.assert_allclose(g_sum.data, g1.data + g2.data, rtol=1e-12)
+
+
+# -- pruned reverse pass against the full one ------------------------------------
+
+
+def reference_grad(output, wrt):
+    """The reverse pass without pruning: a VJP for every reachable node."""
+    output = ad.as_var(output)
+    adjoints = {id(output): ad.constant(np.ones_like(output.data))}
+    for node in reversed(ad._topo_order(output)):
+        g = adjoints.get(id(node))
+        if g is None:
+            continue
+        for parent, vjp in node.parents:
+            contrib = vjp(g)
+            prev = adjoints.get(id(parent))
+            adjoints[id(parent)] = contrib if prev is None else ad.add(prev, contrib)
+    out = []
+    for w in wrt:
+        a = adjoints.get(id(w))
+        out.append(a if a is not None else ad.constant(np.zeros_like(w.data)))
+    return out
+
+
+def _bounded(v):
+    """Rescale by a constant so that repeated exp/matmul never overflow."""
+    peak = float(np.max(np.abs(v.data)))
+    return ad.mul(v, ad.constant(2.0 / peak)) if peak > 2.0 else v
+
+
+def random_dag(rng, steps):
+    """Leaves, constants and a random mix of primitives over shared nodes.
+
+    Returns (pool, output, unreachable): every node built, a scalar over a
+    random subset of them, and a leaf plus an interior node that the output
+    does not depend on.
+    """
+    pool = [ad.Var(rng.normal(size=(3, 4))), ad.Var(rng.normal(size=(4, 3)))]
+    pool += [ad.constant(rng.normal(size=(3, 4))), ad.constant(rng.normal(size=(4, 3)))]
+    for _ in range(steps):
+        a = pool[rng.integers(len(pool))]
+        b = pool[rng.integers(len(pool))]
+        rows, cols = a.shape
+        op = rng.integers(11)
+        if op == 0 and b.shape[0] == cols:
+            node = ad.matmul(a, b)
+        elif op == 0 or op == 1:
+            node = ad.transpose(a)
+        elif op == 2:
+            node = ad.reshape(a, (cols, rows))
+        elif op == 3:
+            node = ad.sum_(a, axis=int(rng.integers(2)), keepdims=True)
+        elif op == 4:
+            node = ad.mul(a, b) if b.shape == a.shape else ad.mul(a, a)
+        elif op == 5:
+            den = b if b.shape == a.shape else a
+            node = ad.div(a, ad.add(ad.mul(den, den), ad.constant(1.0)))
+        elif op == 6:
+            node = ad.exp(a)
+        elif op == 7:
+            node = ad.logsumexp_rows(a)
+        elif op == 8 and rows > 1:
+            node = ad.slice_(a, (slice(1, None), slice(None)))
+        elif op == 9 and b.shape == a.shape:
+            node = ad.sub(a, b)
+        else:
+            node = ad.add(a, ad.constant(rng.normal(size=a.shape)))
+        pool.append(_bounded(node))
+    picks = rng.choice(len(pool), size=min(len(pool), 4), replace=False)
+    terms = [ad.dot(pool[i], ad.constant(rng.normal(size=pool[i].shape))) for i in picks]
+    output = terms[0]
+    for t in terms[1:]:
+        output = ad.add(output, t)
+    stray = ad.Var(rng.normal(size=(2, 2)))
+    unreachable = [stray, ad.exp(ad.matmul(stray, stray))]
+    return pool, output, unreachable
+
+
+def _pick_wrt(rng, pool, unreachable):
+    chosen = [pool[i] for i in rng.choice(len(pool), size=int(rng.integers(1, 5)), replace=True)]
+    chosen += [unreachable[i] for i in range(2) if rng.random() < 0.5]
+    return [chosen[i] for i in rng.permutation(len(chosen))]
+
+
+def _second_order_scalar(grads, rng):
+    total = ad.constant(0.0)
+    for g in grads:
+        total = ad.add(total, ad.dot(ad.mul(g, g), ad.constant(rng.normal(size=g.shape))))
+    return total
+
+
+def _assert_bitwise(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.data.shape == b.data.shape
+        assert a.data.tobytes() == b.data.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1), steps=st.integers(1, 14))
+def test_pruned_grad_bitwise_equals_full_reverse_pass(seed, steps):
+    rng = np.random.default_rng(seed)
+    pool, output, unreachable = random_dag(rng, steps)
+    wrt = _pick_wrt(rng, pool, unreachable)
+    wrt2 = _pick_wrt(rng, pool, unreachable)
+    second_seed = int(rng.integers(2**31))
+
+    got = ad.grad(output, wrt)
+    want = reference_grad(output, wrt)
+    _assert_bitwise(got, want)
+
+    s_got = _second_order_scalar(got, np.random.default_rng(second_seed))
+    s_want = _second_order_scalar(want, np.random.default_rng(second_seed))
+    assert s_got.data.tobytes() == s_want.data.tobytes()
+    _assert_bitwise(ad.grad(s_got, wrt2), reference_grad(s_want, wrt2))
+
+
+def test_grad_never_calls_vjp_into_a_node_off_the_path_to_wrt():
+    def boom(g):
+        raise AssertionError("VJP into a constant was evaluated")
+
+    x = ad.Var(np.array([1.0, 2.0]))
+    c = ad.constant(np.array([3.0, 4.0]))
+    node = ad.Var(x.data * c.data, parents=((c, boom), (x, lambda g: ad.mul(g, c))))
+    (gx,) = ad.grad(ad.sum_(node), [x])
+    np.testing.assert_array_equal(gx.data, c.data)
+    with pytest.raises(AssertionError):
+        ad.grad(ad.sum_(node), [c])
+
+
+def test_transpose_of_transpose_reuses_contiguous_buffer():
+    w = ad.Var(RNG.normal(size=(3, 5)))
+    assert ad.transpose(ad.transpose(w)).data is w.data
+
+    f = ad.Var(np.asfortranarray(RNG.normal(size=(3, 5))))
+    tt = ad.transpose(ad.transpose(f))
+    assert tt.data is not f.data
+    assert not np.shares_memory(tt.data, f.data)
+    assert tt.data.flags.c_contiguous
+    np.testing.assert_array_equal(tt.data, f.data)

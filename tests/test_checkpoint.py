@@ -48,6 +48,30 @@ def test_file_round_trip(tmp_path):
     assert back["a/W"].tobytes() == params["a/W"].astype(np.float64).tobytes()
 
 
+@pytest.mark.parametrize("stage", ["dump_params", "replace"])
+def test_failed_write_keeps_previous_file_and_leaves_no_temp(tmp_path, monkeypatch, stage):
+    path = tmp_path / "round_0001.hfl"
+    ckpt.write_checkpoint(path, {"a": np.arange(4.0)})
+    before = path.read_bytes()
+
+    def crash(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(ckpt if stage == "dump_params" else ckpt.os, stage, crash)
+    with pytest.raises(OSError):
+        ckpt.write_checkpoint(path, {"a": np.zeros(4)})
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["round_0001.hfl"]
+
+
+def test_rewrite_replaces_file_and_leaves_no_temp(tmp_path):
+    path = tmp_path / "state.hfl"
+    ckpt.write_checkpoint(path, {"a": np.arange(4.0)})
+    ckpt.write_checkpoint(path, {"b": np.ones((2, 2))})
+    assert sorted(ckpt.read_checkpoint(path)) == ["b"]
+    assert [p.name for p in tmp_path.iterdir()] == ["state.hfl"]
+
+
 def test_header_layout_is_as_documented():
     blob = ckpt.dump_params({"ab": np.array([1.0, 2.0])})
     assert blob[:8] == b"HFLTNSR1"

@@ -2,7 +2,8 @@
 
 Each demo runs in its own interpreter with one BLAS thread, the checkout's
 ``src`` on the path and temporary files under pytest's ``tmp_path``; the
-test asserts exit status 0 only.  Demo 02 drives the hypernetwork forward
+test asserts exit status 0 and that no ``hyperfl_demo_*`` work directory is
+left behind.  Demo 02 drives the hypernetwork forward
 and backward passes end to end.
 
 Left out: demo 04 (a full protocol comparison, about half a minute) and
@@ -47,3 +48,4 @@ def test_demo_exits_zero(name, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert not list(tmp_path.glob("hyperfl_demo_*"))

@@ -476,3 +476,95 @@ def test_loss_nonnegative_and_log_k_at_zero(batch, k, seed):
     y = rng.integers(0, k, size=batch)
     assert nn.forward_loss(zero, spec, x, y) == pytest.approx(np.log(k), rel=1e-13)
     assert nn.forward_loss(rand, spec, x, y) >= 0.0
+
+
+# -- frozen tensors and buffer ownership ----------------------------------------------
+
+
+def _split_net():
+    spec = nn.concat_specs(nn.dense_net("fe", [6, 8, 5]), nn.dense_net("cls", [5, 4]))
+    params = nn.init_params(spec, 57)
+    x = RNG.normal(size=(7, 6))
+    y = RNG.integers(0, 4, size=7)
+    return spec, params, x, y
+
+
+@pytest.mark.parametrize("prefix", ["fe", "cls"])
+def test_frozen_grads_are_bitwise_the_matching_subset(prefix):
+    spec, params, x, y = _split_net()
+    trained = {n: v for n, v in params.items() if n.startswith(prefix)}
+    frozen = {n: v for n, v in params.items() if not n.startswith(prefix)}
+    loss_all, grads_all = nn.loss_and_grad_params(params, spec, x, y)
+    loss, grads = nn.loss_and_grad_params(trained, spec, x, y, frozen=frozen)
+    assert loss == loss_all
+    assert list(grads) == sorted(trained)
+    for name, g in grads.items():
+        assert g.tobytes() == grads_all[name].tobytes()
+
+
+def test_frozen_name_also_trained_is_refused():
+    spec, params, x, y = _split_net()
+    frozen = {"cls0/b": params["cls0/b"]}
+    with pytest.raises(DimensionError):
+        nn.loss_and_grad_params(params, spec, x, y, frozen=frozen)
+
+
+def test_frozen_and_params_together_must_cover_the_spec():
+    spec, params, x, y = _split_net()
+    trained = {n: v for n, v in params.items() if n.startswith("fe")}
+    with pytest.raises(DimensionError):
+        nn.loss_and_grad_params(trained, spec, x, y, frozen={"cls0/W": params["cls0/W"]})
+
+
+def test_returned_gradients_share_no_memory_with_inputs():
+    spec, params, x, y = _split_net()
+    trained = {n: v for n, v in params.items() if n.startswith("fe")}
+    frozen = {n: v for n, v in params.items() if n.startswith("cls")}
+    inputs = [x, *params.values()]
+    _, grads = nn.loss_and_grad_params(trained, spec, x, y, frozen=frozen)
+    _, grads_all = nn.loss_and_grad_params(params, spec, x, y)
+
+    def objective(xv, w):
+        leaves = {**params, "fe0/W": w}
+        inner = nn.grad_params_sym(leaves, spec, xv, y)
+        return ad.dot(inner["fe0/W"], inner["fe0/W"])
+
+    nested = nn.nested_grad(objective, [x, params["fe0/W"]])
+    for out in [*grads.values(), *grads_all.values(), *nested]:
+        assert not any(np.shares_memory(out, a) for a in inputs)
+
+
+# -- optimizer against its formula -------------------------------------------------------
+
+
+def sgd_step_formula(params, grads, cfg, state):
+    """The update as one plain expression per tensor: six fresh arrays each."""
+    new_params, new_state = {}, {}
+    for name, p in params.items():
+        g = np.asarray(grads[name], dtype=np.float64)
+        m = cfg.momentum * state[name] + (g + cfg.weight_decay * p)
+        new_state[name] = m
+        new_params[name] = p - cfg.learning_rate * m
+    return new_params, new_state
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    lr=st.floats(min_value=0.0, max_value=2.0),
+    mu=st.floats(min_value=0.0, max_value=0.99),
+    wd=st.floats(min_value=0.0, max_value=0.1),
+)
+def test_sgd_step_bitwise_equals_formula(seed, lr, mu, wd):
+    rng = np.random.default_rng(seed)
+    cfg = nn.OptimConfig(learning_rate=lr, momentum=mu, weight_decay=wd)
+    params = {"W": rng.normal(size=(5, 3)), "b": rng.normal(size=(5,)), "s": np.array(0.5)}
+    state = {k: rng.normal(size=v.shape) for k, v in params.items()}
+    for _ in range(3):
+        grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
+        got_p, got_s = nn.sgd_step(params, grads, cfg, state)
+        want_p, want_s = sgd_step_formula(params, grads, cfg, state)
+        for k in params:
+            assert got_p[k].tobytes() == want_p[k].tobytes()
+            assert got_s[k].tobytes() == want_s[k].tobytes()
+        params, state = got_p, got_s
