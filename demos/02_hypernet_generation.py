@@ -40,8 +40,8 @@ phi_c = nn.init_params(cls, rng)
 x = rng.standard_normal((5, 16))
 y = rng.integers(0, 3, size=5)
 
-g = nn.grad_params({**theta, **phi_c}, full, x, y)
-d_phi, d_v = hn.hypernet_backward({k: g[k] for k in theta}, v, phi, spec)
+_, g = nn.loss_and_grad_params(theta, full, x, y, frozen=phi_c)
+d_phi, d_v = hn.hypernet_backward(g, v, phi, spec)
 print("\nloss gradient reaches the embedding:", np.linalg.norm(d_v) > 0)
 for name, t in d_phi.items():
     print(f"  d loss / d {name}: norm {np.linalg.norm(t):.4f}")

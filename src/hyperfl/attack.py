@@ -295,10 +295,9 @@ def ig_attack(view: TranscriptView, cfg: AttackConfig):
     y = np.array([view.label], dtype=np.int64)
 
     def objective(leaves: Mapping[str, ad.Var]) -> ad.Var:
-        x_row = leaves["x"].reshape((1, h_px * w_px))
+        x_row = ad.reshape(leaves["x"], (1, h_px * w_px))
         params = {k: ad.Var(np.asarray(view.params[k], dtype=np.float64)) for k in expected}
-        loss = nn.forward_loss_sym(params, spec, x_row, y)
-        sim = dict(zip(sorted(params), ad.grad(loss, [params[k] for k in sorted(params)])))
+        sim = nn.grad_params_sym(params, spec, x_row, y)
         out = _gradient_loss_sym(sim, obs, cfg.grad_loss)
         if cfg.tv_coeff > 0:
             out = ad.add(out, ad.mul(ad.constant(np.float64(cfg.tv_coeff)), total_variation(leaves["x"])))
@@ -435,7 +434,7 @@ def hyperfl_bilevel_attack(view: TranscriptView, cfg: AttackConfig):
     target_row = target.reshape(1, -1)
 
     def objective(leaves: Mapping[str, ad.Var]) -> ad.Var:
-        x_row = leaves["x"].reshape((1, h_px * w_px))
+        x_row = ad.reshape(leaves["x"], (1, h_px * w_px))
         feats = nn.forward_logits_sym({k: ad.constant(v) for k, v in theta_gen.items()}, fe_spec, x_row)
         out = ad.sum_(ad.square(ad.sub(feats, ad.constant(target_row))))
         if cfg.tv_coeff > 0:
@@ -478,7 +477,7 @@ def _check_image(spec: NetSpec, x_img: np.ndarray) -> np.ndarray:
 
 
 def _batch1_grads(params: ParamSet, spec: NetSpec, x_img: np.ndarray, y: int) -> ParamSet:
-    return nn.grad_params(params, spec, x_img.reshape(1, -1), np.array([y], dtype=np.int64))
+    return nn.loss_and_grad_params(params, spec, x_img.reshape(1, -1), np.array([y], dtype=np.int64))[1]
 
 
 def fedavg_transcript(params: ParamSet, spec: NetSpec, x_img: np.ndarray, y: int) -> Transcript:
@@ -557,9 +556,8 @@ def hyperfl_transcript(
     x_img = _check_image(fe_spec, x_img)
     theta = hn.hypernet_forward(v, phi_h, hyper_spec)
     full_spec = nn.concat_specs(fe_spec, cls_spec)
-    full_params = {**theta, **phi_c}
-    grads = _batch1_grads(full_params, full_spec, x_img, y)
-    d_theta = {k: grads[k] for k in theta}
+    x_row, y_row = x_img.reshape(1, -1), np.array([y], dtype=np.int64)
+    _, d_theta = nn.loss_and_grad_params(theta, full_spec, x_row, y_row, frozen=phi_c)
     d_phi, _ = hn.hypernet_backward(d_theta, v, phi_h, hyper_spec)
     view = TranscriptView(
         algorithm="hyperfl",

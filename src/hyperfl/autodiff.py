@@ -51,55 +51,6 @@ class Var:
     def ndim(self) -> int:
         return self.data.ndim
 
-    # -- ergonomic operator sugar ------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
-    @property
-    def T(self) -> "Var":
-        return transpose(self)
-
-    def reshape(self, shape: tuple[int, ...]) -> "Var":
-        return reshape(self, shape)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Var":
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Var":
-        return mean_(self, axis=axis, keepdims=keepdims)
-
-    def __getitem__(self, idx) -> "Var":
-        return slice_(self, idx)
-
     # -- escape hatches are capability errors ------------------------------
 
     def __float__(self):
@@ -125,11 +76,6 @@ def as_var(x) -> Var:
 
 def constant(x) -> Var:
     return Var(x)
-
-
-def detach(x: Var) -> Var:
-    """Same payload, no graph edges (stop-gradient)."""
-    return Var(as_var(x).data)
 
 
 # -- broadcasting helper ----------------------------------------------------
@@ -289,17 +235,6 @@ def sqrt(a) -> Var:
     a = as_var(a)
     out = Var(np.sqrt(a.data))
     out.parents = ((a, lambda g: div(mul(g, constant(0.5)), out)),)
-    return out
-
-
-def power(a, exponent) -> Var:
-    """``a ** p`` for a constant scalar exponent."""
-    if isinstance(exponent, Var):
-        raise CapabilityError("power supports constant exponents only")
-    a = as_var(a)
-    p = float(exponent)
-    out = Var(a.data**p)
-    out.parents = ((a, lambda g: mul(g, mul(constant(p), power(a, p - 1.0)))),)
     return out
 
 

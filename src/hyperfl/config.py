@@ -103,9 +103,6 @@ def resolve(raw: dict) -> dict:
         else:
             ds["image_shape"] = None  # unknown until the files are read
     out["dataset"] = ds
-
-    if "attack" in out:
-        out["attack"] = _merge(ATTACK_DEFAULTS, out["attack"])
     return out
 
 
@@ -169,18 +166,6 @@ class ExperimentConfig:
         return DPConfig(clip_norm=clip, sigma=float(d["sigma"]))
 
     @property
-    def attack_config(self) -> Optional[AttackConfig]:
-        a = self.data.get("attack")
-        if a is None:
-            return None
-        return AttackConfig(**{k: v for k, v in a.items() if k != "samples"})
-
-    @property
-    def attack_samples(self) -> int:
-        a = self.data.get("attack")
-        return int(a["samples"]) if a else 0
-
-    @property
     def image_shape(self) -> Optional[tuple[int, int]]:
         shape = self.data["dataset"]["image_shape"]
         return None if shape is None else (int(shape[0]), int(shape[1]))
@@ -210,7 +195,7 @@ def load_config(path: str | Path, apply_env: bool = True) -> ExperimentConfig:
             raise ConfigError(f"{ENV_SEED} must be an integer, got {os.environ[ENV_SEED]!r}")
     cfg = ExperimentConfig(resolved)
     # constructing the typed views validates every numeric field now, not mid-run
-    _ = (cfg.round_config, cfg.dp_config, cfg.attack_config)
+    _ = (cfg.round_config, cfg.dp_config)
     build_bundle(cfg)
     return cfg
 

@@ -158,12 +158,6 @@ def _dot(a, b) -> float:
     return float(np.einsum("i,i->", np.ravel(a), np.ravel(b)))
 
 
-def tree_dot(a, b) -> float:
-    if a.keys() != b.keys():
-        raise DimensionError("parameter trees have different key sets")
-    return float(sum(_dot(a[k], b[k]) for k in sorted(a)))
-
-
 def tree_sq_norm(a) -> float:
     """Sum of squares over every tensor, accumulated in the tree's key order."""
     return float(sum(_dot(v, v) for v in a.values()))
@@ -184,7 +178,8 @@ def tree_zeros_like(a) -> ParamSet:
 # -- forward / loss (symbolic core) -------------------------------------------
 
 # The _sym functions accept and return autodiff Vars so callers can keep
-# differentiating through them; the plain-named wrappers below deal in numpy.
+# differentiating through them; forward_logits, forward_loss and
+# loss_and_grad_params below take and return numpy.
 
 
 def forward_logits_sym(params: Mapping[str, "ad.Var | np.ndarray"], spec: NetSpec, x) -> ad.Var:
@@ -242,7 +237,7 @@ def grad_params_sym(params: Mapping[str, ad.Var], spec: NetSpec, x, y) -> dict[s
 # -- public numpy-facing operations -------------------------------------------
 
 
-def _validate(params, spec, x, y=None):
+def _validate(params, spec, x):
     check_params(params, spec)
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
@@ -258,10 +253,6 @@ def forward_logits(params: ParamSet, spec: NetSpec, x) -> np.ndarray:
 def forward_loss(params: ParamSet, spec: NetSpec, x, y) -> float:
     x = _validate(params, spec, x)
     return float(forward_loss_sym(params, spec, x, y).data)
-
-
-def grad_params(params: ParamSet, spec: NetSpec, x, y) -> ParamSet:
-    return loss_and_grad_params(params, spec, x, y)[1]
 
 
 def loss_and_grad_params(
@@ -284,30 +275,6 @@ def loss_and_grad_params(
     names = sorted(leaves)
     grads = ad.grad(loss, [leaves[n] for n in names])
     return float(loss.data), {n: g.data.copy() for n, g in zip(names, grads)}
-
-
-def grad_input(params: ParamSet, spec: NetSpec, x, y) -> np.ndarray:
-    x = _validate(params, spec, x)
-    xv = ad.Var(x)
-    loss = forward_loss_sym(params, spec, xv, y)
-    (g,) = ad.grad(loss, [xv])
-    return g.data.copy()
-
-
-def nested_grad(objective: Callable[..., ad.Var], inputs: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Differentiate a scalar objective whose body may itself take gradients.
-
-    ``objective`` receives one autodiff Var per entry of ``inputs`` and must
-    build its result from engine primitives (e.g. via the ``*_sym`` helpers);
-    escaping to plain numpy raises a capability error.  The returned arrays
-    are exact derivatives, second-order terms included.
-    """
-    leaves = [ad.Var(np.asarray(x, dtype=np.float64)) for x in inputs]
-    out = objective(*leaves)
-    if not isinstance(out, ad.Var):
-        raise NumericError("objective must return an autodiff scalar")
-    grads = ad.grad(out, leaves)
-    return [g.data.copy() for g in grads]
 
 
 # -- optimizer -----------------------------------------------------------------

@@ -70,7 +70,7 @@ def test_criterion_01_gradient_correctness():
         y = rng.integers(0, classes, size=batch)
 
         # direct parameter gradients of the classification loss
-        grads = nn.grad_params(params, full, x, y)
+        _, grads = nn.loss_and_grad_params(params, full, x, y)
         for name in params:
 
             def f_param(arr, name=name):
@@ -94,10 +94,8 @@ def test_criterion_01_gradient_correctness():
             return nn.forward_loss({**theta, **phi_c}, full, x, y)
 
         theta = hn.hypernet_forward(v, phi, hyper)
-        g_theta = nn.grad_params({**theta, **phi_c}, full, x, y)
-        d_phi, d_v = hn.hypernet_backward(
-            {k: g_theta[k] for k in theta}, v, phi, hyper
-        )
+        _, g_theta = nn.loss_and_grad_params(theta, full, x, y, frozen=phi_c)
+        d_phi, d_v = hn.hypernet_backward(g_theta, v, phi, hyper)
         worst = max(worst, rel_err(d_v, fd_grad(lambda a: composed_loss(a, phi), v)))
         for name in phi:
 
@@ -111,22 +109,22 @@ def test_criterion_01_gradient_correctness():
         # gradient-matching objective differentiated a second time, wrt the input
         g0 = {k: rng.standard_normal(a.shape) for k, a in params.items()}
 
-        def matching(x_var):
+        def matching(xs):
             leaves = {k: ad.Var(a) for k, a in params.items()}
-            g_sym = nn.grad_params_sym(leaves, full, x_var, y)
+            g_sym = nn.grad_params_sym(leaves, full, xs["x"], y)
             total = None
             for k in sorted(g_sym):
                 term = ad.sum_(ad.square(ad.sub(g_sym[k], ad.constant(g0[k]))))
                 total = term if total is None else ad.add(total, term)
             return total
 
-        (got,) = nn.nested_grad(matching, [x])
+        _, got = atk._value_and_grads(matching, {"x": x})
 
         def f_match(x_arr):
-            g = nn.grad_params(params, full, x_arr, y)
+            _, g = nn.loss_and_grad_params(params, full, x_arr, y)
             return sum(float(np.sum((g[k] - g0[k]) ** 2)) for k in g)
 
-        worst = max(worst, rel_err(got, fd_grad(f_match, x)))
+        worst = max(worst, rel_err(got["x"], fd_grad(f_match, x)))
 
     elapsed = time.perf_counter() - start
     ok = worst < 1e-4 and elapsed < 60.0

@@ -378,7 +378,7 @@ def test_view_carries_no_ground_truth_fields():
 def test_pfedhn_transcript_observed_matches_true_gradients():
     img = stripe_image(H, W, 3)
     tr = atk.pfedhn_transcript(PARAMS, FULL, img, y=1)
-    true = nn.grad_params(PARAMS, FULL, img.reshape(1, -1), np.array([1]))
+    _, true = nn.loss_and_grad_params(PARAMS, FULL, img.reshape(1, -1), np.array([1]))
     for k in true:
         assert np.max(np.abs(tr.view.observed[k] - true[k])) <= 1e-10
     assert tr.view.algorithm == "pfedhn"
@@ -397,6 +397,40 @@ def test_hyperfl_transcript_contents():
     assert set(tr.view.observed) == set(HYPER.param_shapes())
     assert tr.view.model_spec is FE
     assert tr.y_true == 2 and tr.view.label == 2
+
+
+def merged_pass_observation(v, phi_h, phi_c, hyper, fe, cls, img, y):
+    """θ's gradient cut from one pass over every tensor, classifier included."""
+    theta = hn.hypernet_forward(v, phi_h, hyper)
+    full = nn.concat_specs(fe, cls)
+    _, grads = nn.loss_and_grad_params({**theta, **phi_c}, full, img.reshape(1, -1), np.array([y]))
+    d_phi, _ = hn.hypernet_backward({k: grads[k] for k in theta}, v, phi_h, hyper)
+    return d_phi
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_hyperfl_transcript_observed_bitwise_equals_merged_pass(seed):
+    rng = np.random.default_rng(seed)
+    h, w = (int(d) for d in rng.integers(2, 5, size=2))
+    act = str(rng.choice(["relu", "leaky_relu"]))
+    fe = nn.dense_net("fe", [h * w, *rng.integers(2, 9, size=rng.integers(1, 3))], activation=act)
+    cls = nn.dense_net("cls", [fe.out_dim, int(rng.integers(2, 5))], activation=act)
+    hyper = hn.HypernetSpec(
+        target=hn.target_from_netspec(fe),
+        embedding_dim=int(rng.integers(2, 6)),
+        hidden_dim=int(rng.integers(3, 10)),
+        hidden_bias=bool(rng.integers(2)),
+    )
+    phi_h, v = hn.init_hypernet(hyper, seed=seed)
+    phi_c = nn.init_params(cls, rng)
+    img = rng.uniform(0.0, 1.0, size=(h, w))
+    y = int(rng.integers(cls.out_dim))
+
+    tr = atk.hyperfl_transcript(v, phi_h, phi_c, hyper, fe, cls, img, y)
+    want = merged_pass_observation(v, phi_h, phi_c, hyper, fe, cls, img, y)
+    assert list(tr.view.observed) == list(want)
+    for k, g in want.items():
+        assert tr.view.observed[k].tobytes() == g.tobytes()
 
 
 def test_transcript_builders_validate_image():

@@ -65,7 +65,6 @@ def test_exp_log_sqrt_grads_match_fd():
 
 def test_power_and_square_grads_match_fd():
     x = RNG.uniform(0.5, 2.0, size=(5,))
-    check_against_fd(lambda v: ad.sum_(ad.power(v, 3.0)), x)
     check_against_fd(lambda v: ad.sum_(ad.square(v)), x)
 
 
@@ -148,7 +147,7 @@ def test_slice_scatter_adjoint_identity():
 
 def test_slice_grad_matches_fd():
     x = RNG.normal(size=(4, 4))
-    check_against_fd(lambda v: ad.sum_(ad.square(v[1:, :-1])), x)
+    check_against_fd(lambda v: ad.sum_(ad.square(ad.slice_(v, (slice(1, None), slice(None, -1))))), x)
 
 
 def test_fancy_indexing_rejected():
@@ -188,7 +187,7 @@ def test_hessian_vector_product_of_cubic():
     x = RNG.normal(size=(7,))
     vec = RNG.normal(size=(7,))
     xv = ad.Var(x)
-    f = ad.sum_(ad.power(xv, 3.0))
+    f = ad.sum_(ad.mul(ad.square(xv), xv))
     (g,) = ad.grad(f, [xv])
     gv = ad.dot(g, ad.constant(vec))
     (hv,) = ad.grad(gv, [xv])
@@ -259,13 +258,6 @@ def test_grad_requires_scalar_output():
         ad.grad(ad.square(x), [x])
 
 
-def test_detach_blocks_gradient_flow():
-    x = ad.Var(np.array([2.0, 3.0]))
-    out = ad.sum_(ad.mul(ad.detach(x), x))  # d/dx (c * x) = c
-    (g,) = ad.grad(out, [x])
-    np.testing.assert_array_equal(g.data, x.data)
-
-
 def test_shared_subexpression_accumulates_once_per_path():
     x = ad.Var(np.array(3.0))
     y = ad.square(x)
@@ -290,18 +282,6 @@ def test_conversion_escapes_raise():
         bool(v)
     with pytest.raises(CapabilityError):
         np.exp(v)
-
-
-def test_operator_sugar_matches_function_forms():
-    a = ad.Var(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    b = ad.Var(np.array([[0.5, -1.0], [2.0, 0.25]]))
-    np.testing.assert_array_equal((a + b).data, ad.add(a, b).data)
-    np.testing.assert_array_equal((a * b).data, ad.mul(a, b).data)
-    np.testing.assert_array_equal((a @ b).data, ad.matmul(a, b).data)
-    np.testing.assert_array_equal((a - b).data, ad.sub(a, b).data)
-    np.testing.assert_array_equal((-a).data, ad.neg(a).data)
-    np.testing.assert_array_equal(a.T.data, ad.transpose(a).data)
-    np.testing.assert_array_equal((a**2).data, ad.power(a, 2).data)
 
 
 @settings(max_examples=30, deadline=None)

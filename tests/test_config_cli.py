@@ -155,16 +155,14 @@ def test_attack_overrides_reject_unknown_keys(tmp_path):
         cfgmod.load_attack_overrides(p)
 
 
-def test_attack_block_in_experiment_config(tmp_path):
-    cfg = cfgmod.ExperimentConfig(
-        cfgmod.resolve(base_config(tmp_path, attack={"iterations": 5, "samples": 3}))
-    )
-    assert cfg.attack_config.iterations == 5
-    assert cfg.data["attack"]["grad_loss"] == "cosine"  # default filled in
-    assert cfg.attack_samples == 3
-
-    bare = cfgmod.ExperimentConfig(cfgmod.resolve(base_config(tmp_path)))
-    assert bare.attack_config is None and bare.attack_samples == 0
+def test_attack_block_in_experiment_config_exits_1(tmp_path, capsys):
+    # attack settings live in their own file (`hyperfl attack SNAPSHOT SETTINGS`)
+    out = tmp_path / "run"
+    cfg = base_config(out, attack={"iterations": 5, "samples": 3})
+    cfg_path = write_config(tmp_path / "cfg.json", cfg)
+    assert cli.main(["train", str(cfg_path)]) == 1
+    assert "attack" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_extractor_width_checked_against_dataset(tmp_path):

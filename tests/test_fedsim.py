@@ -1,6 +1,6 @@
 """Protocol engine: aggregation, sanitization, local training, full rounds.
 
-Composition oracles rebuild one local step by hand from grad_params +
+Composition oracles rebuild one local step by hand from loss_and_grad_params +
 sgd_step with an identically seeded batch stream, then demand equality.
 """
 
@@ -231,7 +231,7 @@ def test_hyperfl_step1_matches_hand_composition():
     idx1 = rng.permutation(client.train.n)
     theta = hn.hypernet_forward(client.v, varphi, bundle.hyper)
     params = {**theta, **client.phi_c}
-    grads = nn.grad_params(params, bundle.full, client.train.x[idx1], client.train.y[idx1])
+    _, grads = nn.loss_and_grad_params(params, bundle.full, client.train.x[idx1], client.train.y[idx1])
     g_cls = {k: grads[k] for k in client.phi_c}
     want_phi_c, _ = nn.sgd_step(client.phi_c, g_cls, cfg.eta_g)
     for k in want_phi_c:
@@ -252,7 +252,7 @@ def test_hyperfl_step2_matches_hand_composition():
     idx2 = rng.permutation(client.train.n)
     theta = hn.hypernet_forward(client.v, varphi, bundle.hyper)
     params = {**theta, **client.phi_c}
-    grads = nn.grad_params(params, bundle.full, client.train.x[idx2], client.train.y[idx2])
+    _, grads = nn.loss_and_grad_params(params, bundle.full, client.train.x[idx2], client.train.y[idx2])
     d_theta = {k: grads[k] for k in theta}
     d_phi, dv = hn.hypernet_backward(d_theta, client.v, varphi, bundle.hyper)
     want_phi_h, _ = nn.sgd_step(varphi, d_phi, cfg.eta_h)
@@ -286,7 +286,7 @@ def test_fedavg_one_batch_matches_hand_composition():
     )
     rng = np.random.default_rng(3)
     idx = rng.permutation(client.train.n)
-    grads = nn.grad_params(server.global_model, bundle.full, client.train.x[idx], client.train.y[idx])
+    _, grads = nn.loss_and_grad_params(server.global_model, bundle.full, client.train.x[idx], client.train.y[idx])
     want, _ = nn.sgd_step(server.global_model, grads, cfg.eta_g)
     for k in want:
         np.testing.assert_array_equal(delta[k], want[k] - server.global_model[k])
@@ -495,7 +495,7 @@ def test_pfedhn_server_update_matches_vjp_composition():
         np.random.SeedSequence(entropy=(10, fs._TAG_STEP, 0, 1))
     )
     idx = rng.permutation(clients[0].train.n)
-    grads = nn.grad_params(model_sent, bundle.full, clients[0].train.x[idx], clients[0].train.y[idx])
+    _, grads = nn.loss_and_grad_params(model_sent, bundle.full, clients[0].train.x[idx], clients[0].train.y[idx])
     stepped, _ = nn.sgd_step(model_sent, grads, cfg.eta_g)
     delta = nn.tree_sub(stepped, model_sent)
     d_phi, dv = hn.hypernet_backward(nn.tree_scale(delta, -1.0), server.embeddings[0], server.varphi_bar, hyper)

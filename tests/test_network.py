@@ -2,7 +2,9 @@
 
 Oracles used here: an independent straight-line numpy reimplementation of the
 forward pass, central finite differences (h = 1e-5), and hand-unrolled
-optimizer recurrences.
+optimizer recurrences.  Input gradients are taken on the traced loss
+(``forward_loss_sym`` plus ``autodiff.grad``); nested gradients go through
+``attack._value_and_grads``, the helper every attack objective uses.
 """
 
 import os
@@ -17,7 +19,8 @@ from hypothesis import strategies as st
 
 from hyperfl import autodiff as ad
 from hyperfl import network as nn
-from hyperfl.errors import ConfigError, DimensionError, NumericError
+from hyperfl.attack import _value_and_grads
+from hyperfl.errors import CapabilityError, ConfigError, DimensionError, NumericError
 
 RNG = np.random.default_rng(20240812)
 
@@ -56,6 +59,13 @@ def fd_grad_scalar(f, x, h=1e-5):
 def rel_err(a, b):
     denom = max(np.max(np.abs(b)), 1e-12)
     return np.max(np.abs(a - b)) / denom
+
+
+def input_grad(params, spec, x, y):
+    """dL/dx of the mean cross-entropy, from the traced loss."""
+    xv = ad.Var(np.asarray(x, dtype=np.float64))
+    (g,) = ad.grad(nn.forward_loss_sym(params, spec, xv, y), [xv])
+    return g.data
 
 
 # -- spec construction ---------------------------------------------------------
@@ -184,7 +194,7 @@ def test_grad_params_matches_finite_differences():
     params = nn.init_params(spec, 31)
     x = RNG.normal(size=(7, 6))
     y = RNG.integers(0, 5, size=7)
-    grads = nn.grad_params(params, spec, x, y)
+    _, grads = nn.loss_and_grad_params(params, spec, x, y)
     for name in params:
         def f(arr, name=name):
             trial = dict(params)
@@ -200,7 +210,7 @@ def test_grad_input_matches_finite_differences():
     params = nn.init_params(spec, 17)
     x = RNG.normal(size=(4, 5))
     y = RNG.integers(0, 3, size=4)
-    got = nn.grad_input(params, spec, x, y)
+    got = input_grad(params, spec, x, y)
     want = fd_grad_scalar(lambda arr: nn.forward_loss(params, spec, arr, y), x)
     assert rel_err(got, want) < 1e-5
 
@@ -208,7 +218,7 @@ def test_grad_input_matches_finite_differences():
 def test_grad_input_zero_for_constant_network():
     spec = nn.dense_net("n", [4, 3])
     params = {k: np.zeros(s) for k, s in spec.param_shapes().items()}
-    g = nn.grad_input(params, spec, RNG.normal(size=(2, 4)), np.zeros(2, dtype=int))
+    g = input_grad(params, spec, RNG.normal(size=(2, 4)), np.zeros(2, dtype=int))
     np.testing.assert_array_equal(g, np.zeros((2, 4)))
 
 
@@ -221,9 +231,9 @@ def test_grad_input_scales_linearly_with_tiny_first_layer():
     params["n0/b"] = np.zeros(4)
     x = RNG.normal(size=(3, 6))
     y = RNG.integers(0, 4, size=3)
-    g1 = nn.grad_input(params, spec, x, y)
+    g1 = input_grad(params, spec, x, y)
     doubled = dict(params, **{"n0/W": 2.0 * params["n0/W"]})
-    g2 = nn.grad_input(doubled, spec, x, y)
+    g2 = input_grad(doubled, spec, x, y)
     np.testing.assert_allclose(g2, 2.0 * g1, rtol=1e-4)
 
 
@@ -232,7 +242,7 @@ def test_batch_one_weight_grad_is_outer_product():
     params = nn.init_params(spec, 29)
     x = RNG.normal(size=(1, 10))
     y = np.array([2])
-    grads = nn.grad_params(params, spec, x, y)
+    _, grads = nn.loss_and_grad_params(params, spec, x, y)
     outer = np.outer(grads["n0/b"], x[0])
     np.testing.assert_allclose(grads["n0/W"], outer, rtol=0, atol=1e-12)
 
@@ -248,7 +258,7 @@ def test_saturated_softmax_gradients_vanish():
             "n0/W": scale * np.array([[2.0, 1.0, 0.0], [-2.0, -1.0, 0.0]]),
             "n0/b": np.zeros(2),
         }
-        g = nn.grad_params(params, spec, x, y)
+        _, g = nn.loss_and_grad_params(params, spec, x, y)
         norms.append(nn.tree_norm(g))
     assert norms[1] < norms[0] * 1e-3
     assert norms[2] < 1e-12
@@ -266,8 +276,8 @@ def test_nested_grad_quadratic_closed_form():
         (gw,) = ad.grad(f, [w])
         return ad.square(ad.sub(gw, ad.constant(g_star)))
 
-    (got,) = nn.nested_grad(objective, [np.array(2.0)])
-    assert got == pytest.approx(2.0 * (2.0 - g_star), abs=1e-15)
+    _, got = _value_and_grads(lambda leaves: objective(leaves["w"]), {"w": np.array(2.0)})
+    assert got["w"] == pytest.approx(2.0 * (2.0 - g_star), abs=1e-15)
 
 
 def test_nested_grad_matches_fd_on_gradient_matching_loss():
@@ -275,11 +285,11 @@ def test_nested_grad_matches_fd_on_gradient_matching_loss():
     params = nn.init_params(spec, 41)
     y = np.array([1])
     x_star = RNG.normal(size=(1, 4))
-    g_star = nn.grad_params(params, spec, x_star, y)
+    _, g_star = nn.loss_and_grad_params(params, spec, x_star, y)
 
-    def matching_loss_sym(xv):
+    def matching_loss_sym(xs):
         leaves = {n: ad.Var(v) for n, v in params.items()}
-        grads = nn.grad_params_sym(leaves, spec, xv, y)
+        grads = nn.grad_params_sym(leaves, spec, xs["x"], y)
         total = ad.constant(0.0)
         for name in sorted(grads):
             diff = ad.sub(grads[name], ad.constant(g_star[name]))
@@ -287,14 +297,14 @@ def test_nested_grad_matches_fd_on_gradient_matching_loss():
         return total
 
     x0 = RNG.normal(size=(1, 4))
-    (got,) = nn.nested_grad(matching_loss_sym, [x0])
+    _, got = _value_and_grads(matching_loss_sym, {"x": x0})
 
     def f(arr):
-        g = nn.grad_params(params, spec, arr, y)
+        _, g = nn.loss_and_grad_params(params, spec, arr, y)
         return sum(float(np.sum((g[n] - g_star[n]) ** 2)) for n in g)
 
     want = fd_grad_scalar(f, x0)
-    assert rel_err(got, want) < 1e-4
+    assert rel_err(got["x"], want) < 1e-4
 
 
 def test_nested_grad_zero_at_exact_match():
@@ -302,18 +312,18 @@ def test_nested_grad_zero_at_exact_match():
     params = nn.init_params(spec, 13)
     x0 = RNG.normal(size=(1, 3))
     y = np.array([0])
-    g_star = nn.grad_params(params, spec, x0, y)
+    _, g_star = nn.loss_and_grad_params(params, spec, x0, y)
 
-    def objective(xv):
+    def objective(xs):
         leaves = {n: ad.Var(v) for n, v in params.items()}
-        grads = nn.grad_params_sym(leaves, spec, xv, y)
+        grads = nn.grad_params_sym(leaves, spec, xs["x"], y)
         total = ad.constant(0.0)
         for name in sorted(grads):
             total = ad.add(total, ad.sum_(ad.square(ad.sub(grads[name], ad.constant(g_star[name])))))
         return total
 
-    (got,) = nn.nested_grad(objective, [x0])
-    np.testing.assert_allclose(got, np.zeros_like(x0), atol=1e-18)
+    _, got = _value_and_grads(objective, {"x": x0})
+    np.testing.assert_allclose(got["x"], np.zeros_like(x0), atol=1e-18)
 
 
 def test_nested_grad_without_inner_grad_reduces_to_grad_input():
@@ -322,16 +332,16 @@ def test_nested_grad_without_inner_grad_reduces_to_grad_input():
     x = RNG.normal(size=(2, 5))
     y = np.array([0, 2])
 
-    (got,) = nn.nested_grad(lambda xv: nn.forward_loss_sym(params, spec, xv, y), [x])
-    np.testing.assert_array_equal(got, nn.grad_input(params, spec, x, y))
+    _, got = _value_and_grads(lambda xs: nn.forward_loss_sym(params, spec, xs["x"], y), {"x": x})
+    np.testing.assert_array_equal(got["x"], input_grad(params, spec, x, y))
 
 
 def test_nested_grad_rejects_numpy_escape():
-    def objective(xv):
-        return ad.constant(np.exp(xv))  # np.exp on a Var must raise
+    def objective(xs):
+        return ad.constant(np.exp(xs["x"]))  # np.exp on a Var must raise
 
-    with pytest.raises(Exception) as err:
-        nn.nested_grad(objective, [np.array(1.0)])
+    with pytest.raises(CapabilityError) as err:
+        _value_and_grads(objective, {"x": np.array(1.0)})
     assert "primitives" in str(err.value)
 
 
@@ -422,12 +432,11 @@ def test_tree_arithmetic_and_norms():
     a = {"x": np.array([3.0, 4.0]), "y": np.array([[1.0]])}
     b = {"x": np.array([1.0, 1.0]), "y": np.array([[2.0]])}
     assert nn.tree_norm(a) == pytest.approx(np.sqrt(26.0))
-    assert nn.tree_dot(a, b) == pytest.approx(9.0)
     np.testing.assert_array_equal(nn.tree_add(a, b)["x"], np.array([4.0, 5.0]))
     np.testing.assert_array_equal(nn.tree_sub(a, b)["y"], np.array([[-1.0]]))
     np.testing.assert_array_equal(nn.tree_scale(a, 2.0)["x"], np.array([6.0, 8.0]))
     with pytest.raises(DimensionError):
-        nn.tree_dot(a, {"x": b["x"]})
+        nn.tree_add(a, {"x": b["x"]})
 
 
 _NORM_BITS_SCRIPT = """
@@ -437,7 +446,7 @@ rng = np.random.default_rng(5)
 for n in (51_200, 51_200, 51_200, 60_000, 100_000):
     a = {"w": rng.normal(size=n)}
     b = {"w": rng.normal(size=n)}
-    print(nn.tree_sq_norm(a).hex(), nn.tree_norm(a).hex(), nn.tree_dot(a, b).hex())
+    print(nn.tree_sq_norm(a).hex(), nn.tree_norm(a).hex(), nn.tree_sq_norm(b).hex())
 """
 
 
@@ -524,13 +533,13 @@ def test_returned_gradients_share_no_memory_with_inputs():
     _, grads = nn.loss_and_grad_params(trained, spec, x, y, frozen=frozen)
     _, grads_all = nn.loss_and_grad_params(params, spec, x, y)
 
-    def objective(xv, w):
-        leaves = {**params, "fe0/W": w}
-        inner = nn.grad_params_sym(leaves, spec, xv, y)
+    def objective(xs):
+        leaves = {**params, "fe0/W": xs["w"]}
+        inner = nn.grad_params_sym(leaves, spec, xs["x"], y)
         return ad.dot(inner["fe0/W"], inner["fe0/W"])
 
-    nested = nn.nested_grad(objective, [x, params["fe0/W"]])
-    for out in [*grads.values(), *grads_all.values(), *nested]:
+    _, nested = _value_and_grads(objective, {"x": x, "w": params["fe0/W"]})
+    for out in [*grads.values(), *grads_all.values(), *nested.values()]:
         assert not any(np.shares_memory(out, a) for a in inputs)
 
 
