@@ -20,6 +20,7 @@ from .attack import (
     AttackConfig,
     Transcript,
     TranscriptView,
+    analytic_hyperfl_recovery,
     analytic_input_recovery,
     attack_transcript,
     hyperfl_bilevel_attack,
@@ -90,6 +91,7 @@ __all__ = [
     "Transcript",
     "TranscriptView",
     "aggregate",
+    "analytic_hyperfl_recovery",
     "analytic_input_recovery",
     "attack_transcript",
     "build_bundle",

@@ -6,10 +6,18 @@ What the server can try depends on what a protocol leaks:
   hypernetwork whose generated models it knows): iterative gradient
   matching (`ig_attack`) plus an exact batch-1 oracle
   (`analytic_input_recovery`) that serves as the positive control;
-* hypernetwork gradients only: the embedding must be recovered first
-  (`recover_embedding`), then the reconstructed extractor is inverted
+* hypernetwork gradients only: the bilevel search recovers the embedding
+  first (`recover_embedding`), then inverts the extractor it generates
   (`hyperfl_bilevel_attack`).  No success is guaranteed; the residuals
-  and scores are the experiment's outcome, not an error condition.
+  and scores are the experiment's outcome, not an error condition.  The
+  head-bias gradients still carry a batch-1 input exactly
+  (`analytic_hyperfl_recovery`), so HyperFL's control is as strong as
+  FedAvg's.
+
+Gradient matching differentiates a gradient, so `ig_attack` runs on the
+autodiff tape, which gives exact second-order derivatives for any network.
+The bilevel attack's two objectives have closed-form numpy gradients and
+run without the tape.
 
 A `Transcript` keeps the true sample for scoring.  Attack operations
 accept only its redacted `TranscriptView`, so reconstruction code cannot
@@ -18,6 +26,7 @@ touch ground truth even by accident.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -29,6 +38,7 @@ from . import autodiff as ad
 from . import hypernet as hn
 from . import metrics as mx
 from . import network as nn
+from .checkpoint import write_atomic
 from .errors import (
     CapabilityError,
     ConfigError,
@@ -168,6 +178,7 @@ def _decay_milestones(n: int) -> set[int]:
 
 
 def _value_and_grads(objective, xs: Mapping[str, np.ndarray]):
+    """Loss and gradients of a traced objective through the autodiff tape."""
     names = sorted(xs)
     leaves = {k: ad.Var(np.asarray(xs[k], dtype=np.float64)) for k in names}
     out = objective(leaves)
@@ -177,14 +188,15 @@ def _value_and_grads(objective, xs: Mapping[str, np.ndarray]):
     return float(out.data), {k: g.data for k, g in zip(names, grads)}
 
 
-def _optimize(objective, init: Mapping[str, np.ndarray], cfg: AttackConfig):
+def _optimize(value_and_grads, init: Mapping[str, np.ndarray], cfg: AttackConfig):
     """Minimize a scalar objective over a dict of arrays.
 
-    Returns (best iterate, best loss, trace).  The trace records loss and
-    best-so-far every 100 iterations and once at the end.  A non-finite
-    objective or gradient stops the search early; the best finite iterate
-    found so far is returned rather than raising, because attack failure
-    is a result to report.
+    ``value_and_grads(xs)`` returns the loss at ``xs`` and a dict of its
+    gradients, one per key of ``xs``.  Returns (best iterate, best loss,
+    trace).  The trace records loss and best-so-far every 100 iterations
+    and once at the end.  A non-finite objective or gradient stops the
+    search early; the best finite iterate found so far is returned rather
+    than raising, because attack failure is a result to report.
     """
     xs = {k: np.array(v, dtype=np.float64, copy=True) for k, v in init.items()}
     best = {k: v.copy() for k, v in xs.items()}
@@ -192,7 +204,7 @@ def _optimize(objective, init: Mapping[str, np.ndarray], cfg: AttackConfig):
     trace: list[TraceRow] = []
 
     if cfg.iterations == 0:
-        loss, _ = _value_and_grads(objective, xs)
+        loss, _ = value_and_grads(xs)
         trace.append(TraceRow(0, loss, loss))
         return xs, loss, trace
 
@@ -204,7 +216,7 @@ def _optimize(objective, init: Mapping[str, np.ndarray], cfg: AttackConfig):
     for t in range(cfg.iterations):
         if t > 0 and t in milestones:
             lr *= 0.1
-        loss, grads = _value_and_grads(objective, xs)
+        loss, grads = value_and_grads(xs)
         if not math.isfinite(loss) or any(not np.all(np.isfinite(g)) for g in grads.values()):
             break
         if loss < best_loss:
@@ -224,7 +236,7 @@ def _optimize(objective, init: Mapping[str, np.ndarray], cfg: AttackConfig):
             for k, g in grads.items():
                 xs[k] = xs[k] - lr * g
 
-    final_loss, _ = _value_and_grads(objective, xs)
+    final_loss, _ = value_and_grads(xs)
     if math.isfinite(final_loss) and final_loss < best_loss:
         best_loss = final_loss
         best = {k: v.copy() for k, v in xs.items()}
@@ -303,7 +315,8 @@ def ig_attack(view: TranscriptView, cfg: AttackConfig):
             out = ad.add(out, ad.mul(ad.constant(np.float64(cfg.tv_coeff)), total_variation(leaves["x"])))
         return out
 
-    best, _, trace = _optimize(objective, {"x": _init_image(view.image_shape, cfg)}, cfg)
+    init = {"x": _init_image(view.image_shape, cfg)}
+    best, _, trace = _optimize(functools.partial(_value_and_grads, objective), init, cfg)
     return best["x"], trace
 
 
@@ -345,6 +358,140 @@ def gradient_from_delta(delta: ParamSet, params: ParamSet, opt: OptimConfig) -> 
 
 # -- the hypernetwork-only attack --------------------------------------------------
 
+# Both objectives below are closed-form numpy: each returns the loss and its
+# exact gradients in one pass, with no autodiff tape.  Their forward passes
+# repeat the tape's operations in the tape's order, so each loss is bitwise
+# the loss the traced objective would give; the tests keep the traced
+# objectives as oracles.
+
+
+def _embedding_objective(phi: Mapping[str, np.ndarray], obs: Mapping[str, np.ndarray], spec: HypernetSpec):
+    """recover_embedding's objective as ``value_and_grads`` over (v, θ̂).
+
+    L(v, θ̂) = Σ_k ‖s_k − obs_k‖², where s = ∂/∂φ ½‖h(v; φ) − θ̂‖².  With
+    r = h(v) − θ̂ per target, hidden = mask · (W_t v + b_t) and
+    d = mask · Σ W_nᵀ r_n, the inner gradient is s[head W] = r hiddenᵀ,
+    s[head b] = r, s[trunk W] = d vᵀ and s[trunk b] = d (hypernet_backward's
+    math).  The mask is piecewise constant, so the outer derivatives are the
+    matmuls and outer products below.  Everything that depends on φ alone is
+    prepared here, once per attack.
+    """
+    names = sorted(obs)
+    trunk_w = np.ascontiguousarray(phi["hyper/trunk/W"], dtype=np.float64)
+    trunk_wt = trunk_w.T.copy()
+    trunk_b = (
+        np.asarray(phi["hyper/trunk/b"], dtype=np.float64).reshape(1, spec.hidden_dim)
+        if spec.hidden_bias
+        else None
+    )
+    heads = []
+    for name, shape in spec.target:
+        w = np.ascontiguousarray(phi[f"hyper/head/{name}/W"], dtype=np.float64)
+        b = np.asarray(phi[f"hyper/head/{name}/b"], dtype=np.float64).reshape(1, -1)
+        heads.append((name, shape, w, w.T.copy(), b, np.empty(w.shape)))
+
+    def value_and_grads(xs: Mapping[str, np.ndarray]):
+        v = xs["v"]
+        row = v.reshape(1, spec.embedding_dim)
+        pre = row @ trunk_wt
+        if trunk_b is not None:
+            pre = pre + trunk_b
+        mask = (pre > 0.0).astype(np.float64)
+        hidden = pre * mask
+
+        # err[k] = s_k - obs_k; the head-W error is built in a buffer kept per attack
+        err: dict[str, np.ndarray] = {}
+        residuals = []
+        d_hidden = None
+        for name, shape, w, wt, b, e_w in heads:
+            # the tape's cotangent is 0.5·r + 0.5·r, which is r for any normal r
+            r = ((hidden @ wt + b).reshape(shape) - xs[f"theta/{name}"]).reshape(1, -1)
+            residuals.append(r)
+            np.multiply(r.T, hidden, out=e_w)
+            err[f"hyper/head/{name}/W"] = np.subtract(e_w, obs[f"hyper/head/{name}/W"], out=e_w)
+            err[f"hyper/head/{name}/b"] = r.reshape(-1) - obs[f"hyper/head/{name}/b"]
+            contrib = r @ w
+            d_hidden = contrib if d_hidden is None else d_hidden + contrib
+        d_pre = d_hidden * mask
+        err["hyper/trunk/W"] = d_pre.T * row - obs["hyper/trunk/W"]
+        if trunk_b is not None:
+            err["hyper/trunk/b"] = d_pre.reshape(-1) - obs["hyper/trunk/b"]
+        loss = sum(np.sum(err[k] * err[k]) for k in names)
+
+        # dL/ds_k = 2 err_k; the factor 2 is applied once at the end
+        g_pre = err["hyper/trunk/W"] @ v
+        if trunk_b is not None:
+            g_pre = g_pre + err["hyper/trunk/b"]
+        g_pre = g_pre * mask[0]
+        grads: dict[str, np.ndarray] = {}
+        g_hidden = np.zeros(spec.hidden_dim)
+        for (name, shape, w, _, _, e_w), r in zip(heads, residuals):
+            g_r = e_w @ hidden[0] + err[f"hyper/head/{name}/b"] + w @ g_pre
+            grads[f"theta/{name}"] = (-2.0 * g_r).reshape(shape)
+            g_hidden += r[0] @ e_w + g_r @ w
+        grads["v"] = 2.0 * (d_pre[0] @ err["hyper/trunk/W"] + (g_hidden * mask[0]) @ trunk_w)
+        return float(loss), grads
+
+    return value_and_grads
+
+
+def _tv_value_and_grad(x: np.ndarray):
+    """Total variation of an image and its gradient, sign(0) taken as 0."""
+    dv = x[1:, :] - x[:-1, :]
+    dh = x[:, 1:] - x[:, :-1]
+    sv, sh = np.sign(dv), np.sign(dh)
+    g = np.zeros_like(x)
+    g[1:, :] += sv
+    g[:-1, :] -= sv
+    g[:, 1:] += sh
+    g[:, :-1] -= sh
+    return np.sum(np.abs(dv)) + np.sum(np.abs(dh)), g
+
+
+def _inversion_objective(theta: ParamSet, spec: NetSpec, target_row: np.ndarray, tv_coeff: float):
+    """The bilevel attack's stage-two objective as ``value_and_grads`` over x.
+
+    ‖f(x; θ) − target‖² + tv_coeff · TV(x) for the generated extractor f,
+    differentiated by plain input backprop through its dense layers.
+    """
+    layers = []
+    for layer in spec.layers:
+        w = np.ascontiguousarray(theta[f"{layer.name}/W"], dtype=np.float64)
+        b = np.asarray(theta[f"{layer.name}/b"], dtype=np.float64).reshape(1, layer.out_dim)
+        layers.append((w, w.T.copy(), b, layer.activation))
+
+    def value_and_grads(xs: Mapping[str, np.ndarray]):
+        x = xs["x"]
+        h = x.reshape(1, -1)
+        factors = []
+        for _, wt, b, activation in layers:
+            h = h @ wt + b
+            if activation == "relu":
+                factor = (h > 0.0).astype(np.float64)
+            elif activation == "leaky_relu":
+                factor = np.where(h > 0.0, 1.0, nn.LEAKY_SLOPE)
+            else:
+                factor = None
+            if factor is not None:
+                h = h * factor
+            factors.append(factor)
+        err = h - target_row
+        loss = np.sum(err * err)
+
+        g = err + err
+        for (w, _, _, _), factor in zip(reversed(layers), reversed(factors)):
+            if factor is not None:
+                g = g * factor
+            g = g @ w
+        g = g.reshape(x.shape)
+        if tv_coeff > 0:
+            tv, tv_grad = _tv_value_and_grad(x)
+            loss = loss + tv_coeff * tv
+            g = g + tv_coeff * tv_grad
+        return float(loss), {"x": g}
+
+    return value_and_grads
+
 
 def recover_embedding(
     view: TranscriptView,
@@ -357,7 +504,8 @@ def recover_embedding(
     The classifier is private, so the true local loss cannot be formed;
     instead both the embedding v and the regression target theta are
     optimized jointly so that the gradient of 1/2 ||h(v) - theta||^2 with
-    respect to the hypernetwork weights matches the observed gradient.
+    respect to the hypernetwork weights matches the observed gradient.  The
+    objective and its gradients are closed-form (no autodiff tape).
     The residual is always the squared-L2 mismatch (an absolute quantity
     comparable across runs).  Returns (v_hat, theta_hat, residual);
     failure to reach a small residual is an outcome, not an error.
@@ -370,8 +518,9 @@ def recover_embedding(
         raise ConsistencyError("hyperfl transcript lacks its hypernetwork description")
     if set(view.observed) != set(spec.param_shapes()):
         raise ConsistencyError("observed gradients do not cover the hypernetwork's tensors")
+    hn.check_phi(view.params, spec)
+    hn.check_phi(view.observed, spec)
     obs = {k: np.asarray(v, dtype=np.float64) for k, v in view.observed.items()}
-    phi_names = sorted(view.params)
 
     if init_v is None:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, _TAG_EMBED)))
@@ -380,24 +529,15 @@ def recover_embedding(
         init_theta = {name: np.zeros(shape) for name, shape in spec.target}
 
     start = {"v": np.asarray(init_v, dtype=np.float64)}
+    if start["v"].shape != (spec.embedding_dim,):
+        raise DimensionError(f"embedding must have shape ({spec.embedding_dim},), got {start['v'].shape}")
     for name, shape in spec.target:
         t = np.asarray(init_theta[name], dtype=np.float64)
         if t.shape != shape:
             raise DimensionError(f"init theta {name} has shape {t.shape}, expected {shape}")
         start[f"theta/{name}"] = t
 
-    def objective(leaves: Mapping[str, ad.Var]) -> ad.Var:
-        phi = {k: ad.Var(np.asarray(view.params[k], dtype=np.float64)) for k in phi_names}
-        gen = hn.hypernet_forward_sym(leaves["v"], phi, spec)
-        inner = None
-        for name, _ in spec.target:
-            term = ad.sum_(ad.square(ad.sub(gen[name], leaves[f"theta/{name}"])))
-            inner = term if inner is None else ad.add(inner, term)
-        inner = ad.mul(ad.constant(np.float64(0.5)), inner)
-        sim = dict(zip(phi_names, ad.grad(inner, [phi[k] for k in phi_names])))
-        return _gradient_loss_sym(sim, obs, "l2")
-
-    best, residual, _ = _optimize(objective, start, cfg)
+    best, residual, _ = _optimize(_embedding_objective(view.params, obs, spec), start, cfg)
     v_hat = best["v"]
     theta_hat = {name: best[f"theta/{name}"] for name, _ in spec.target}
     return v_hat, theta_hat, residual
@@ -408,12 +548,14 @@ def hyperfl_bilevel_attack(view: TranscriptView, cfg: AttackConfig):
 
     Stage one recovers an embedding candidate; stage two materializes the
     extractor it generates and inverts that extractor by matching its mean
-    response to random probes, under a total-variation prior.  The true
+    response to random probes, under a total-variation prior.  Both stages
+    use closed-form objectives and gradients (no autodiff tape).  The true
     local loss cannot be rebuilt without the private classifier, so this
     activation-matching inversion is a deliberately weak stand-in for a
-    full model-inversion attack; reported scores measure what the protocol
-    leaks, not attacker optimality.  Each stage gets the full configured
-    iteration budget.
+    full model-inversion attack; reported scores measure what this search
+    finds, not what the transcript leaks (`analytic_hyperfl_recovery`
+    reads a batch-1 input off the head-bias gradients exactly).  Each
+    stage gets the full configured iteration budget.
     """
     view = _require_view(view)
     if view.algorithm != "hyperfl":
@@ -431,16 +573,8 @@ def hyperfl_bilevel_attack(view: TranscriptView, cfg: AttackConfig):
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, _TAG_PROBE)))
     probes = rng.uniform(0.0, 1.0, size=(16, fe_spec.in_dim))
     target = nn.forward_logits(theta_gen, fe_spec, probes).mean(axis=0)
-    target_row = target.reshape(1, -1)
 
-    def objective(leaves: Mapping[str, ad.Var]) -> ad.Var:
-        x_row = ad.reshape(leaves["x"], (1, h_px * w_px))
-        feats = nn.forward_logits_sym({k: ad.constant(v) for k, v in theta_gen.items()}, fe_spec, x_row)
-        out = ad.sum_(ad.square(ad.sub(feats, ad.constant(target_row))))
-        if cfg.tv_coeff > 0:
-            out = ad.add(out, ad.mul(ad.constant(np.float64(cfg.tv_coeff)), total_variation(leaves["x"])))
-        return out
-
+    objective = _inversion_objective(theta_gen, fe_spec, target.reshape(1, -1), cfg.tv_coeff)
     best, upper_loss, trace = _optimize(objective, {"x": _init_image(view.image_shape, cfg)}, cfg)
     report = {
         "algorithm": view.algorithm,
@@ -450,6 +584,29 @@ def hyperfl_bilevel_attack(view: TranscriptView, cfg: AttackConfig):
         "trace": trace,
     }
     return best["x"], report
+
+
+def analytic_hyperfl_recovery(view: TranscriptView) -> np.ndarray:
+    """Exact batch-1 input from a HyperFL transcript's head-bias gradients.
+
+    A head's bias gradient is the cotangent on the tensor it generates, so
+    the first extractor layer's weight and bias gradients sit in the
+    observed ``hyper/head/<first>/W/b`` and ``hyper/head/<first>/b/b``;
+    :func:`analytic_input_recovery` reads the input off them.
+    """
+    view = _require_view(view)
+    if view.algorithm != "hyperfl":
+        raise CapabilityError("head-bias recovery applies to hyperfl transcripts only")
+    first = view.model_spec.layers[0]
+    keys = (f"hyper/head/{first.name}/W/b", f"hyper/head/{first.name}/b/b")
+    if any(k not in view.observed for k in keys):
+        raise ConsistencyError(f"observed gradients lack the first layer's head biases {keys}")
+    d_weight = np.asarray(view.observed[keys[0]], dtype=np.float64)
+    if d_weight.size != first.out_dim * first.in_dim:
+        raise DimensionError(
+            f"{keys[0]} has {d_weight.size} values, expected {first.out_dim} x {first.in_dim}"
+        )
+    return analytic_input_recovery(d_weight.reshape(first.out_dim, first.in_dim), view.observed[keys[1]])
 
 
 def attack_transcript(view: TranscriptView, cfg: AttackConfig):
@@ -588,7 +745,7 @@ def sample_record(sample_id, algorithm, x_hat, scores, trace, analytic_psnr=math
     """Flat JSON-ready record of one attacked sample.
 
     ``analytic_psnr`` scores the closed-form batch-1 recovery where the
-    transcript admits one (full-model protocols); NaN elsewhere.
+    transcript admits one; NaN elsewhere.
     """
     return {
         "sample": int(sample_id),
@@ -602,19 +759,17 @@ def sample_record(sample_id, algorithm, x_hat, scores, trace, analytic_psnr=math
 
 
 def write_attack_report(path, cfg: AttackConfig, samples: Sequence[Mapping]) -> None:
+    """Settings and per-sample records as JSON, written atomically."""
     payload = {"config": asdict(cfg), "samples": list(samples)}
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_atomic(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def write_attack_summary_csv(path, samples: Sequence[Mapping]) -> None:
-    """Per-sample score table; the analytic column is the exact-recovery control."""
+    """Per-sample score table, written atomically; the analytic column is the exact-recovery control."""
     lines = ["sample,algorithm,psnr,ssim,analytic_psnr"]
     for s in samples:
         lines.append(
             f"{int(s['sample'])},{s['algorithm']},{repr(float(s['psnr']))},"
             f"{repr(float(s['ssim']))},{repr(float(s.get('analytic_psnr', math.nan)))}"
         )
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))

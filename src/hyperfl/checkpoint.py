@@ -101,8 +101,8 @@ def load_params(data: bytes) -> dict[str, np.ndarray]:
     return out
 
 
-def write_checkpoint(path: str | Path, params: Mapping[str, np.ndarray]) -> None:
-    """Write ``params`` to ``path`` atomically.
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` atomically.
 
     The bytes go to a temporary file in the same directory, which then
     replaces ``path``: a crash mid-write leaves the previous file as it was.
@@ -112,11 +112,16 @@ def write_checkpoint(path: str | Path, params: Mapping[str, np.ndarray]) -> None
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(dump_params(params))
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_checkpoint(path: str | Path, params: Mapping[str, np.ndarray]) -> None:
+    """Write ``params`` to ``path`` atomically (see :func:`write_atomic`)."""
+    write_atomic(path, dump_params(params))
 
 
 def read_checkpoint(path: str | Path) -> dict[str, np.ndarray]:

@@ -176,6 +176,7 @@ def cmd_attack(args) -> int:
     shape = cfg.image_shape or tuple(cfgmod.default_image_shape(ds.dim))
     records = []
     for i in range(samples):
+        start = time.perf_counter()
         transcript = _build_transcript(i, server, clients, shards, bundle, cfg, acfg, shape)
         x_hat, trace = atk.attack_transcript(transcript.public(), acfg)
         scores = atk.score_reconstruction(transcript, x_hat)
@@ -190,6 +191,12 @@ def cmd_attack(args) -> int:
                 analytic_psnr=_analytic_control(transcript, shape),
             )
         )
+        # progress goes to stderr: stdout and the artifacts stay deterministic
+        print(
+            f"sample {i + 1}/{samples}: psnr {scores['psnr']:.2f} dB, "
+            f"{time.perf_counter() - start:.2f} s",
+            file=sys.stderr,
+        )
 
     atk.write_attack_report(run_dir / "attack_report.json", acfg, records)
     atk.write_attack_summary_csv(run_dir / "attack_summary.csv", records)
@@ -198,13 +205,15 @@ def cmd_attack(args) -> int:
 
 
 def _analytic_control(transcript, shape) -> float:
-    """Exact batch-1 recovery score where the full model's gradients leak."""
-    view = transcript.view
-    if view.algorithm == "hyperfl":
-        return math.nan
-    first = view.model_spec.layers[0].name
+    """Score of the exact batch-1 recovery: from the first layer's gradients,
+    or for HyperFL from its head-bias gradients."""
+    view = transcript.public()
     try:
-        x = atk.analytic_input_recovery(view.observed[f"{first}/W"], view.observed[f"{first}/b"])
+        if view.algorithm == "hyperfl":
+            x = atk.analytic_hyperfl_recovery(view)
+        else:
+            first = view.model_spec.layers[0].name
+            x = atk.analytic_input_recovery(view.observed[f"{first}/W"], view.observed[f"{first}/b"])
     except NumericError:
         return math.nan
     return mx.psnr(x.reshape(shape), transcript.x_true)

@@ -10,10 +10,9 @@ per target tensor.  Given an embedding ``v`` of dimension ``d``:
 :func:`hypernet_forward` and :func:`hypernet_backward` are closed-form numpy:
 the backward pass returns the exact vector-Jacobian products into both
 ``phi_h`` and ``v``, so a task loss can be trained end to end while only
-``phi_h`` ever leaves the client.  Both follow the operation order of the
-traced :func:`hypernet_forward_sym` and are checked bitwise against it in the
-tests; the attacks differentiate through that traced form, which they need
-for second-order terms.
+``phi_h`` ever leaves the client.  Both repeat, operation for operation, the
+forward pass built from ``hyperfl.autodiff`` primitives; the tests keep that
+traced form as the oracle and check both functions bitwise against it.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import DimensionError
 from .network import NetSpec, ParamSet
 
@@ -79,7 +77,8 @@ def _phi_shapes(spec: HypernetSpec) -> MappingProxyType:
     return MappingProxyType(spec.param_shapes())
 
 
-def _check_phi(phi_h, spec: HypernetSpec) -> None:
+def check_phi(phi_h, spec: HypernetSpec) -> None:
+    """Raise :class:`DimensionError` unless ``phi_h`` has exactly the spec's tensors and shapes."""
     shapes = _phi_shapes(spec)
     if phi_h.keys() != shapes.keys():
         raise DimensionError(
@@ -87,7 +86,7 @@ def _check_phi(phi_h, spec: HypernetSpec) -> None:
         )
     for name, shape in shapes.items():
         val = phi_h[name]
-        got = val.shape if isinstance(val, (np.ndarray, ad.Var)) else np.shape(val)
+        got = val.shape if isinstance(val, np.ndarray) else np.shape(val)
         if got != shape:
             raise DimensionError(f"{name}: expected shape {shape}, got {got}")
 
@@ -98,36 +97,14 @@ def _target_fan_in(shape: tuple[int, ...]) -> int:
     return shape[-1] if len(shape) >= 2 else shape[0]
 
 
-def hypernet_forward_sym(v, phi_h, spec: HypernetSpec) -> dict[str, ad.Var]:
-    """Traced forward pass; accepts Vars or arrays for ``v`` and ``phi_h``."""
-    _check_phi(phi_h, spec)
-    vv = ad.as_var(v)
-    if vv.shape != (spec.embedding_dim,):
-        raise DimensionError(f"embedding must have shape ({spec.embedding_dim},), got {vv.shape}")
-
-    row = ad.reshape(vv, (1, spec.embedding_dim))
-    hidden = ad.matmul(row, ad.transpose(ad.as_var(phi_h["hyper/trunk/W"])))
-    if spec.hidden_bias:
-        hidden = ad.add(hidden, ad.reshape(ad.as_var(phi_h["hyper/trunk/b"]), (1, spec.hidden_dim)))
-    hidden = ad.relu(hidden)
-
-    theta: dict[str, ad.Var] = {}
-    for name, shape in spec.target:
-        w = ad.as_var(phi_h[f"hyper/head/{name}/W"])
-        b = ad.as_var(phi_h[f"hyper/head/{name}/b"])
-        flat = ad.add(ad.matmul(hidden, ad.transpose(w)), ad.reshape(b, (1, b.shape[0])))
-        theta[name] = ad.reshape(flat, shape)
-    return theta
-
-
 def _trunk(v, phi_h, spec: HypernetSpec) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
     """Checked float64 inputs and the hidden layer: (row, hidden, phi)."""
-    _check_phi(phi_h, spec)
+    check_phi(phi_h, spec)
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (spec.embedding_dim,):
         raise DimensionError(f"embedding must have shape ({spec.embedding_dim},), got {v.shape}")
     phi = {name: np.asarray(val, dtype=np.float64) for name, val in phi_h.items()}
-    # same operations, in the same order, as hypernet_forward_sym
+    # the traced forward pass's operations, in its order
     row = v.reshape(1, spec.embedding_dim)
     hidden = row @ phi["hyper/trunk/W"].T.copy()
     if spec.hidden_bias:
@@ -137,7 +114,7 @@ def _trunk(v, phi_h, spec: HypernetSpec) -> tuple[np.ndarray, np.ndarray, dict[s
 
 
 def hypernet_forward(v: np.ndarray, phi_h: ParamSet, spec: HypernetSpec) -> ParamSet:
-    """θ = h(v; φ_h), bitwise equal to the data of :func:`hypernet_forward_sym`."""
+    """θ = h(v; φ_h), bitwise equal to the traced forward pass's data."""
     _, hidden, phi = _trunk(v, phi_h, spec)
     theta: ParamSet = {}
     for name, shape in spec.target:
@@ -152,9 +129,9 @@ def hypernet_backward(
     """Pull a cotangent on θ back to (φ_h, v): exact VJPs, in closed form.
 
     Returns ``(d_phi, dv)`` with ``d_phi`` in sorted name order.  Every
-    tensor is bitwise equal to ``autodiff.grad`` of ⟨d_theta, θ⟩ through
-    :func:`hypernet_forward_sym`: the trunk is recomputed with the same
-    operations, and per-head contributions to the hidden layer are summed in
+    tensor is bitwise equal to ``autodiff.grad`` of ⟨d_theta, θ⟩ through the
+    traced forward pass: the trunk is recomputed with the same operations,
+    and per-head contributions to the hidden layer are summed in
     ``spec.target`` order, as the tape sums them.
     """
     target_names = {name for name, _ in spec.target}

@@ -17,6 +17,7 @@ round) serialize as ``nan``.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .checkpoint import write_atomic
 from .errors import ConfigError, ConsistencyError, DimensionError
 from .network import NetSpec, ParamSet, forward_logits
 
@@ -163,17 +165,18 @@ def write_metrics_csv(path: str | Path, records: Sequence[RoundRecord]) -> None:
         by_round.setdefault(r.round, []).append(r)
     round_ids = sorted(by_round)
 
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for t in round_ids:
-            group = sorted(by_round[t], key=lambda r: int(r.client_id))
-            for r in group + [mean_record(group)]:
-                writer.writerow(
-                    [r.round, r.client_id]
-                    + [_fmt(getattr(r, name)) for name in _NUMERIC_FIELDS]
-                    + [""]  # seconds: never serialized here
-                )
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for t in round_ids:
+        group = sorted(by_round[t], key=lambda r: int(r.client_id))
+        for r in group + [mean_record(group)]:
+            writer.writerow(
+                [r.round, r.client_id]
+                + [_fmt(getattr(r, name)) for name in _NUMERIC_FIELDS]
+                + [""]  # seconds: never serialized here
+            )
+    write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
 def read_metrics_csv(path: str | Path) -> list[RoundRecord]:
@@ -193,11 +196,12 @@ def read_metrics_csv(path: str | Path) -> list[RoundRecord]:
 
 
 def write_timings_csv(path: str | Path, seconds_by_round: Sequence[tuple[int, float]]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["round", "seconds"])
-        for t, sec in seconds_by_round:
-            writer.writerow([t, f"{sec:.6f}"])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["round", "seconds"])
+    for t, sec in seconds_by_round:
+        writer.writerow([t, f"{sec:.6f}"])
+    write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
 # -- convergence summary ---------------------------------------------------------------

@@ -371,6 +371,22 @@ def test_criterion_07_attack_negative_result(attack_bench):
     )
 
 
+def test_hyperfl_head_bias_recovery_is_exact(attack_bench):
+    # criterion 7 bounds the bilevel search only: a head's bias gradient is the
+    # gradient of the tensor it generates, so each batch-1 input is in the transcript
+    server, clients = attack_bench["states"]["hyperfl"]
+    bundle = attack_bench["bundle"]
+    psnrs = []
+    for c, j in attack_bench["pairs"]:
+        img, y = attack_bench["sample"](c, j)
+        tr = atk.hyperfl_transcript(
+            clients[c].v, server.varphi_bar, clients[c].phi_c,
+            bundle.hyper, bundle.fe, bundle.cls, img, y,
+        )
+        psnrs.append(mx.psnr(atk.analytic_hyperfl_recovery(tr.public()).reshape(8, 8), img))
+    assert psnrs == [mx.PSNR_CAP_DB] * 10
+
+
 def test_criterion_08_pfedhn_susceptibility(attack_bench):
     control = np.mean(fedavg_control(attack_bench)["psnr"])
     server, _ = attack_bench["states"]["pfedhn"]

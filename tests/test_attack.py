@@ -1,7 +1,9 @@
 """Inversion toolkit: TV prior, analytic oracle, searches, transcripts, reports.
 
 The analytic batch-1 recovery doubles as the ground-truth oracle for the
-iterative attack: both must agree with the planted input.
+iterative attack: both must agree with the planted input.  The bilevel
+attack's closed-form objectives are checked against their traced forms,
+kept here as oracles, and against finite differences.
 """
 
 import dataclasses
@@ -10,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperfl import attack as atk
 from hyperfl import autodiff as ad
@@ -24,6 +28,7 @@ from hyperfl.errors import (
     DimensionError,
     NumericError,
 )
+from tape_oracles import hypernet_forward_sym
 
 
 def stripe_image(h, w, seed):
@@ -151,6 +156,29 @@ def test_analytic_recovery_shape_checks():
         atk.analytic_input_recovery(np.ones(9), np.ones(4))
 
 
+def test_analytic_hyperfl_recovery_from_head_bias_gradients():
+    for seed in range(5):
+        img, tr = hyperfl_tr(img_seed=seed, y=seed % 3)
+        got = atk.analytic_hyperfl_recovery(tr.public())
+        assert np.max(np.abs(got - img.ravel())) <= 1e-10
+
+
+def test_analytic_hyperfl_recovery_refusals():
+    img, tr = hyperfl_tr()
+    with pytest.raises(CapabilityError):
+        atk.analytic_hyperfl_recovery(tr)
+    with pytest.raises(CapabilityError):
+        atk.analytic_hyperfl_recovery(fedavg_tr()[1].public())
+    missing = dataclasses.replace(
+        tr.view, observed={k: v for k, v in tr.view.observed.items() if k != "hyper/head/fe0/b/b"}
+    )
+    with pytest.raises(ConsistencyError):
+        atk.analytic_hyperfl_recovery(missing)
+    zero = dataclasses.replace(tr.view, observed={k: np.zeros_like(v) for k, v in tr.view.observed.items()})
+    with pytest.raises(NumericError):
+        atk.analytic_hyperfl_recovery(zero)
+
+
 def test_gradient_from_delta_inverts_one_step():
     img, tr = fedavg_tr()
     grads = tr.view.observed
@@ -252,6 +280,142 @@ def test_ig_attack_deterministic():
     x2, t2 = atk.ig_attack(tr.public(), cfg)
     assert x1.tobytes() == x2.tobytes()
     assert t1 == t2
+
+
+# -- closed-form objectives against the tape ------------------------------------------
+
+
+def embedding_objective_sym(phi_params, obs, spec):
+    """recover_embedding's objective traced through the tape (second order)."""
+    phi_names = sorted(phi_params)
+
+    def objective(leaves):
+        phi = {k: ad.Var(np.asarray(phi_params[k], dtype=np.float64)) for k in phi_names}
+        gen = hypernet_forward_sym(leaves["v"], phi, spec)
+        inner = None
+        for name, _ in spec.target:
+            term = ad.sum_(ad.square(ad.sub(gen[name], leaves[f"theta/{name}"])))
+            inner = term if inner is None else ad.add(inner, term)
+        inner = ad.mul(ad.constant(np.float64(0.5)), inner)
+        sim = dict(zip(phi_names, ad.grad(inner, [phi[k] for k in phi_names])))
+        return atk._gradient_loss_sym(sim, obs, "l2")
+
+    return objective
+
+
+def inversion_objective_sym(theta, spec, target_row, tv_coeff):
+    """The bilevel attack's stage-two objective traced through the tape."""
+
+    def objective(leaves):
+        x_row = ad.reshape(leaves["x"], (1, spec.in_dim))
+        feats = nn.forward_logits_sym({k: ad.constant(v) for k, v in theta.items()}, spec, x_row)
+        out = ad.sum_(ad.square(ad.sub(feats, ad.constant(target_row))))
+        if tv_coeff > 0:
+            tv = ad.mul(ad.constant(np.float64(tv_coeff)), atk.total_variation(leaves["x"]))
+            out = ad.add(out, tv)
+        return out
+
+    return objective
+
+
+def assert_matches_tape(closed_form, traced, xs):
+    loss, grads = closed_form(xs)
+    want_loss, want = atk._value_and_grads(traced, xs)
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert grads.keys() == want.keys()
+    for k, g in want.items():
+        assert grads[k].shape == g.shape, k
+        assert np.max(np.abs(grads[k] - g)) <= 1e-12 * max(np.max(np.abs(g)), 1e-300), k
+
+
+def central_differences(value_and_grads, xs, key, h=1e-6):
+    """Finite-difference directional derivative along a fixed random direction."""
+    rng = np.random.default_rng(0)
+    d = rng.normal(size=xs[key].shape)
+    up = {**xs, key: xs[key] + h * d}
+    down = {**xs, key: xs[key] - h * d}
+    return (value_and_grads(up)[0] - value_and_grads(down)[0]) / (2 * h), d
+
+
+def random_hyper(widths, embedding_dim, hidden_dim, hidden_bias, seed):
+    fe = nn.dense_net("fe", widths)
+    spec = hn.HypernetSpec(
+        target=hn.target_from_netspec(fe),
+        embedding_dim=embedding_dim,
+        hidden_dim=hidden_dim,
+        hidden_bias=hidden_bias,
+    )
+    rng = np.random.default_rng(seed)
+    phi = {k: rng.normal(size=s) for k, s in spec.param_shapes().items()}
+    if hidden_bias:
+        phi["hyper/trunk/b"] -= 0.5
+    obs = {k: rng.normal(size=s) for k, s in spec.param_shapes().items()}
+    return spec, phi, obs, rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    widths=st.lists(st.integers(min_value=1, max_value=9), min_size=2, max_size=4),
+    embedding_dim=st.integers(min_value=1, max_value=10),
+    hidden_dim=st.integers(min_value=1, max_value=16),
+    hidden_bias=st.booleans(),
+    v_scale=st.sampled_from([0.0, 0.01, 1.0, 30.0]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_embedding_objective_matches_tape(widths, embedding_dim, hidden_dim, hidden_bias, v_scale, seed):
+    # 1-3 extractor layers; the v scale and the shifted trunk bias leave some
+    # hidden ReLUs dead (all of them at scale 0 without a bias)
+    spec, phi, obs, rng = random_hyper(widths, embedding_dim, hidden_dim, hidden_bias, seed)
+    xs = {"v": v_scale * rng.normal(size=embedding_dim)}
+    for name, shape in spec.target:
+        xs[f"theta/{name}"] = rng.normal(size=shape)
+    closed = atk._embedding_objective(phi, obs, spec)
+    assert_matches_tape(closed, embedding_objective_sym(phi, obs, spec), xs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    widths=st.lists(st.integers(min_value=1, max_value=9), min_size=2, max_size=4),
+    activation=st.sampled_from(["relu", "leaky_relu"]),
+    tv_coeff=st.sampled_from([0.0, 1e-6, 0.3]),
+    bias_shift=st.sampled_from([0.0, -1.0]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_inversion_objective_matches_tape(widths, activation, tv_coeff, bias_shift, seed):
+    # 1-3 layers; the shifted biases leave some units of each hidden layer dead
+    rng = np.random.default_rng(seed)
+    h = int(rng.integers(1, 4))
+    spec = nn.dense_net("fe", [h * widths[0], *widths[1:]], activation=activation)
+    theta = nn.init_params(spec, rng)
+    for layer in spec.layers:
+        theta[f"{layer.name}/b"] = theta[f"{layer.name}/b"] + bias_shift
+    target_row = rng.normal(size=(1, spec.out_dim))
+    xs = {"x": rng.uniform(0.0, 1.0, size=(h, widths[0]))}
+    closed = atk._inversion_objective(theta, spec, target_row, tv_coeff)
+    assert_matches_tape(closed, inversion_objective_sym(theta, spec, target_row, tv_coeff), xs)
+
+
+@pytest.mark.parametrize("hidden_bias", [True, False])
+def test_embedding_objective_gradients_match_finite_differences(hidden_bias):
+    spec, phi, obs, rng = random_hyper([6, 5, 3], 4, 7, hidden_bias, seed=11)
+    xs = {"v": rng.normal(size=4), **{f"theta/{n}": rng.normal(size=s) for n, s in spec.target}}
+    closed = atk._embedding_objective(phi, obs, spec)
+    _, grads = closed(xs)
+    for key in xs:
+        fd, d = central_differences(closed, xs, key)
+        assert np.sum(grads[key] * d) == pytest.approx(fd, rel=1e-6, abs=1e-6)
+
+
+@pytest.mark.parametrize("activation", ["relu", "leaky_relu"])
+def test_inversion_objective_gradients_match_finite_differences(activation):
+    rng = np.random.default_rng(12)
+    spec = nn.dense_net("fe", [12, 7, 5], activation=activation)
+    theta = nn.init_params(spec, rng)
+    closed = atk._inversion_objective(theta, spec, rng.normal(size=(1, 5)), 0.01)
+    xs = {"x": rng.uniform(0.0, 1.0, size=(3, 4))}
+    _, grads = closed(xs)
+    fd, d = central_differences(closed, xs, "x")
+    assert np.sum(grads["x"] * d) == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
 
 # -- embedding recovery ------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tensor container: bit-exact round trips and format policing."""
+"""Tensor container: bit-exact round trips, format policing, atomic writes."""
 
 import struct
 
@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperfl import attack as atk
 from hyperfl import checkpoint as ckpt
+from hyperfl import metrics as mx
 from hyperfl.errors import FormatError
 
 
@@ -62,6 +64,31 @@ def test_failed_write_keeps_previous_file_and_leaves_no_temp(tmp_path, monkeypat
         ckpt.write_checkpoint(path, {"a": np.zeros(4)})
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["round_0001.hfl"]
+
+
+SAMPLE = atk.sample_record(0, "fedavg", np.zeros((2, 2)), {"psnr": 1.0, "ssim": 0.5}, [])
+RESULT_WRITERS = {
+    "metrics.csv": lambda p: mx.write_metrics_csv(p, [mx.RoundRecord(round=0, client_id="0")]),
+    "timings.csv": lambda p: mx.write_timings_csv(p, [(0, 0.5)]),
+    "attack_report.json": lambda p: atk.write_attack_report(p, atk.AttackConfig(), [SAMPLE]),
+    "attack_summary.csv": lambda p: atk.write_attack_summary_csv(p, [SAMPLE]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESULT_WRITERS))
+def test_failed_result_write_keeps_previous_file_and_leaves_no_temp(tmp_path, monkeypatch, name):
+    # the result files share write_checkpoint's temp-file-then-replace path
+    path = tmp_path / name
+    path.write_bytes(b"previous run\n")
+
+    def crash(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(ckpt.os, "replace", crash)
+    with pytest.raises(OSError):
+        RESULT_WRITERS[name](path)
+    assert path.read_bytes() == b"previous run\n"
+    assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
 def test_rewrite_replaces_file_and_leaves_no_temp(tmp_path):

@@ -345,6 +345,24 @@ def test_attack_summary_reports_oracle_and_search_columns(attacked_run):
     assert all(s["trace"][-1][0] == 40 for s in report["samples"])  # rows are triples
 
 
+def test_hyperfl_attack_control_and_progress(tmp_path, capsys):
+    run = train_run(tmp_path, algorithm="hyperfl")
+    att = tmp_path / "att.json"
+    att.write_text('{"iterations": 5, "samples": 3, "seed": 0}')
+    capsys.readouterr()
+    assert cli.main(["attack", str(run / "snapshots" / "round_0002.hfl"), str(att)]) == 0
+    out, err = capsys.readouterr()
+    assert out.strip() == str(run)
+    rows = [line.split(",") for line in (run / "attack_summary.csv").read_text().splitlines()[1:]]
+    # the head-bias gradients hold every batch-1 input exactly
+    assert [float(r[4]) for r in rows] == [mx.PSNR_CAP_DB] * 3
+    # one progress line per sample on stderr: index/total, the search's PSNR, seconds
+    progress = err.splitlines()
+    assert [line.split(":")[0] for line in progress] == ["sample 1/3", "sample 2/3", "sample 3/3"]
+    for line, r in zip(progress, rows):
+        assert f"psnr {float(r[2]):.2f} dB, " in line and line.endswith(" s")
+
+
 def test_attack_with_zero_samples_writes_header_only(fedavg_run, tmp_path):
     run = tmp_path / "copy"
     shutil.copytree(fedavg_run, run)

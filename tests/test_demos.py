@@ -4,12 +4,11 @@ Each demo runs in its own interpreter with one BLAS thread, the checkout's
 ``src`` on the path and temporary files under pytest's ``tmp_path``; the
 test asserts exit status 0 and that no ``hyperfl_demo_*`` work directory is
 left behind.  Demo 02 drives the hypernetwork forward
-and backward passes end to end.
+and backward passes end to end; demo 05 runs both attacks and the
+analytic HyperFL head-bias recovery.
 
-Left out: demo 04 (a full protocol comparison, about half a minute) and
-demo 05, whose printed claim that HyperFL gradients hold no image is
-contradicted by the analytic head-bias recovery and is to be rewritten
-with it.
+Left out: demo 04 (a full protocol comparison, about half a minute),
+which CI runs as its own step.
 """
 
 import os
@@ -24,6 +23,7 @@ DEMOS = [
     "01_autodiff_basics",
     "02_hypernet_generation",
     "03_noniid_partition",
+    "05_inversion_attack",
     "06_dp_tradeoff",
     "07_cli_workflow",
 ]

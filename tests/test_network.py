@@ -4,7 +4,8 @@ Oracles used here: an independent straight-line numpy reimplementation of the
 forward pass, central finite differences (h = 1e-5), and hand-unrolled
 optimizer recurrences.  Input gradients are taken on the traced loss
 (``forward_loss_sym`` plus ``autodiff.grad``); nested gradients go through
-``attack._value_and_grads``, the helper every attack objective uses.
+``attack._value_and_grads``, the helper that runs the gradient-matching
+attack's traced objective.
 """
 
 import os
