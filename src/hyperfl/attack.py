@@ -27,7 +27,6 @@ touch ground truth even by accident.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import asdict, dataclass
 from typing import Mapping, Optional, Sequence
@@ -38,7 +37,7 @@ from . import autodiff as ad
 from . import hypernet as hn
 from . import metrics as mx
 from . import network as nn
-from .checkpoint import write_atomic
+from .checkpoint import write_atomic, write_json
 from .errors import (
     CapabilityError,
     ConfigError,
@@ -761,7 +760,7 @@ def sample_record(sample_id, algorithm, x_hat, scores, trace, analytic_psnr=math
 def write_attack_report(path, cfg: AttackConfig, samples: Sequence[Mapping]) -> None:
     """Settings and per-sample records as JSON, written atomically."""
     payload = {"config": asdict(cfg), "samples": list(samples)}
-    write_atomic(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    write_json(path, payload)
 
 
 def write_attack_summary_csv(path, samples: Sequence[Mapping]) -> None:

@@ -20,6 +20,7 @@ bit-for-bit.
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 import threading
@@ -117,6 +118,11 @@ def write_atomic(path: str | Path, data: bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path: str | Path, obj) -> None:
+    """``obj`` as indented, key-sorted JSON plus a newline, written atomically."""
+    write_atomic(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def write_checkpoint(path: str | Path, params: Mapping[str, np.ndarray]) -> None:

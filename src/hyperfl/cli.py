@@ -19,7 +19,6 @@ problems.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -98,7 +97,7 @@ def cmd_train(args) -> int:
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     (out / "snapshots").mkdir(exist_ok=True)
-    (out / "config.resolved.json").write_text(cfg.to_json(), encoding="utf-8")
+    ckpt.write_atomic(out / "config.resolved.json", cfg.to_json().encode("utf-8"))
 
     ds = cfgmod.build_dataset(cfg)
     shards = cfgmod.build_shards(cfg, ds)
@@ -135,16 +134,7 @@ def cmd_train(args) -> int:
 
     mx.write_metrics_csv(out / "metrics.csv", records)
     mx.write_timings_csv(out / "timings.csv", timings)
-
-    final_round = max(r.round for r in records)
-    final_acc = {
-        r.client_id: r.test_acc
-        for r in records
-        if r.round == final_round and r.client_id != "_mean"
-    }
-    (out / "final_accuracy.json").write_text(
-        json.dumps(final_acc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    ckpt.write_json(out / "final_accuracy.json", mx.final_accuracy(records))
     print(out)
     return 0
 
@@ -180,14 +170,13 @@ def cmd_attack(args) -> int:
         transcript = _build_transcript(i, server, clients, shards, bundle, cfg, acfg, shape)
         x_hat, trace = atk.attack_transcript(transcript.public(), acfg)
         scores = atk.score_reconstruction(transcript, x_hat)
-        trace_rows = trace if trace and isinstance(trace[0], atk.TraceRow) else []
         records.append(
             atk.sample_record(
                 i,
                 transcript.view.algorithm,
                 x_hat,
                 scores,
-                trace_rows,
+                trace,
                 analytic_psnr=_analytic_control(transcript, shape),
             )
         )
@@ -274,9 +263,6 @@ def cmd_partition(args) -> int:
 # -- report -------------------------------------------------------------------------
 
 
-_SERIES_FIELDS = ("train_loss", "test_acc", "grad_sq_norm", "hypernet_drift", "extractor_drift")
-
-
 def cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
     metrics_path = run_dir / "metrics.csv"
@@ -286,16 +272,10 @@ def cmd_report(args) -> int:
     report_dir = run_dir / "report"
     report_dir.mkdir(exist_ok=True)
 
-    final_round = max(r.round for r in records)
     mean_rows = sorted(
         (r for r in records if r.client_id == "_mean"), key=lambda r: r.round
     )
     last_mean = mean_rows[-1]
-    per_client = {
-        r.client_id: r.test_acc
-        for r in records
-        if r.round == final_round and r.client_id != "_mean"
-    }
 
     try:
         convergence = asdict(mx.convergence_stats(records))
@@ -303,23 +283,21 @@ def cmd_report(args) -> int:
         convergence = None
 
     summary = {
-        "rounds": final_round,
+        "rounds": last_mean.round,
         "final_mean_test_acc": last_mean.test_acc,
         "final_mean_train_loss": last_mean.train_loss,
-        "per_client_final_acc": per_client,
+        "per_client_final_acc": mx.final_accuracy(records),
         "convergence": convergence,
         "attack": _attack_digest(run_dir / "attack_summary.csv"),
     }
-    (report_dir / "summary.json").write_text(
-        json.dumps(_jsonable(summary), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    ckpt.write_json(report_dir / "summary.json", _jsonable(summary))
 
-    for field in _SERIES_FIELDS:
+    for field in mx.NUMERIC_FIELDS:
         lines = ["round,value"]
         for r in mean_rows:
             v = getattr(r, field)
             lines.append(f"{r.round}," + ("" if math.isnan(v) else repr(float(v))))
-        (report_dir / f"series_{field}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        ckpt.write_atomic(report_dir / f"series_{field}.csv", ("\n".join(lines) + "\n").encode("utf-8"))
 
     print(report_dir)
     return 0

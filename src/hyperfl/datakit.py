@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .checkpoint import write_json
 from .errors import (
     CapacityError,
     ConfigError,
@@ -320,7 +321,7 @@ def train_test_split(ds: Dataset, seed: int, test_fraction: float = 1.0 / 6.0) -
 def write_manifest(path: str | Path, shards: Sequence[np.ndarray]) -> None:
     """JSON audit record: client id -> the exact sample indices it received."""
     payload = {str(c): np.asarray(idx).tolist() for c, idx in enumerate(shards)}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, payload)
 
 
 def read_manifest(path: str | Path) -> list[np.ndarray]:

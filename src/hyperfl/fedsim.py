@@ -18,6 +18,13 @@ SeedSequence.  Client training is a pure function of (state, received bytes,
 stream), and sampled clients train one after another in ascending client id,
 so a seeded run is bit-identical on every rerun.
 
+Round records
+-------------
+A trained client's :class:`~hyperfl.metrics.RoundRecord` is built where its
+loss, gradient norm and drift are computed: in :func:`run_round`, or in
+``_pfedhn_updates`` for pFedHN.  :func:`evaluate_clients` is the only
+evaluation path; it fills in ``test_acc`` for every client, round 0 included.
+
 Algorithm tags: ``hyperfl``, ``fedavg``, ``dp_fedavg``, ``local``,
 ``pfedhn``.
 """
@@ -509,65 +516,33 @@ def _theta(client: ClientState, bundle: ModelBundle) -> ParamSet:
     return hypernet_forward(client.v, client.phi_h, bundle.hyper)
 
 
-def client_eval_model(
-    client: ClientState, bundle: ModelBundle, theta: ParamSet | None = None
-) -> ParamSet:
-    """The parameters a client would use for inference right now.
-
-    ``theta`` is the HyperFL client's generated extractor when the caller
-    already has it; otherwise it is generated here.
-    """
-    if client.model is not None:
-        return {**client.model}
-    return {**(_theta(client, bundle) if theta is None else theta), **client.phi_c}
-
-
 def evaluate_clients(
     clients: Sequence[ClientState], bundle: ModelBundle, thetas: dict[int, ParamSet] | None = None
 ) -> list[float]:
-    """Test accuracy per client; ``thetas`` maps client id to a known ``_theta``."""
-    spec = bundle.full
+    """Test accuracy per client, each with the parameters it would infer with now.
+
+    FedAvg-family clients use ``model``; HyperFL clients use their generated
+    extractor (``thetas`` maps client id to a known ``_theta``) under their
+    own classifier.
+    """
     thetas = thetas or {}
     return [
-        accuracy(client_eval_model(c, bundle, thetas.get(c.id)), spec, c.test.x, c.test.y)
+        accuracy(
+            c.model if c.model is not None else {**(thetas.get(c.id) or _theta(c, bundle)), **c.phi_c},
+            bundle.full,
+            c.test.x,
+            c.test.y,
+        )
         for c in clients
     ]
 
 
-# per trained client: (new state, stats, hypernet drift, extractor drift)
-Trained = dict[int, tuple[ClientState, LocalStats, float, float]]
-
-
 def _records(
-    t: int, clients: Sequence[ClientState], accs: Sequence[float], trained: Trained
+    t: int, clients: Sequence[ClientState], accs: Sequence[float], trained: dict[int, RoundRecord]
 ) -> list[RoundRecord]:
-    """One row per client; a client that did not train keeps NaN step metrics."""
-    records = []
-    for c, acc in zip(clients, accs):
-        if c.id in trained:
-            _, stats, hdrift, edrift = trained[c.id]
-            loss, sq_norm = stats.train_loss, stats.grad_sq_norm
-        else:
-            loss = sq_norm = hdrift = edrift = math.nan
-        records.append(
-            RoundRecord(
-                round=t,
-                client_id=str(c.id),
-                train_loss=loss,
-                test_acc=acc,
-                grad_sq_norm=sq_norm,
-                hypernet_drift=hdrift,
-                extractor_drift=edrift,
-            )
-        )
-    return records
-
-
-def initial_records(
-    server: ServerState, clients: Sequence[ClientState], bundle: ModelBundle
-) -> list[RoundRecord]:
-    """Round-0 rows: initial test accuracy, every step metric unmeasured."""
-    return _records(0, clients, evaluate_clients(clients, bundle), {})
+    """One row per client: its trained row, or all-NaN step metrics if it did not train."""
+    rows = [trained.get(c.id, RoundRecord(t, str(c.id))) for c in clients]
+    return [replace(row, test_acc=acc) for row, acc in zip(rows, accs)]
 
 
 def _extractor_norm(delta: ParamSet, bundle: ModelBundle) -> float:
@@ -590,9 +565,10 @@ def run_round(
 ) -> tuple[ServerState, list[ClientState], list[RoundRecord]]:
     """One communication round; returns one record per client.
 
-    Sampled clients train one after another in ascending id and get fresh
-    step metrics; unsampled clients keep NaN step metrics but are still
-    evaluated on their test shards.
+    Sampled clients train one after another in ascending id; each one's row
+    is built right after its training, from its loss, gradient norm and
+    drift.  Unsampled clients keep NaN step metrics.  Every client, trained
+    or not, then gets its ``test_acc`` from one :func:`evaluate_clients` call.
     """
     wire = wire if wire is not None else Wire()
     t = server.round_t + 1
@@ -600,12 +576,13 @@ def run_round(
     last_round = t == cfg.total_rounds  # everyone takes part in the last round
     sampled = sample_clients(len(clients), cfg.sampling_rate, sample_rng, last_round).tolist()
     algorithm = server.algorithm
-    trained: Trained = {}
+    new_clients = list(clients)
+    trained: dict[int, RoundRecord] = {}  # each trained client's row, test_acc still NaN
     thetas: dict[int, ParamSet] = {}  # hyperfl: each trained client's new extractor
     changes: dict = {}  # server fields this round replaces
 
     if algorithm == "pfedhn":
-        changes = _pfedhn_updates(server, clients, bundle, cfg, seed, wire, sampled, t, trained)
+        changes = _pfedhn_updates(server, new_clients, bundle, cfg, seed, wire, sampled, t, trained)
     else:
         upload_names = _allowed_upload_names(algorithm, bundle)
         train = local_train_hyperfl if algorithm == "hyperfl" else local_train_fedavg
@@ -620,6 +597,7 @@ def run_round(
                 received = msg.tensors()
             step_rng = derive_rng(seed, _TAG_STEP, cid, t)
             new_c, upload, stats = train(client, received, bundle, cfg, step_rng)
+            new_clients[cid] = new_c
             if algorithm == "hyperfl":
                 hdrift = tree_norm(tree_sub(new_c.phi_h, received))
                 thetas[cid] = _theta(new_c, bundle)
@@ -628,7 +606,10 @@ def run_round(
                 hdrift, edrift = math.nan, _extractor_norm(upload, bundle)
             if algorithm == "dp_fedavg":
                 upload = dp_sanitize(upload, dp, derive_rng(seed, _TAG_DPNOISE, cid, t))
-            trained[cid] = (new_c, stats, hdrift, edrift)
+            trained[cid] = RoundRecord(
+                t, str(cid), train_loss=stats.train_loss, grad_sq_norm=stats.grad_sq_norm,
+                hypernet_drift=hdrift, extractor_drift=edrift,
+            )
             if algorithm != "local":
                 msg = wire.send(f"client:{cid}", "server", "upload", t, upload, upload_names)
                 uploads.append(msg.tensors())
@@ -642,30 +623,27 @@ def run_round(
             else:
                 changes = {"global_model": tree_add(server.global_model, merged)}
 
-    new_server = replace(server, round_t=t, **changes)
-    new_clients = list(clients)
-    for cid, (new_c, *_) in trained.items():
-        new_clients[cid] = new_c
     accs = evaluate_clients(new_clients, bundle, thetas)
-    return new_server, new_clients, _records(t, new_clients, accs, trained)
+    return replace(server, round_t=t, **changes), new_clients, _records(t, new_clients, accs, trained)
 
 
 def _pfedhn_updates(
     server: ServerState,
-    clients: Sequence[ClientState],
+    clients: list[ClientState],
     bundle: ModelBundle,
     cfg: RoundConfig,
     seed: int,
     wire: Wire,
     sampled: list[int],
     t: int,
-    trained: Trained,
+    trained: dict[int, RoundRecord],
 ) -> dict:
     """Server-side hypernetwork round: generate, send, train, pull back VJP.
 
     Sampled clients are processed in ascending id; the server applies one
-    update per client (sequential, as in the underlying method).  Fills
-    ``trained`` and returns the server fields the round replaces.
+    update per client (sequential, as in the underlying method).  Replaces
+    each trained client in ``clients``, puts its row in ``trained`` and
+    returns the server fields the round replaces.
     """
     hyper = bundle.pfedhn_hyper()
     allowed = _allowed_upload_names("pfedhn", bundle)
@@ -682,7 +660,7 @@ def _pfedhn_updates(
         received = msg.tensors()
 
         step_rng = derive_rng(seed, _TAG_STEP, cid, t)
-        new_c, delta, stats = local_train_fedavg(clients[cid], received, bundle, cfg, step_rng)
+        clients[cid], delta, stats = local_train_fedavg(clients[cid], received, bundle, cfg, step_rng)
         up_msg = wire.send(f"client:{cid}", "server", "upload", t, delta, allowed)
         delta = up_msg.tensors()
 
@@ -691,8 +669,11 @@ def _pfedhn_updates(
         phi_h, opt_h = sgd_step(phi_h, d_phi, server_cfg, opt_h)
         vt, opt_v[cid] = sgd_step({"v": embeddings[cid]}, {"v": dv}, server_cfg, opt_v[cid])
         embeddings[cid] = vt["v"]
-        hdrift = tree_norm(d_phi) * cfg.server_lr
-        trained[cid] = (new_c, stats, hdrift, _extractor_norm(delta, bundle))
+        trained[cid] = RoundRecord(
+            t, str(cid), train_loss=stats.train_loss, grad_sq_norm=stats.grad_sq_norm,
+            hypernet_drift=tree_norm(d_phi) * cfg.server_lr,
+            extractor_drift=_extractor_norm(delta, bundle),
+        )
 
     return {"varphi_bar": phi_h, "embeddings": embeddings, "opt_h": opt_h, "opt_v": opt_v}
 
@@ -717,7 +698,7 @@ def run_experiment(
     """
     dp = dp or DPConfig()
     server, clients = init_experiment(algorithm, bundle, shards, seed)
-    records = initial_records(server, clients, bundle)
+    records = _records(0, clients, evaluate_clients(clients, bundle), {})
     if on_round is not None:
         on_round(0, server, clients)
     for _ in range(cfg.total_rounds):

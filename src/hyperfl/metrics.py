@@ -11,7 +11,9 @@ across reruns of the same seeded experiment.  Timings go to a separate
 ``timings.csv`` (schema ``round,seconds``) next to the metrics file.
 
 Fields that were not measured (e.g. step metrics of clients not sampled in a
-round) serialize as ``nan``.
+round) serialize as ``nan``.  :func:`final_accuracy` reads each client's
+last-round test accuracy from the records, for ``final_accuracy.json`` and
+the report summary.
 """
 
 from __future__ import annotations
@@ -31,16 +33,8 @@ from .network import NetSpec, ParamSet, forward_logits
 
 PSNR_CAP_DB = 100.0
 
-CSV_HEADER = (
-    "round",
-    "client_id",
-    "train_loss",
-    "test_acc",
-    "grad_sq_norm",
-    "hypernet_drift",
-    "extractor_drift",
-    "seconds",
-)
+NUMERIC_FIELDS = ("train_loss", "test_acc", "grad_sq_norm", "hypernet_drift", "extractor_drift")
+CSV_HEADER = ("round", "client_id", *NUMERIC_FIELDS, "seconds")
 
 
 # -- image metrics ---------------------------------------------------------------
@@ -128,9 +122,6 @@ class RoundRecord:
     seconds: float = math.nan
 
 
-_NUMERIC_FIELDS = ("train_loss", "test_acc", "grad_sq_norm", "hypernet_drift", "extractor_drift")
-
-
 def _fmt(x: float) -> str:
     # repr() is the shortest exact round-trip form in CPython; 'nan' for NaN
     return repr(float(x))
@@ -144,11 +135,28 @@ def mean_record(records: Sequence[RoundRecord]) -> RoundRecord:
     if len(rounds) != 1:
         raise ConsistencyError(f"aggregate row spans rounds {sorted(rounds)}")
     values = {}
-    for name in _NUMERIC_FIELDS:
+    for name in NUMERIC_FIELDS:
         column = [getattr(r, name) for r in records]
         finite = [v for v in column if not math.isnan(v)]
         values[name] = float(np.mean(finite)) if finite else math.nan
     return RoundRecord(round=records[0].round, client_id="_mean", **values)
+
+
+def _by_round(records: Sequence[RoundRecord]) -> dict[int, list[RoundRecord]]:
+    """Per-client rows grouped by round: rounds ascending, clients by numeric id.
+
+    ``_mean`` rows are left out; they are derived from the groups.
+    """
+    groups: dict[int, list[RoundRecord]] = {}
+    for r in records:
+        if r.client_id != "_mean":
+            groups.setdefault(r.round, []).append(r)
+    return {t: sorted(groups[t], key=lambda r: int(r.client_id)) for t in sorted(groups)}
+
+
+def final_accuracy(records: Sequence[RoundRecord]) -> dict[str, float]:
+    """Client id -> test accuracy in the last round of ``records``."""
+    return {r.client_id: r.test_acc for r in list(_by_round(records).values())[-1]}
 
 
 def write_metrics_csv(path: str | Path, records: Sequence[RoundRecord]) -> None:
@@ -158,22 +166,16 @@ def write_metrics_csv(path: str | Path, records: Sequence[RoundRecord]) -> None:
     are sorted by numeric id.  Output is bytewise deterministic given the
     records.
     """
-    by_round: dict[int, list[RoundRecord]] = {}
-    for r in records:
-        if r.client_id == "_mean":
-            raise ConsistencyError("aggregate rows are derived at write time, not passed in")
-        by_round.setdefault(r.round, []).append(r)
-    round_ids = sorted(by_round)
-
+    if any(r.client_id == "_mean" for r in records):
+        raise ConsistencyError("aggregate rows are derived at write time, not passed in")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for t in round_ids:
-        group = sorted(by_round[t], key=lambda r: int(r.client_id))
+    for group in _by_round(records).values():
         for r in group + [mean_record(group)]:
             writer.writerow(
                 [r.round, r.client_id]
-                + [_fmt(getattr(r, name)) for name in _NUMERIC_FIELDS]
+                + [_fmt(getattr(r, name)) for name in NUMERIC_FIELDS]
                 + [""]  # seconds: never serialized here
             )
     write_atomic(path, buf.getvalue().encode("utf-8"))
@@ -227,20 +229,6 @@ class ConvergenceSummary:
     extractor_drift_last_below_first: bool
 
 
-def _per_round_mean(records: Sequence[RoundRecord], name: str) -> tuple[list[int], list[float]]:
-    by_round: dict[int, list[float]] = {}
-    for r in records:
-        if r.client_id == "_mean":
-            continue
-        by_round.setdefault(r.round, []).append(getattr(r, name))
-    rounds = sorted(by_round)
-    means = []
-    for t in rounds:
-        finite = [v for v in by_round[t] if not math.isnan(v)]
-        means.append(float(np.mean(finite)) if finite else math.nan)
-    return rounds, means
-
-
 def _quartile_means(series: Sequence[float]) -> tuple[float, float, float, float]:
     chunks = np.array_split(np.asarray(series, dtype=np.float64), 4)
     out = []
@@ -251,26 +239,25 @@ def _quartile_means(series: Sequence[float]) -> tuple[float, float, float, float
 
 
 def convergence_stats(records: Sequence[RoundRecord]) -> ConvergenceSummary:
-    rounds, grad = _per_round_mean(records, "grad_sq_norm")
-    if len(rounds) < 2:
-        raise ConfigError(f"convergence_stats needs at least 2 rounds, got {len(rounds)}")
-    _, loss = _per_round_mean(records, "train_loss")
-    _, hdrift = _per_round_mean(records, "hypernet_drift")
-    _, edrift = _per_round_mean(records, "extractor_drift")
-    _, acc = _per_round_mean(records, "test_acc")
+    means = [mean_record(group) for group in _by_round(records).values()]
+    if len(means) < 2:
+        raise ConfigError(f"convergence_stats needs at least 2 rounds, got {len(means)}")
 
-    gq = _quartile_means(grad)
-    eq = _quartile_means(edrift)
+    def quartiles(name: str) -> tuple[float, float, float, float]:
+        return _quartile_means([getattr(m, name) for m in means])
+
+    gq = quartiles("grad_sq_norm")
+    eq = quartiles("extractor_drift")
     nonincreasing = all(
         b <= a or math.isnan(a) or math.isnan(b) for a, b in zip(gq, gq[1:])
     )
     return ConvergenceSummary(
-        rounds=len(rounds),
-        loss_quartiles=_quartile_means(loss),
+        rounds=len(means),
+        loss_quartiles=quartiles("train_loss"),
         grad_sq_quartiles=gq,
-        hypernet_drift_quartiles=_quartile_means(hdrift),
+        hypernet_drift_quartiles=quartiles("hypernet_drift"),
         extractor_drift_quartiles=eq,
-        final_mean_test_acc=acc[-1],
+        final_mean_test_acc=means[-1].test_acc,
         grad_quartiles_nonincreasing=nonincreasing,
         grad_last_le_half_first=bool(gq[-1] <= 0.5 * gq[0]),
         extractor_drift_last_below_first=bool(eq[-1] < eq[0]),

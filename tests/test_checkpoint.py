@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hyperfl import attack as atk
 from hyperfl import checkpoint as ckpt
+from hyperfl import datakit as dk
 from hyperfl import metrics as mx
 from hyperfl.errors import FormatError
 
@@ -72,6 +73,7 @@ RESULT_WRITERS = {
     "timings.csv": lambda p: mx.write_timings_csv(p, [(0, 0.5)]),
     "attack_report.json": lambda p: atk.write_attack_report(p, atk.AttackConfig(), [SAMPLE]),
     "attack_summary.csv": lambda p: atk.write_attack_summary_csv(p, [SAMPLE]),
+    "partition.json": lambda p: dk.write_manifest(p, [np.arange(3)]),
 }
 
 

@@ -328,6 +328,38 @@ def test_cli_leaves_working_directory_clean(tmp_path, monkeypatch):
 # -- attack -------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("train", "config.resolved.json"),
+        ("train", "final_accuracy.json"),
+        ("report", "report/summary.json"),
+        ("report", "report/series_test_acc.csv"),
+    ],
+)
+def test_failed_cli_write_keeps_previous_file_and_leaves_no_temp(tmp_path, monkeypatch, command, name):
+    # every file the CLI writes itself shares write_checkpoint's temp-file-then-replace path
+    out = train_run(tmp_path) if command == "report" else tmp_path / "run"
+    path = out / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(b"previous run\n")
+    replace = ckpt.os.replace
+
+    def crash_on_path(src, dst):
+        if Path(dst) == path:
+            raise OSError("disk full")
+        replace(src, dst)
+
+    monkeypatch.setattr(ckpt.os, "replace", crash_on_path)
+    if command == "train":
+        args = ["train", str(write_config(tmp_path / "run.json", base_config(out)))]
+    else:
+        args = ["report", str(out)]
+    assert cli.main(args) == 3
+    assert path.read_bytes() == b"previous run\n"
+    assert not [p.name for p in out.rglob("*.tmp")]
+
+
 def test_attack_summary_reports_oracle_and_search_columns(attacked_run):
     lines = (attacked_run / "attack_summary.csv").read_text().splitlines()
     assert lines[0] == "sample,algorithm,psnr,ssim,analytic_psnr"

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from hyperfl import checkpoint as ckpt
 from hyperfl import datakit as dk
 from hyperfl import fedsim as fs
 from hyperfl import hypernet as hn
@@ -426,6 +427,56 @@ def test_round_records_shape_and_nan_policy(algorithm):
         if math.isnan(r.train_loss):
             assert math.isnan(r.grad_sq_norm)
             assert math.isnan(r.hypernet_drift) and math.isnan(r.extractor_drift)
+
+
+@pytest.mark.parametrize("algorithm", fs.ALGORITHMS)
+def test_round_records_equal_values_recomputed_outside_the_round(algorithm):
+    # replay one half-sampled round client by client on the same step streams
+    bundle = small_bundle()
+    shards = make_shards(4, n=18)
+    cfg = quick_cfg(total_rounds=3, sampling_rate=0.5, batch_size=6, server_lr=0.05)
+    dp = fs.DPConfig(clip_norm=1.0, sigma=0.01)
+    server, clients = fs.init_experiment(algorithm, bundle, shards, seed=23)
+    _, new_clients, records = fs.run_round(server, clients, bundle, cfg, dp, seed=23)
+    sampled = fs.sample_clients(4, 0.5, fs.derive_rng(23, fs._TAG_SAMPLE, 1)).tolist()
+    assert len(sampled) == 2
+    assert [r.test_acc for r in records] == fs.evaluate_clients(new_clients, bundle)
+
+    def fe_norm(delta):  # the unsanitized delta, before any DP clipping or noise
+        return nn.tree_norm({k: a for k, a in delta.items() if k in bundle.fe.param_shapes()})
+
+    def h(c):
+        return hn.hypernet_forward(c.v, c.phi_h, bundle.hyper)
+
+    def decoded(params):  # what the receiving side reads off the wire
+        return ckpt.load_params(ckpt.dump_params(params))
+
+    phi, opt_h, hyper = server.varphi_bar, server.opt_h, bundle.pfedhn_hyper()
+    want = {}
+    for cid in sampled:
+        c, rng = clients[cid], fs.derive_rng(23, fs._TAG_STEP, cid, 1)
+        if algorithm == "hyperfl":
+            received = decoded(server.varphi_bar)
+            new_c, _, stats = fs.local_train_hyperfl(c, received, bundle, cfg, rng)
+            drifts = (nn.tree_norm(nn.tree_sub(new_c.phi_h, received)),
+                      nn.tree_norm(nn.tree_sub(h(new_c), h(c))))
+        elif algorithm == "pfedhn":  # the server steps phi after each client in turn
+            v = server.embeddings[cid]
+            received = decoded(hn.hypernet_forward(v, phi, hyper))
+            _, delta, stats = fs.local_train_fedavg(c, received, bundle, cfg, rng)
+            delta = decoded(delta)
+            d_phi, _ = hn.hypernet_backward(nn.tree_scale(delta, -1.0), v, phi, hyper)
+            phi, opt_h = nn.sgd_step(phi, d_phi, nn.OptimConfig(cfg.server_lr), opt_h)
+            drifts = (cfg.server_lr * nn.tree_norm(d_phi), fe_norm(delta))
+        else:
+            start = c.model if algorithm == "local" else decoded(server.global_model)
+            _, delta, stats = fs.local_train_fedavg(c, start, bundle, cfg, rng)
+            drifts = (math.nan, fe_norm(delta))
+        want[cid] = (stats.train_loss, stats.grad_sq_norm, *drifts)
+    for r in records:
+        got = (r.train_loss, r.grad_sq_norm, r.hypernet_drift, r.extractor_drift)
+        # exact equality, NaN matching NaN: unsampled rows are NaN but for test_acc
+        np.testing.assert_array_equal(got, want.get(int(r.client_id), (math.nan,) * 4))
 
 
 def test_hyperfl_extractor_drift_is_generated_extractor_change():
