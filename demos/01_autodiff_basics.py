@@ -1,11 +1,11 @@
-"""A tour of the reverse-mode engine underneath training and the attacks.
+"""A tour of the reverse-mode engine underneath training.
 
-Every training step's loss gradient and the whole attack harness run on the
-same small Var graph; the hypernetwork's own passes are closed-form numpy,
-tested bitwise against their traced form.  This script differentiates a
-couple of expressions by hand, checks one against finite differences, and
-then takes a gradient of a gradient, which is the operation the inversion
-attack leans on.
+Every training step's loss gradient runs on this small Var graph; the
+hypernetwork's passes and every attack objective are closed-form numpy,
+tested against their traced form.  This script differentiates a couple of
+expressions by hand, checks one against finite differences, and then takes
+a gradient of a gradient, the operation behind the traced oracle that the
+closed-form gradient-matching attack is tested against.
 """
 
 import numpy as np

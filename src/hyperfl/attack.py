@@ -14,10 +14,10 @@ What the server can try depends on what a protocol leaks:
   (`analytic_hyperfl_recovery`), so HyperFL's control is as strong as
   FedAvg's.
 
-Gradient matching differentiates a gradient, so `ig_attack` runs on the
-autodiff tape, which gives exact second-order derivatives for any network.
-The bilevel attack's two objectives have closed-form numpy gradients and
-run without the tape.
+Every attack objective is closed-form numpy, with no autodiff tape: it
+returns its loss and exact gradients in one pass.  Gradient matching
+differentiates a gradient, so `ig_attack` runs a reverse pass over the
+network's backprop.  The tests keep each traced objective as an oracle.
 
 A `Transcript` keeps the true sample for scoring.  Attack operations
 accept only its redacted `TranscriptView`, so reconstruction code cannot
@@ -26,14 +26,12 @@ touch ground truth even by accident.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import autodiff as ad
 from . import hypernet as hn
 from . import metrics as mx
 from . import network as nn
@@ -152,21 +150,29 @@ def _require_view(view) -> TranscriptView:
 # -- priors ---------------------------------------------------------------
 
 
-def total_variation(x):
+def total_variation(x) -> float:
     """Anisotropic total variation of a 2-D image.
 
     Sum of absolute differences between vertically and horizontally
-    adjacent pixels.  Accepts an array (returns float) or an autodiff
-    Var (returns a Var, usable inside attack objectives).
+    adjacent pixels.
     """
-    symbolic = isinstance(x, ad.Var)
-    xv = x if symbolic else ad.constant(np.asarray(x, dtype=np.float64))
-    if xv.ndim != 2:
-        raise DimensionError(f"total_variation expects an H x W image, got shape {xv.shape}")
-    dv = ad.sub(ad.slice_(xv, (slice(1, None), slice(None))), ad.slice_(xv, (slice(0, -1), slice(None))))
-    dh = ad.sub(ad.slice_(xv, (slice(None), slice(1, None))), ad.slice_(xv, (slice(None), slice(0, -1))))
-    tv = ad.add(ad.sum_(ad.abs_(dv)), ad.sum_(ad.abs_(dh)))
-    return tv if symbolic else float(tv.data)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise DimensionError(f"total_variation expects an H x W image, got shape {x.shape}")
+    return float(_tv_value_and_grad(x)[0])
+
+
+def _tv_value_and_grad(x: np.ndarray):
+    """Total variation of an image and its gradient, sign(0) taken as 0."""
+    dv = x[1:, :] - x[:-1, :]
+    dh = x[:, 1:] - x[:, :-1]
+    sv, sh = np.sign(dv), np.sign(dh)
+    g = np.zeros_like(x)
+    g[1:, :] += sv
+    g[:-1, :] -= sv
+    g[:, 1:] += sh
+    g[:, :-1] -= sh
+    return np.sum(np.abs(dv)) + np.sum(np.abs(dh)), g
 
 
 # -- optimizer loop ---------------------------------------------------------
@@ -174,17 +180,6 @@ def total_variation(x):
 
 def _decay_milestones(n: int) -> set[int]:
     return {(n * 3) // 8, (n * 5) // 8, (n * 7) // 8} if n > 0 else set()
-
-
-def _value_and_grads(objective, xs: Mapping[str, np.ndarray]):
-    """Loss and gradients of a traced objective through the autodiff tape."""
-    names = sorted(xs)
-    leaves = {k: ad.Var(np.asarray(xs[k], dtype=np.float64)) for k in names}
-    out = objective(leaves)
-    if not isinstance(out, ad.Var):
-        raise NumericError("attack objective must return an autodiff scalar")
-    grads = ad.grad(out, [leaves[k] for k in names])
-    return float(out.data), {k: g.data for k, g in zip(names, grads)}
 
 
 def _optimize(value_and_grads, init: Mapping[str, np.ndarray], cfg: AttackConfig):
@@ -250,31 +245,105 @@ def _init_image(shape: tuple[int, int], cfg: AttackConfig) -> np.ndarray:
     return rng.uniform(0.0, 1.0, size=shape)
 
 
-# -- gradient-matching losses ------------------------------------------------
+# -- closed-form objectives over an image ---------------------------------------
 
 
-def _gradient_loss_sym(sim: Mapping[str, ad.Var], obs: Mapping[str, np.ndarray], kind: str) -> ad.Var:
+def _dense_layers(params: Mapping[str, np.ndarray], spec: NetSpec):
+    """Each layer's (W, Wᵀ, bias row, activation), laid out as the tape lays them out."""
+    layers = []
+    for layer in spec.layers:
+        w = np.ascontiguousarray(params[f"{layer.name}/W"], dtype=np.float64)
+        b = np.asarray(params[f"{layer.name}/b"], dtype=np.float64).reshape(1, layer.out_dim)
+        layers.append((w, w.T.copy(), b, layer.activation))
+    return layers
+
+
+def _dense_forward(layers, h: np.ndarray):
+    """Output of a [1, in] row, each layer's input and activation factor (None if
+    linear), in the tape's operation order: each loss on it is bitwise the traced one."""
+    inputs, factors = [], []
+    for _, wt, b, activation in layers:
+        inputs.append(h)
+        h, factor = h @ wt + b, None
+        if activation != "linear":
+            factor = np.where(h > 0.0, 1.0, nn.LEAKY_SLOPE if activation == "leaky_relu" else 0.0)
+            h = h * factor
+        factors.append(factor)
+    return h, inputs, factors
+
+
+def _dense_backprop(layers, factors, g: np.ndarray, extra=None):
+    """Pull an output adjoint back to the input row, adding ``extra[i]`` on layer
+    i's input; returns each layer's pre-activation adjoint and the input's."""
+    pre = [None] * len(layers)
+    for i in reversed(range(len(layers))):
+        if factors[i] is not None:
+            g = g * factors[i]
+        pre[i] = g
+        g = g @ layers[i][0]
+        if extra is not None:
+            g = g + extra[i]
+    return pre, g
+
+
+def _matching_objective(params: ParamSet, spec: NetSpec, obs, label: int, grad_loss: str, tv_coeff: float):
+    """ig_attack's objective D(s(x), obs) + tv_coeff · TV(x) as ``value_and_grads``.
+
+    D is the cosine or squared-l2 distance; s is the batch-1 gradient, backprop
+    from softmax − onehot: s[W_i] = δ_iᵀ h_i, s[b_i] = δ_i.  The reverse pass
+    takes D's adjoints to the δs and layer inputs h_i, then to x.
+    """
+    layers = _dense_layers(params, spec)
+    onehot = nn.one_hot(np.array([label]), spec.out_dim)
     names = sorted(obs)
-    if kind == "l2":
-        total = None
-        for k in names:
-            term = ad.sum_(ad.square(ad.sub(sim[k], ad.constant(obs[k]))))
-            total = term if total is None else ad.add(total, term)
-        return total
-    # cosine distance over the concatenation of all tensors; obs_sq uses numpy's
-    # pairwise .sum() like the tape's sum_ below (not tree_sq_norm): cos(o, o) stays within 1 eps
-    obs_sq = float(sum(np.sum(np.square(o)) for o in obs.values()))
-    if obs_sq == 0.0:
-        raise ConsistencyError("observed gradient is identically zero; cosine loss undefined")
-    num = None
-    sim_sq = None
-    for k in names:
-        n = ad.sum_(ad.mul(sim[k], ad.constant(obs[k])))
-        s = ad.sum_(ad.square(sim[k]))
-        num = n if num is None else ad.add(num, n)
-        sim_sq = s if sim_sq is None else ad.add(sim_sq, s)
-    denom = ad.mul(ad.sqrt(sim_sq), ad.constant(np.float64(math.sqrt(obs_sq))))
-    return ad.sub(ad.constant(np.float64(1.0)), ad.div(num, denom))
+    if grad_loss == "cosine":
+        # summed like sim_sq below (not tree_sq_norm's einsum): cos(o, o) stays within 1 eps
+        obs_norm = math.sqrt(float(sum(np.sum(np.square(o)) for o in obs.values())))
+        if obs_norm == 0.0:
+            raise ConsistencyError("observed gradient is identically zero; cosine loss undefined")
+
+    def value_and_grads(xs: Mapping[str, np.ndarray]):
+        x = xs["x"]
+        logits, inputs, factors = _dense_forward(layers, x.reshape(1, -1))
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        p = (1.0 / e.sum(axis=1, keepdims=True)) * e
+        deltas, _ = _dense_backprop(layers, factors, p - onehot)
+        sim = {}
+        for layer, d, h in zip(spec.layers, deltas, inputs):
+            sim[f"{layer.name}/W"], sim[f"{layer.name}/b"] = d.T * h, d.reshape(-1)
+        if grad_loss == "l2":
+            diff = {k: sim[k] - obs[k] for k in names}
+            loss = sum(np.sum(diff[k] * diff[k]) for k in names)
+            adj = {k: 2.0 * diff[k] for k in names}
+        else:
+            num = sum(np.sum(sim[k] * obs[k]) for k in names)
+            sim_sq = sum(np.sum(sim[k] * sim[k]) for k in names)
+            denom = np.sqrt(sim_sq) * obs_norm
+            loss = 1.0 - num / denom
+            adj = {k: (num / sim_sq * sim[k] - obs[k]) / denom for k in names}
+
+        # reverse over the backprop: δ_0 was computed last, so it comes first
+        h_adj, carry = [], 0.0
+        for i, (layer, d, h) in enumerate(zip(spec.layers, deltas, inputs)):
+            h_adj.append(d @ adj[f"{layer.name}/W"])
+            d_adj = h @ adj[f"{layer.name}/W"].T + adj[f"{layer.name}/b"] + carry
+            if factors[i] is not None:
+                d_adj = d_adj * factors[i]
+            if i + 1 < len(layers):
+                carry = d_adj @ layers[i + 1][1]
+        _, g = _dense_backprop(layers, factors, p * (d_adj - np.sum(d_adj * p)), h_adj)
+        return _with_tv(loss, g.reshape(x.shape), x, tv_coeff)
+
+    return value_and_grads
+
+
+def _with_tv(loss, g: np.ndarray, x: np.ndarray, tv_coeff: float):
+    """An objective's return value with tv_coeff · TV(x) added to the loss and gradient."""
+    if tv_coeff > 0:
+        tv, tv_grad = _tv_value_and_grad(x)
+        loss = loss + tv_coeff * tv
+        g = g + tv_coeff * tv_grad
+    return float(loss), {"x": g}
 
 
 # -- the generic attack (full-model gradients) -------------------------------------
@@ -303,19 +372,8 @@ def ig_attack(view: TranscriptView, cfg: AttackConfig):
             f"image shape {view.image_shape} does not match model input dim {spec.in_dim}"
         )
     obs = {k: np.asarray(v, dtype=np.float64) for k, v in view.observed.items()}
-    y = np.array([view.label], dtype=np.int64)
-
-    def objective(leaves: Mapping[str, ad.Var]) -> ad.Var:
-        x_row = ad.reshape(leaves["x"], (1, h_px * w_px))
-        params = {k: ad.Var(np.asarray(view.params[k], dtype=np.float64)) for k in expected}
-        sim = nn.grad_params_sym(params, spec, x_row, y)
-        out = _gradient_loss_sym(sim, obs, cfg.grad_loss)
-        if cfg.tv_coeff > 0:
-            out = ad.add(out, ad.mul(ad.constant(np.float64(cfg.tv_coeff)), total_variation(leaves["x"])))
-        return out
-
-    init = {"x": _init_image(view.image_shape, cfg)}
-    best, _, trace = _optimize(functools.partial(_value_and_grads, objective), init, cfg)
+    objective = _matching_objective(view.params, spec, obs, view.label, cfg.grad_loss, cfg.tv_coeff)
+    best, _, trace = _optimize(objective, {"x": _init_image(view.image_shape, cfg)}, cfg)
     return best["x"], trace
 
 
@@ -356,13 +414,6 @@ def gradient_from_delta(delta: ParamSet, params: ParamSet, opt: OptimConfig) -> 
 
 
 # -- the hypernetwork-only attack --------------------------------------------------
-
-# Both objectives below are closed-form numpy: each returns the loss and its
-# exact gradients in one pass, with no autodiff tape.  Their forward passes
-# repeat the tape's operations in the tape's order, so each loss is bitwise
-# the loss the traced objective would give; the tests keep the traced
-# objectives as oracles.
-
 
 def _embedding_objective(phi: Mapping[str, np.ndarray], obs: Mapping[str, np.ndarray], spec: HypernetSpec):
     """recover_embedding's objective as ``value_and_grads`` over (v, θ̂).
@@ -434,60 +485,20 @@ def _embedding_objective(phi: Mapping[str, np.ndarray], obs: Mapping[str, np.nda
     return value_and_grads
 
 
-def _tv_value_and_grad(x: np.ndarray):
-    """Total variation of an image and its gradient, sign(0) taken as 0."""
-    dv = x[1:, :] - x[:-1, :]
-    dh = x[:, 1:] - x[:, :-1]
-    sv, sh = np.sign(dv), np.sign(dh)
-    g = np.zeros_like(x)
-    g[1:, :] += sv
-    g[:-1, :] -= sv
-    g[:, 1:] += sh
-    g[:, :-1] -= sh
-    return np.sum(np.abs(dv)) + np.sum(np.abs(dh)), g
-
-
 def _inversion_objective(theta: ParamSet, spec: NetSpec, target_row: np.ndarray, tv_coeff: float):
     """The bilevel attack's stage-two objective as ``value_and_grads`` over x.
 
     ‖f(x; θ) − target‖² + tv_coeff · TV(x) for the generated extractor f,
     differentiated by plain input backprop through its dense layers.
     """
-    layers = []
-    for layer in spec.layers:
-        w = np.ascontiguousarray(theta[f"{layer.name}/W"], dtype=np.float64)
-        b = np.asarray(theta[f"{layer.name}/b"], dtype=np.float64).reshape(1, layer.out_dim)
-        layers.append((w, w.T.copy(), b, layer.activation))
+    layers = _dense_layers(theta, spec)
 
     def value_and_grads(xs: Mapping[str, np.ndarray]):
         x = xs["x"]
-        h = x.reshape(1, -1)
-        factors = []
-        for _, wt, b, activation in layers:
-            h = h @ wt + b
-            if activation == "relu":
-                factor = (h > 0.0).astype(np.float64)
-            elif activation == "leaky_relu":
-                factor = np.where(h > 0.0, 1.0, nn.LEAKY_SLOPE)
-            else:
-                factor = None
-            if factor is not None:
-                h = h * factor
-            factors.append(factor)
+        h, _, factors = _dense_forward(layers, x.reshape(1, -1))
         err = h - target_row
-        loss = np.sum(err * err)
-
-        g = err + err
-        for (w, _, _, _), factor in zip(reversed(layers), reversed(factors)):
-            if factor is not None:
-                g = g * factor
-            g = g @ w
-        g = g.reshape(x.shape)
-        if tv_coeff > 0:
-            tv, tv_grad = _tv_value_and_grad(x)
-            loss = loss + tv_coeff * tv
-            g = g + tv_coeff * tv_grad
-        return float(loss), {"x": g}
+        _, g = _dense_backprop(layers, factors, err + err)
+        return _with_tv(np.sum(err * err), g.reshape(x.shape), x, tv_coeff)
 
     return value_and_grads
 

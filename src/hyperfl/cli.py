@@ -275,6 +275,8 @@ def cmd_report(args) -> int:
     mean_rows = sorted(
         (r for r in records if r.client_id == "_mean"), key=lambda r: r.round
     )
+    if not mean_rows:
+        raise FormatError(f"{metrics_path} holds no per-round mean rows")
     last_mean = mean_rows[-1]
 
     try:

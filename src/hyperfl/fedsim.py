@@ -753,6 +753,9 @@ def tensors_to_state(
     Optimizer state is not restored (snapshots capture parameters, not
     momentum); resuming treats the snapshot as a fresh-momentum start.
     """
+    missing = sorted({"meta/algorithm", "meta/clients", "meta/round"} - flat.keys())
+    if missing:
+        raise ConsistencyError(f"snapshot lacks {missing}")
     algorithm = "".join(chr(int(x)) for x in np.asarray(flat["meta/algorithm"]).ravel())
     n_clients = int(float(flat["meta/clients"]))
     if n_clients != len(shards):

@@ -186,14 +186,17 @@ def read_metrics_csv(path: str | Path) -> list[RoundRecord]:
     out: list[RoundRecord] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != CSV_HEADER:
             raise ConsistencyError(f"unexpected metrics header {header}")
         for row in reader:
             if len(row) != len(CSV_HEADER):
                 raise ConsistencyError(f"row has {len(row)} fields, expected {len(CSV_HEADER)}")
-            nums = [math.nan if cell == "" else float(cell) for cell in row[2:]]
-            out.append(RoundRecord(int(row[0]), row[1], *nums))
+            try:
+                nums = [math.nan if cell == "" else float(cell) for cell in row[2:]]
+                out.append(RoundRecord(int(row[0]), row[1], *nums))
+            except ValueError as e:
+                raise ConsistencyError(f"{path} line {reader.line_num}: {e}") from None
     return out
 
 

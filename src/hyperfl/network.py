@@ -177,8 +177,8 @@ def tree_zeros_like(a) -> ParamSet:
 
 # -- forward / loss (symbolic core) -------------------------------------------
 
-# The _sym functions accept and return autodiff Vars so callers can keep
-# differentiating through them; forward_logits, forward_loss and
+# The _sym functions trace one pass on the autodiff tape (the tests' oracles
+# differentiate through them again); forward_logits, forward_loss and
 # loss_and_grad_params below take and return numpy.
 
 
@@ -224,14 +224,6 @@ def forward_loss_sym(params, spec: NetSpec, x, y) -> ad.Var:
     lse = ad.logsumexp_rows(logits)
     picked = ad.sum_(ad.mul(logits, ad.constant(targets)), axis=1, keepdims=True)
     return ad.mean_(ad.sub(lse, picked))
-
-
-def grad_params_sym(params: Mapping[str, ad.Var], spec: NetSpec, x, y) -> dict[str, ad.Var]:
-    """Traced parameter gradients, usable inside a further-differentiated objective."""
-    loss = forward_loss_sym(params, spec, x, y)
-    names = sorted(params.keys())
-    grads = ad.grad(loss, [params[n] for n in names])
-    return dict(zip(names, grads))
 
 
 # -- public numpy-facing operations -------------------------------------------

@@ -4,8 +4,13 @@ The library computes these in closed-form numpy; the tests keep the traced
 forms, built from ``hyperfl.autodiff`` primitives, as oracles.
 """
 
+import math
+
+import numpy as np
+
 from hyperfl import autodiff as ad
-from hyperfl.errors import DimensionError
+from hyperfl import network as nn
+from hyperfl.errors import ConsistencyError, DimensionError, NumericError
 
 
 def hypernet_forward_sym(v, phi_h, spec):
@@ -27,3 +32,71 @@ def hypernet_forward_sym(v, phi_h, spec):
         flat = ad.add(ad.matmul(hidden, ad.transpose(w)), ad.reshape(b, (1, b.shape[0])))
         theta[name] = ad.reshape(flat, shape)
     return theta
+
+
+def value_and_grads(objective, xs):
+    """Loss and gradients of a traced objective through the autodiff tape."""
+    names = sorted(xs)
+    leaves = {k: ad.Var(np.asarray(xs[k], dtype=np.float64)) for k in names}
+    out = objective(leaves)
+    if not isinstance(out, ad.Var):
+        raise NumericError("attack objective must return an autodiff scalar")
+    grads = ad.grad(out, [leaves[k] for k in names])
+    return float(out.data), {k: g.data for k, g in zip(names, grads)}
+
+
+def grad_params_sym(params, spec, x, y):
+    """Traced parameter gradients, usable inside a further-differentiated objective."""
+    loss = nn.forward_loss_sym(params, spec, x, y)
+    names = sorted(params.keys())
+    grads = ad.grad(loss, [params[n] for n in names])
+    return dict(zip(names, grads))
+
+
+def total_variation_sym(x):
+    """Traced anisotropic total variation of a 2-D image Var."""
+    if x.ndim != 2:
+        raise DimensionError(f"total_variation expects an H x W image, got shape {x.shape}")
+    dv = ad.sub(ad.slice_(x, (slice(1, None), slice(None))), ad.slice_(x, (slice(0, -1), slice(None))))
+    dh = ad.sub(ad.slice_(x, (slice(None), slice(1, None))), ad.slice_(x, (slice(None), slice(0, -1))))
+    return ad.add(ad.sum_(ad.abs_(dv)), ad.sum_(ad.abs_(dh)))
+
+
+def gradient_loss_sym(sim, obs, kind):
+    """Gradient-matching loss between traced gradients ``sim`` and arrays ``obs``."""
+    names = sorted(obs)
+    if kind == "l2":
+        total = None
+        for k in names:
+            term = ad.sum_(ad.square(ad.sub(sim[k], ad.constant(obs[k]))))
+            total = term if total is None else ad.add(total, term)
+        return total
+    # cosine distance over the concatenation of all tensors; obs_sq uses numpy's
+    # pairwise .sum() like the tape's sum_ below (not tree_sq_norm): cos(o, o) stays within 1 eps
+    obs_sq = float(sum(np.sum(np.square(o)) for o in obs.values()))
+    if obs_sq == 0.0:
+        raise ConsistencyError("observed gradient is identically zero; cosine loss undefined")
+    num = None
+    sim_sq = None
+    for k in names:
+        n = ad.sum_(ad.mul(sim[k], ad.constant(obs[k])))
+        s = ad.sum_(ad.square(sim[k]))
+        num = n if num is None else ad.add(num, n)
+        sim_sq = s if sim_sq is None else ad.add(sim_sq, s)
+    denom = ad.mul(ad.sqrt(sim_sq), ad.constant(np.float64(math.sqrt(obs_sq))))
+    return ad.sub(ad.constant(np.float64(1.0)), ad.div(num, denom))
+
+
+def matching_objective_sym(params, spec, obs, label, grad_loss, tv_coeff):
+    """ig_attack's objective traced through the tape (second order)."""
+    y = np.array([label], dtype=np.int64)
+
+    def objective(leaves):
+        x_row = ad.reshape(leaves["x"], (1, spec.in_dim))
+        leaf_params = {k: ad.Var(np.asarray(params[k], dtype=np.float64)) for k in spec.param_shapes()}
+        out = gradient_loss_sym(grad_params_sym(leaf_params, spec, x_row, y), obs, grad_loss)
+        if tv_coeff > 0:
+            out = ad.add(out, ad.mul(ad.constant(np.float64(tv_coeff)), total_variation_sym(leaves["x"])))
+        return out
+
+    return objective

@@ -28,7 +28,13 @@ from hyperfl.errors import (
     DimensionError,
     NumericError,
 )
-from tape_oracles import hypernet_forward_sym
+from tape_oracles import (
+    gradient_loss_sym,
+    hypernet_forward_sym,
+    matching_objective_sym,
+    total_variation_sym,
+    value_and_grads,
+)
 
 
 def stripe_image(h, w, seed):
@@ -87,7 +93,7 @@ def test_tv_symbolic_matches_numeric_and_fd():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(4, 5))
     xv = ad.Var(x)
-    out = atk.total_variation(xv)
+    out = total_variation_sym(xv)
     assert float(out.data) == pytest.approx(atk.total_variation(x), rel=1e-12)
     (g,) = ad.grad(out, [xv])
     h = 1e-6
@@ -245,7 +251,7 @@ def test_cosine_loss_of_a_gradient_with_itself_is_zero_to_rounding():
     for _ in range(50):
         sizes = rng.integers(10, 60_001, size=4)
         obs = {f"g{i}": rng.normal(size=int(n)) for i, n in enumerate(sizes)}
-        loss = atk._gradient_loss_sym({k: ad.Var(o) for k, o in obs.items()}, obs, "cosine")
+        loss = gradient_loss_sym({k: ad.Var(o) for k, o in obs.items()}, obs, "cosine")
         assert abs(float(loss.data)) <= eps
 
 
@@ -298,7 +304,7 @@ def embedding_objective_sym(phi_params, obs, spec):
             inner = term if inner is None else ad.add(inner, term)
         inner = ad.mul(ad.constant(np.float64(0.5)), inner)
         sim = dict(zip(phi_names, ad.grad(inner, [phi[k] for k in phi_names])))
-        return atk._gradient_loss_sym(sim, obs, "l2")
+        return gradient_loss_sym(sim, obs, "l2")
 
     return objective
 
@@ -311,7 +317,7 @@ def inversion_objective_sym(theta, spec, target_row, tv_coeff):
         feats = nn.forward_logits_sym({k: ad.constant(v) for k, v in theta.items()}, spec, x_row)
         out = ad.sum_(ad.square(ad.sub(feats, ad.constant(target_row))))
         if tv_coeff > 0:
-            tv = ad.mul(ad.constant(np.float64(tv_coeff)), atk.total_variation(leaves["x"]))
+            tv = ad.mul(ad.constant(np.float64(tv_coeff)), total_variation_sym(leaves["x"]))
             out = ad.add(out, tv)
         return out
 
@@ -320,7 +326,7 @@ def inversion_objective_sym(theta, spec, target_row, tv_coeff):
 
 def assert_matches_tape(closed_form, traced, xs):
     loss, grads = closed_form(xs)
-    want_loss, want = atk._value_and_grads(traced, xs)
+    want_loss, want = value_and_grads(traced, xs)
     assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
     assert grads.keys() == want.keys()
     for k, g in want.items():
@@ -393,6 +399,92 @@ def test_inversion_objective_matches_tape(widths, activation, tv_coeff, bias_shi
     xs = {"x": rng.uniform(0.0, 1.0, size=(h, widths[0]))}
     closed = atk._inversion_objective(theta, spec, target_row, tv_coeff)
     assert_matches_tape(closed, inversion_objective_sym(theta, spec, target_row, tv_coeff), xs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    widths=st.lists(st.integers(min_value=1, max_value=9), min_size=2, max_size=4),
+    classes=st.integers(min_value=2, max_value=5),
+    bias_shift=st.sampled_from([0.0, -1.0]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_matching_objective_matches_tape(widths, classes, bias_shift, seed):
+    # 1-3 hidden layers under every activation, both losses and three TV
+    # weights; the shifted biases leave some hidden units dead
+    rng = np.random.default_rng(seed)
+    h = int(rng.integers(1, 4))
+    xs = {"x": rng.uniform(0.0, 1.0, size=(h, widths[0]))}
+    for activation in ("relu", "leaky_relu", "linear"):
+        spec = nn.dense_net("n", [h * widths[0], *widths[1:], classes], activation=activation)
+        params = nn.init_params(spec, rng)
+        for layer in spec.layers[:-1]:
+            params[f"{layer.name}/b"] = params[f"{layer.name}/b"] + bias_shift
+        obs = {k: rng.normal(size=shape) for k, shape in spec.param_shapes().items()}
+        label = int(rng.integers(classes))
+        for grad_loss in atk.GRAD_LOSSES:
+            for tv_coeff in (0.0, 1e-6, 0.3):
+                closed = atk._matching_objective(params, spec, obs, label, grad_loss, tv_coeff)
+                traced = matching_objective_sym(params, spec, obs, label, grad_loss, tv_coeff)
+                assert_matches_tape(closed, traced, xs)
+
+
+@pytest.mark.parametrize("grad_loss", atk.GRAD_LOSSES)
+def test_matching_objective_gradients_match_finite_differences(grad_loss):
+    rng = np.random.default_rng(13)
+    spec = nn.dense_net("n", [12, 7, 5, 3], activation="leaky_relu")
+    params = nn.init_params(spec, rng)
+    obs = {k: rng.normal(size=shape) for k, shape in spec.param_shapes().items()}
+    closed = atk._matching_objective(params, spec, obs, 2, grad_loss, 0.01)
+    xs = {"x": rng.uniform(0.0, 1.0, size=(3, 4))}
+    _, grads = closed(xs)
+    fd, d = central_differences(closed, xs, "x")
+    assert np.sum(grads["x"] * d) == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+
+class TapeReached(Exception):
+    pass
+
+
+def test_attacks_never_reach_the_tape(monkeypatch):
+    # transcripts are built on the tape (loss_and_grad_params); the attacks are not
+    img = stripe_image(H, W, 1)
+    dp = fs.DPConfig(clip_norm=1.0, sigma=0.01)
+    full_model = [
+        atk.fedavg_transcript(PARAMS, FULL, img, 1),
+        atk.dp_fedavg_transcript(PARAMS, FULL, img, 1, dp, np.random.default_rng(0)),
+        atk.pfedhn_transcript(PARAMS, FULL, img, 1),
+    ]
+    _, tr_h = hyperfl_tr(img_seed=1, y=1)
+
+    def refuse(*args, **kwargs):
+        raise TapeReached
+
+    monkeypatch.setattr(ad, "grad", refuse)
+    with pytest.raises(TapeReached):  # the patch is live
+        nn.loss_and_grad_params(PARAMS, FULL, img.reshape(1, -1), np.array([1]))
+    for grad_loss in atk.GRAD_LOSSES:
+        cfg = atk.AttackConfig(iterations=5, grad_loss=grad_loss, seed=2)
+        for tr in full_model:
+            atk.ig_attack(tr.public(), cfg)
+            atk.attack_transcript(tr.public(), cfg)
+    atk.hyperfl_bilevel_attack(tr_h.public(), atk.AttackConfig(iterations=5, seed=2))
+
+
+@pytest.mark.parametrize("activation", ["relu", "leaky_relu", "linear"])
+def test_matching_loss_vanishes_at_the_true_input(activation):
+    # the simulated gradient at the true input is bitwise the transcript's
+    rng = np.random.default_rng(17)
+    spec = nn.dense_net("n", [H * W, 10, 6, 4], activation=activation)
+    params = nn.init_params(spec, rng)
+    eps = np.finfo(float).eps
+    for seed in range(5):
+        img = stripe_image(H, W, seed)
+        view = atk.fedavg_transcript(params, spec, img, seed % 4).public()
+        xs = {"x": img}
+        loss, grads = atk._matching_objective(params, spec, view.observed, view.label, "l2", 0.0)(xs)
+        assert loss == 0.0 and not np.any(grads["x"])
+        loss, _ = atk._matching_objective(params, spec, view.observed, view.label, "cosine", 0.0)(xs)
+        assert abs(loss) <= eps
 
 
 @pytest.mark.parametrize("hidden_bias", [True, False])

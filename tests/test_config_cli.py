@@ -425,6 +425,21 @@ def test_attack_needs_run_config_beside_snapshot(fedavg_run, tmp_path):
     assert cli.main(["attack", str(bare / "snap.hfl"), str(att)]) == 3
 
 
+@pytest.mark.parametrize("key", ["meta/algorithm", "meta/round", "meta/clients"])
+def test_attack_on_snapshot_without_meta_exits_3(fedavg_run, tmp_path, capsys, key):
+    run = tmp_path / "copy"
+    shutil.copytree(fedavg_run, run)
+    snap = run / "snapshots" / "round_0002.hfl"
+    flat = ckpt.read_checkpoint(snap)
+    del flat[key]
+    ckpt.write_checkpoint(snap, flat)
+    att = tmp_path / "att.json"
+    att.write_text('{"samples": 1}')
+    assert cli.main(["attack", str(snap), str(att)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err and len(err.splitlines()) == 1
+
+
 def test_attack_on_sharing_free_algorithm_exits_1(tmp_path, capsys):
     out = train_run(tmp_path, algorithm="local", rounds={"total_rounds": 1})
     att = tmp_path / "att.json"
@@ -495,6 +510,31 @@ def test_report_single_round_has_no_convergence_block(tmp_path):
 def test_report_missing_metrics_exits_3(tmp_path, capsys):
     assert cli.main(["report", str(tmp_path)]) == 3
     assert "missing metrics" in capsys.readouterr().err
+
+
+def test_report_on_header_only_metrics_exits_3(fedavg_run, tmp_path, capsys):
+    (tmp_path / "metrics.csv").write_text((fedavg_run / "metrics.csv").read_text().splitlines()[0] + "\n")
+    assert cli.main(["report", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no per-round mean rows" in err and len(err.splitlines()) == 1
+
+
+def test_report_on_empty_metrics_exits_3(tmp_path, capsys):
+    (tmp_path / "metrics.csv").write_text("")
+    assert cli.main(["report", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "header" in err and len(err.splitlines()) == 1
+
+
+def test_report_on_non_numeric_metrics_cell_exits_3(fedavg_run, tmp_path, capsys):
+    lines = (fedavg_run / "metrics.csv").read_text().splitlines()
+    row = lines[2].split(",")
+    row[3] = "abc"
+    lines[2] = ",".join(row)
+    (tmp_path / "metrics.csv").write_text("\n".join(lines) + "\n")
+    assert cli.main(["report", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 3" in err and len(err.splitlines()) == 1
 
 
 # -- partition ----------------------------------------------------------------

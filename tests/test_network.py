@@ -4,8 +4,8 @@ Oracles used here: an independent straight-line numpy reimplementation of the
 forward pass, central finite differences (h = 1e-5), and hand-unrolled
 optimizer recurrences.  Input gradients are taken on the traced loss
 (``forward_loss_sym`` plus ``autodiff.grad``); nested gradients go through
-``attack._value_and_grads``, the helper that runs the gradient-matching
-attack's traced objective.
+``tape_oracles.value_and_grads``, the helper that runs the gradient-matching
+attack's traced oracle objective.
 """
 
 import os
@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 
 from hyperfl import autodiff as ad
 from hyperfl import network as nn
-from hyperfl.attack import _value_and_grads
 from hyperfl.errors import CapabilityError, ConfigError, DimensionError, NumericError
+from tape_oracles import grad_params_sym, value_and_grads
 
 RNG = np.random.default_rng(20240812)
 
@@ -277,7 +277,7 @@ def test_nested_grad_quadratic_closed_form():
         (gw,) = ad.grad(f, [w])
         return ad.square(ad.sub(gw, ad.constant(g_star)))
 
-    _, got = _value_and_grads(lambda leaves: objective(leaves["w"]), {"w": np.array(2.0)})
+    _, got = value_and_grads(lambda leaves: objective(leaves["w"]), {"w": np.array(2.0)})
     assert got["w"] == pytest.approx(2.0 * (2.0 - g_star), abs=1e-15)
 
 
@@ -290,7 +290,7 @@ def test_nested_grad_matches_fd_on_gradient_matching_loss():
 
     def matching_loss_sym(xs):
         leaves = {n: ad.Var(v) for n, v in params.items()}
-        grads = nn.grad_params_sym(leaves, spec, xs["x"], y)
+        grads = grad_params_sym(leaves, spec, xs["x"], y)
         total = ad.constant(0.0)
         for name in sorted(grads):
             diff = ad.sub(grads[name], ad.constant(g_star[name]))
@@ -298,7 +298,7 @@ def test_nested_grad_matches_fd_on_gradient_matching_loss():
         return total
 
     x0 = RNG.normal(size=(1, 4))
-    _, got = _value_and_grads(matching_loss_sym, {"x": x0})
+    _, got = value_and_grads(matching_loss_sym, {"x": x0})
 
     def f(arr):
         _, g = nn.loss_and_grad_params(params, spec, arr, y)
@@ -317,13 +317,13 @@ def test_nested_grad_zero_at_exact_match():
 
     def objective(xs):
         leaves = {n: ad.Var(v) for n, v in params.items()}
-        grads = nn.grad_params_sym(leaves, spec, xs["x"], y)
+        grads = grad_params_sym(leaves, spec, xs["x"], y)
         total = ad.constant(0.0)
         for name in sorted(grads):
             total = ad.add(total, ad.sum_(ad.square(ad.sub(grads[name], ad.constant(g_star[name])))))
         return total
 
-    _, got = _value_and_grads(objective, {"x": x0})
+    _, got = value_and_grads(objective, {"x": x0})
     np.testing.assert_allclose(got["x"], np.zeros_like(x0), atol=1e-18)
 
 
@@ -333,7 +333,7 @@ def test_nested_grad_without_inner_grad_reduces_to_grad_input():
     x = RNG.normal(size=(2, 5))
     y = np.array([0, 2])
 
-    _, got = _value_and_grads(lambda xs: nn.forward_loss_sym(params, spec, xs["x"], y), {"x": x})
+    _, got = value_and_grads(lambda xs: nn.forward_loss_sym(params, spec, xs["x"], y), {"x": x})
     np.testing.assert_array_equal(got["x"], input_grad(params, spec, x, y))
 
 
@@ -342,7 +342,7 @@ def test_nested_grad_rejects_numpy_escape():
         return ad.constant(np.exp(xs["x"]))  # np.exp on a Var must raise
 
     with pytest.raises(CapabilityError) as err:
-        _value_and_grads(objective, {"x": np.array(1.0)})
+        value_and_grads(objective, {"x": np.array(1.0)})
     assert "primitives" in str(err.value)
 
 
@@ -536,10 +536,10 @@ def test_returned_gradients_share_no_memory_with_inputs():
 
     def objective(xs):
         leaves = {**params, "fe0/W": xs["w"]}
-        inner = nn.grad_params_sym(leaves, spec, xs["x"], y)
+        inner = grad_params_sym(leaves, spec, xs["x"], y)
         return ad.dot(inner["fe0/W"], inner["fe0/W"])
 
-    _, nested = _value_and_grads(objective, {"x": x, "w": params["fe0/W"]})
+    _, nested = value_and_grads(objective, {"x": x, "w": params["fe0/W"]})
     for out in [*grads.values(), *grads_all.values(), *nested.values()]:
         assert not any(np.shares_memory(out, a) for a in inputs)
 
