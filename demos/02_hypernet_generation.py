@@ -40,15 +40,14 @@ phi_c = nn.init_params(cls, rng)
 x = rng.standard_normal((5, 16))
 y = rng.integers(0, 3, size=5)
 
-_, g = nn.loss_and_grad_params(theta, full, x, y, frozen=phi_c)
+before, g = nn.loss_and_grad_params(theta, full, x, y, frozen=phi_c)
 d_phi, d_v = hn.hypernet_backward(g, v, phi, spec)
 print("\nloss gradient reaches the embedding:", np.linalg.norm(d_v) > 0)
 for name, t in d_phi.items():
     print(f"  d loss / d {name}: norm {np.linalg.norm(t):.4f}")
 
 # One SGD step on (v, phi) through the composition actually lowers the loss.
-before = nn.forward_loss({**theta, **phi_c}, full, x, y)
 v2 = v - 0.05 * d_v
 phi2 = {k: phi[k] - 0.05 * d_phi[k] for k in phi}
-after = nn.forward_loss({**hn.hypernet_forward(v2, phi2, spec), **phi_c}, full, x, y)
+after = nn.loss_and_grad_params({**hn.hypernet_forward(v2, phi2, spec), **phi_c}, full, x, y)[0]
 print(f"\nloss before step {before:.4f}, after {after:.4f}")

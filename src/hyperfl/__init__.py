@@ -2,7 +2,7 @@
 
 Library layout:
 
-- ``autodiff``    reverse-mode engine with exact higher-order derivatives
+- ``autodiff``    reverse-mode tape; only ``network.loss_and_grad_params`` uses it
 - ``network``     dense feature extractor + classifier, losses, optimizers
 - ``hypernet``    client hypernetworks that generate extractor weights
 - ``datakit``     synthetic data, IDX files, non-IID partitioning

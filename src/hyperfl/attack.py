@@ -19,15 +19,18 @@ returns its loss and exact gradients in one pass.  Gradient matching
 differentiates a gradient, so `ig_attack` runs a reverse pass over the
 network's backprop.  The tests keep each traced objective as an oracle.
 
-A `Transcript` keeps the true sample for scoring.  Attack operations
-accept only its redacted `TranscriptView`, so reconstruction code cannot
-touch ground truth even by accident.
+Server views and both scores are built here: `snapshot_transcript` builds
+what a snapshot's protocol shows the server, and `score_reconstruction`
+scores the search and the exact batch-1 control.  A `Transcript` keeps the
+true sample for scoring; attacks accept only its redacted `TranscriptView`,
+so reconstruction code cannot touch ground truth even by accident.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -36,20 +39,15 @@ from . import hypernet as hn
 from . import metrics as mx
 from . import network as nn
 from .checkpoint import write_atomic, write_json
-from .errors import (
-    CapabilityError,
-    ConfigError,
-    ConsistencyError,
-    DimensionError,
-    NumericError,
-)
-from .fedsim import DPConfig, dp_sanitize
+from .errors import CapabilityError, ConfigError, ConsistencyError, DimensionError, FormatError, NumericError
+from .fedsim import ClientState, DPConfig, ModelBundle, ServerState, dp_sanitize
 from .hypernet import HypernetSpec
 from .network import NetSpec, OptimConfig, ParamSet
 
 _TAG_INIT = 0x41545443
 _TAG_EMBED = 0x52454D42
 _TAG_PROBE = 0x50524F42
+_TAG_DP = 0x4450414B
 
 GRAD_LOSSES = ("cosine", "l2")
 INIT_KINDS = ("uniform", "zeros")
@@ -139,9 +137,7 @@ class Transcript:
 
 def _require_view(view) -> TranscriptView:
     if isinstance(view, Transcript):
-        raise CapabilityError(
-            "attacks take the redacted view; call transcript.public() first"
-        )
+        raise CapabilityError("attacks take the redacted view; call transcript.public() first")
     if not isinstance(view, TranscriptView):
         raise CapabilityError(f"expected a TranscriptView, got {type(view).__name__}")
     return view
@@ -248,44 +244,6 @@ def _init_image(shape: tuple[int, int], cfg: AttackConfig) -> np.ndarray:
 # -- closed-form objectives over an image ---------------------------------------
 
 
-def _dense_layers(params: Mapping[str, np.ndarray], spec: NetSpec):
-    """Each layer's (W, Wᵀ, bias row, activation), laid out as the tape lays them out."""
-    layers = []
-    for layer in spec.layers:
-        w = np.ascontiguousarray(params[f"{layer.name}/W"], dtype=np.float64)
-        b = np.asarray(params[f"{layer.name}/b"], dtype=np.float64).reshape(1, layer.out_dim)
-        layers.append((w, w.T.copy(), b, layer.activation))
-    return layers
-
-
-def _dense_forward(layers, h: np.ndarray):
-    """Output of a [1, in] row, each layer's input and activation factor (None if
-    linear), in the tape's operation order: each loss on it is bitwise the traced one."""
-    inputs, factors = [], []
-    for _, wt, b, activation in layers:
-        inputs.append(h)
-        h, factor = h @ wt + b, None
-        if activation != "linear":
-            factor = np.where(h > 0.0, 1.0, nn.LEAKY_SLOPE if activation == "leaky_relu" else 0.0)
-            h = h * factor
-        factors.append(factor)
-    return h, inputs, factors
-
-
-def _dense_backprop(layers, factors, g: np.ndarray, extra=None):
-    """Pull an output adjoint back to the input row, adding ``extra[i]`` on layer
-    i's input; returns each layer's pre-activation adjoint and the input's."""
-    pre = [None] * len(layers)
-    for i in reversed(range(len(layers))):
-        if factors[i] is not None:
-            g = g * factors[i]
-        pre[i] = g
-        g = g @ layers[i][0]
-        if extra is not None:
-            g = g + extra[i]
-    return pre, g
-
-
 def _matching_objective(params: ParamSet, spec: NetSpec, obs, label: int, grad_loss: str, tv_coeff: float):
     """ig_attack's objective D(s(x), obs) + tv_coeff · TV(x) as ``value_and_grads``.
 
@@ -293,7 +251,7 @@ def _matching_objective(params: ParamSet, spec: NetSpec, obs, label: int, grad_l
     from softmax − onehot: s[W_i] = δ_iᵀ h_i, s[b_i] = δ_i.  The reverse pass
     takes D's adjoints to the δs and layer inputs h_i, then to x.
     """
-    layers = _dense_layers(params, spec)
+    layers = nn.dense_layers(params, spec)
     onehot = nn.one_hot(np.array([label]), spec.out_dim)
     names = sorted(obs)
     if grad_loss == "cosine":
@@ -304,10 +262,10 @@ def _matching_objective(params: ParamSet, spec: NetSpec, obs, label: int, grad_l
 
     def value_and_grads(xs: Mapping[str, np.ndarray]):
         x = xs["x"]
-        logits, inputs, factors = _dense_forward(layers, x.reshape(1, -1))
+        logits, inputs, factors = nn.dense_forward(layers, x.reshape(1, -1))
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         p = (1.0 / e.sum(axis=1, keepdims=True)) * e
-        deltas, _ = _dense_backprop(layers, factors, p - onehot)
+        deltas, _ = nn.dense_backprop(layers, factors, p - onehot)
         sim = {}
         for layer, d, h in zip(spec.layers, deltas, inputs):
             sim[f"{layer.name}/W"], sim[f"{layer.name}/b"] = d.T * h, d.reshape(-1)
@@ -331,7 +289,7 @@ def _matching_objective(params: ParamSet, spec: NetSpec, obs, label: int, grad_l
                 d_adj = d_adj * factors[i]
             if i + 1 < len(layers):
                 carry = d_adj @ layers[i + 1][1]
-        _, g = _dense_backprop(layers, factors, p * (d_adj - np.sum(d_adj * p)), h_adj)
+        _, g = nn.dense_backprop(layers, factors, p * (d_adj - np.sum(d_adj * p)), h_adj)
         return _with_tv(loss, g.reshape(x.shape), x, tv_coeff)
 
     return value_and_grads
@@ -491,13 +449,13 @@ def _inversion_objective(theta: ParamSet, spec: NetSpec, target_row: np.ndarray,
     ‖f(x; θ) − target‖² + tv_coeff · TV(x) for the generated extractor f,
     differentiated by plain input backprop through its dense layers.
     """
-    layers = _dense_layers(theta, spec)
+    layers = nn.dense_layers(theta, spec)
 
     def value_and_grads(xs: Mapping[str, np.ndarray]):
         x = xs["x"]
-        h, _, factors = _dense_forward(layers, x.reshape(1, -1))
+        h, _, factors = nn.dense_forward(layers, x.reshape(1, -1))
         err = h - target_row
-        _, g = _dense_backprop(layers, factors, err + err)
+        _, g = nn.dense_backprop(layers, factors, err + err)
         return _with_tv(np.sum(err * err), g.reshape(x.shape), x, tv_coeff)
 
     return value_and_grads
@@ -643,22 +601,21 @@ def _check_image(spec: NetSpec, x_img: np.ndarray) -> np.ndarray:
     return x_img
 
 
-def _batch1_grads(params: ParamSet, spec: NetSpec, x_img: np.ndarray, y: int) -> ParamSet:
-    return nn.loss_and_grad_params(params, spec, x_img.reshape(1, -1), np.array([y], dtype=np.int64))[1]
+def _batch1_grads(params: ParamSet, spec: NetSpec, x_img: np.ndarray, y: int, frozen=None) -> ParamSet:
+    y_row = np.array([y], dtype=np.int64)
+    return nn.loss_and_grad_params(params, spec, x_img.reshape(1, -1), y_row, frozen=frozen)[1]
+
+
+def _transcript(algorithm, spec, params, observed, x_img, y, hyper_spec=None) -> Transcript:
+    """The server's view of one sample (a copy of ``params``), with the sample kept aside."""
+    view = TranscriptView(algorithm, spec, nn.tree_copy(params), observed, int(y), x_img.shape, hyper_spec)
+    return Transcript(view=view, x_true=x_img.copy(), y_true=int(y))
 
 
 def fedavg_transcript(params: ParamSet, spec: NetSpec, x_img: np.ndarray, y: int) -> Transcript:
     """One client, one sample, full model shared: the server sees everything."""
     x_img = _check_image(spec, x_img)
-    view = TranscriptView(
-        algorithm="fedavg",
-        model_spec=spec,
-        params=nn.tree_copy(params),
-        observed=_batch1_grads(params, spec, x_img, y),
-        label=int(y),
-        image_shape=x_img.shape,
-    )
-    return Transcript(view=view, x_true=x_img.copy(), y_true=int(y))
+    return _transcript("fedavg", spec, params, _batch1_grads(params, spec, x_img, y), x_img, y)
 
 
 def pfedhn_transcript(
@@ -667,51 +624,23 @@ def pfedhn_transcript(
     """Server-side hypernetwork baseline: the server generated the client
     model itself, so it inverts the returned one-step delta into gradients."""
     x_img = _check_image(spec, x_img)
-    grads = _batch1_grads(params, spec, x_img, y)
-    stepped, _ = nn.sgd_step(params, grads, opt)
-    delta = nn.tree_sub(stepped, params)
-    view = TranscriptView(
-        algorithm="pfedhn",
-        model_spec=spec,
-        params=nn.tree_copy(params),
-        observed=gradient_from_delta(delta, params, opt),
-        label=int(y),
-        image_shape=x_img.shape,
-    )
-    return Transcript(view=view, x_true=x_img.copy(), y_true=int(y))
+    stepped, _ = nn.sgd_step(params, _batch1_grads(params, spec, x_img, y), opt)
+    observed = gradient_from_delta(nn.tree_sub(stepped, params), params, opt)
+    return _transcript("pfedhn", spec, params, observed, x_img, y)
 
 
 def dp_fedavg_transcript(
-    params: ParamSet,
-    spec: NetSpec,
-    x_img: np.ndarray,
-    y: int,
-    dp: DPConfig,
-    rng: np.random.Generator,
+    params: ParamSet, spec: NetSpec, x_img: np.ndarray, y: int, dp: DPConfig, rng: np.random.Generator
 ) -> Transcript:
     """Full model shared but the upload was clipped and noised first."""
     x_img = _check_image(spec, x_img)
     observed = dp_sanitize(_batch1_grads(params, spec, x_img, y), dp, rng)
-    view = TranscriptView(
-        algorithm="dp_fedavg",
-        model_spec=spec,
-        params=nn.tree_copy(params),
-        observed=observed,
-        label=int(y),
-        image_shape=x_img.shape,
-    )
-    return Transcript(view=view, x_true=x_img.copy(), y_true=int(y))
+    return _transcript("dp_fedavg", spec, params, observed, x_img, y)
 
 
 def hyperfl_transcript(
-    v: np.ndarray,
-    phi_h: ParamSet,
-    phi_c: ParamSet,
-    hyper_spec: HypernetSpec,
-    fe_spec: NetSpec,
-    cls_spec: NetSpec,
-    x_img: np.ndarray,
-    y: int,
+    v: np.ndarray, phi_h: ParamSet, phi_c: ParamSet, hyper_spec: HypernetSpec,
+    fe_spec: NetSpec, cls_spec: NetSpec, x_img: np.ndarray, y: int,
 ) -> Transcript:
     """Hypernetwork protocol: the wire carries hypernetwork tensors only.
 
@@ -722,47 +651,73 @@ def hyperfl_transcript(
     """
     x_img = _check_image(fe_spec, x_img)
     theta = hn.hypernet_forward(v, phi_h, hyper_spec)
-    full_spec = nn.concat_specs(fe_spec, cls_spec)
-    x_row, y_row = x_img.reshape(1, -1), np.array([y], dtype=np.int64)
-    _, d_theta = nn.loss_and_grad_params(theta, full_spec, x_row, y_row, frozen=phi_c)
+    d_theta = _batch1_grads(theta, nn.concat_specs(fe_spec, cls_spec), x_img, y, frozen=phi_c)
     d_phi, _ = hn.hypernet_backward(d_theta, v, phi_h, hyper_spec)
-    view = TranscriptView(
-        algorithm="hyperfl",
-        model_spec=fe_spec,
-        params=nn.tree_copy(phi_h),
-        observed=d_phi,
-        label=int(y),
-        image_shape=x_img.shape,
-        hyper_spec=hyper_spec,
-    )
-    return Transcript(view=view, x_true=x_img.copy(), y_true=int(y))
+    return _transcript("hyperfl", fe_spec, phi_h, d_phi, x_img, y, hyper_spec=hyper_spec)
+
+
+def snapshot_transcript(
+    server: ServerState, clients: Sequence[ClientState], bundle: ModelBundle,
+    i: int, shape: tuple[int, int], dp: DPConfig, opt: OptimConfig, seed: int,
+) -> Transcript:
+    """Sample ``i`` of a snapshot as its protocol's server sees it: client (i mod m)'s
+    (i div m)-th training sample as a ``shape`` image.  ``dp`` sanitizes a dp_fedavg
+    upload with noise drawn from ``(seed, i)``; pfedhn's server inverts an ``opt`` step."""
+    j, cid = divmod(i, len(clients))
+    train = clients[cid].train
+    if j >= train.n:
+        raise ConfigError(f"sample {i} needs item {j} of client {cid}, which holds only {train.n} samples")
+    img, y = train.x[j].reshape(shape), int(train.y[j])
+    algo = server.algorithm
+    if algo == "fedavg":
+        return fedavg_transcript(server.global_model, bundle.full, img, y)
+    if algo == "dp_fedavg":
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, _TAG_DP, i)))
+        return dp_fedavg_transcript(server.global_model, bundle.full, img, y, dp, rng)
+    if algo == "pfedhn":
+        model = hn.hypernet_forward(server.embeddings[cid], server.varphi_bar, bundle.pfedhn_hyper())
+        return pfedhn_transcript(model, bundle.full, img, y, opt=opt)
+    if algo == "hyperfl":
+        c = clients[cid]
+        return hyperfl_transcript(c.v, server.varphi_bar, c.phi_c, bundle.hyper, bundle.fe, bundle.cls, img, y)
+    raise CapabilityError(f"algorithm {algo!r} shares no model parameters; nothing to attack")
 
 
 # -- scoring and reports ---------------------------------------------------------
 
 
 def score_reconstruction(transcript: Transcript, x_hat: np.ndarray) -> dict[str, float]:
-    """PSNR/SSIM of a reconstruction against the transcript's ground truth."""
-    p = mx.psnr(x_hat, transcript.x_true)
+    """PSNR/SSIM of a reconstruction against the transcript's ground truth, and
+    ``analytic_psnr`` of the exact batch-1 recovery (the positive control) from the
+    first layer's or HyperFL's head-bias gradients, NaN if every bias entry is degenerate."""
+    x_true = transcript.x_true
+    p = mx.psnr(x_hat, x_true)
     try:
-        s = mx.ssim(x_hat, transcript.x_true)
+        s = mx.ssim(x_hat, x_true)
     except DimensionError:  # image smaller than the SSIM window
         s = math.nan
-    return {"psnr": p, "ssim": s}
+    view = transcript.public()
+    try:
+        if view.algorithm == "hyperfl":
+            x = analytic_hyperfl_recovery(view)
+        else:
+            first = view.model_spec.layers[0].name
+            x = analytic_input_recovery(view.observed[f"{first}/W"], view.observed[f"{first}/b"])
+    except NumericError:
+        analytic = math.nan
+    else:
+        analytic = mx.psnr(x.reshape(x_true.shape), x_true)
+    return {"psnr": p, "ssim": s, "analytic_psnr": analytic}
 
 
-def sample_record(sample_id, algorithm, x_hat, scores, trace, analytic_psnr=math.nan) -> dict:
-    """Flat JSON-ready record of one attacked sample.
-
-    ``analytic_psnr`` scores the closed-form batch-1 recovery where the
-    transcript admits one; NaN elsewhere.
-    """
+def sample_record(sample_id, algorithm, x_hat, scores, trace) -> dict:
+    """Flat JSON-ready record of one attacked sample; a missing ``analytic_psnr`` score is NaN."""
     return {
         "sample": int(sample_id),
         "algorithm": str(algorithm),
         "psnr": float(scores["psnr"]),
         "ssim": float(scores["ssim"]),
-        "analytic_psnr": float(analytic_psnr),
+        "analytic_psnr": float(scores.get("analytic_psnr", math.nan)),
         "trace": [[r.iteration, r.loss, r.best_loss] for r in trace] if trace else [],
         "reconstruction": np.asarray(x_hat, dtype=np.float64).ravel().tolist(),
     }
@@ -770,16 +725,38 @@ def sample_record(sample_id, algorithm, x_hat, scores, trace, analytic_psnr=math
 
 def write_attack_report(path, cfg: AttackConfig, samples: Sequence[Mapping]) -> None:
     """Settings and per-sample records as JSON, written atomically."""
-    payload = {"config": asdict(cfg), "samples": list(samples)}
-    write_json(path, payload)
+    write_json(path, {"config": asdict(cfg), "samples": list(samples)})
+
+
+_SUMMARY_FIELDS = ("sample", "algorithm", "psnr", "ssim", "analytic_psnr")
+_SUMMARY_HEADER = ",".join(_SUMMARY_FIELDS)
 
 
 def write_attack_summary_csv(path, samples: Sequence[Mapping]) -> None:
     """Per-sample score table, written atomically; the analytic column is the exact-recovery control."""
-    lines = ["sample,algorithm,psnr,ssim,analytic_psnr"]
+    lines = [_SUMMARY_HEADER]
     for s in samples:
         lines.append(
             f"{int(s['sample'])},{s['algorithm']},{repr(float(s['psnr']))},"
             f"{repr(float(s['ssim']))},{repr(float(s.get('analytic_psnr', math.nan)))}"
         )
     write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+
+
+def read_attack_summary_csv(path) -> list[dict]:
+    """Rows of a score table as written above; :class:`FormatError` names the
+    line of a wrong header, a wrong field count or a value that is no number."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0] != _SUMMARY_HEADER:
+        raise FormatError(f"{path} line 1: expected header {_SUMMARY_HEADER!r}")
+    rows = []
+    for n, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != len(_SUMMARY_FIELDS):
+            raise FormatError(f"{path} line {n}: {len(cells)} fields, expected {len(_SUMMARY_FIELDS)}")
+        try:
+            scores = {k: float(c) for k, c in zip(_SUMMARY_FIELDS[2:], cells[2:])}
+            rows.append({"sample": int(cells[0]), "algorithm": cells[1], **scores})
+        except ValueError as e:
+            raise FormatError(f"{path} line {n}: {e}") from None
+    return rows

@@ -1,5 +1,9 @@
 """Command-line front end: train, attack, partition, report.
 
+This module keeps the I/O: it reads configs and snapshots, runs the library
+and writes the artifacts.  What the server observes and how a
+reconstruction is scored live in :mod:`hyperfl.attack`.
+
 Every artifact lands under the config's output directory:
 
     config.resolved.json   defaults materialized, the run's full recipe
@@ -33,7 +37,6 @@ from . import checkpoint as ckpt
 from . import config as cfgmod
 from . import datakit as dk
 from . import fedsim as fs
-from . import hypernet as hn
 from . import metrics as mx
 from .errors import (
     CapabilityError,
@@ -157,7 +160,7 @@ def cmd_attack(args) -> int:
     bundle = cfgmod.build_bundle(cfg)
     ds = cfgmod.build_dataset(cfg)
     shards = cfgmod.build_shards(cfg, ds)
-    server, clients = fs.tensors_to_state(ckpt.read_checkpoint(snap_path), shards)
+    server, clients = fs.tensors_to_state(ckpt.read_checkpoint(snap_path), shards, bundle)
     if server.algorithm != cfg.algorithm:
         raise CapabilityError(
             f"snapshot was produced by {server.algorithm!r} but the run config says {cfg.algorithm!r}"
@@ -167,19 +170,12 @@ def cmd_attack(args) -> int:
     records = []
     for i in range(samples):
         start = time.perf_counter()
-        transcript = _build_transcript(i, server, clients, shards, bundle, cfg, acfg, shape)
+        transcript = atk.snapshot_transcript(
+            server, clients, bundle, i, shape, cfg.dp_config, cfg.round_config.eta_g, acfg.seed
+        )
         x_hat, trace = atk.attack_transcript(transcript.public(), acfg)
         scores = atk.score_reconstruction(transcript, x_hat)
-        records.append(
-            atk.sample_record(
-                i,
-                transcript.view.algorithm,
-                x_hat,
-                scores,
-                trace,
-                analytic_psnr=_analytic_control(transcript, shape),
-            )
-        )
+        records.append(atk.sample_record(i, transcript.view.algorithm, x_hat, scores, trace))
         # progress goes to stderr: stdout and the artifacts stay deterministic
         print(
             f"sample {i + 1}/{samples}: psnr {scores['psnr']:.2f} dB, "
@@ -193,57 +189,11 @@ def cmd_attack(args) -> int:
     return 0
 
 
-def _analytic_control(transcript, shape) -> float:
-    """Score of the exact batch-1 recovery: from the first layer's gradients,
-    or for HyperFL from its head-bias gradients."""
-    view = transcript.public()
-    try:
-        if view.algorithm == "hyperfl":
-            x = atk.analytic_hyperfl_recovery(view)
-        else:
-            first = view.model_spec.layers[0].name
-            x = atk.analytic_input_recovery(view.observed[f"{first}/W"], view.observed[f"{first}/b"])
-    except NumericError:
-        return math.nan
-    return mx.psnr(x.reshape(shape), transcript.x_true)
-
-
 def _find_run_dir(snap_path: Path) -> Path:
     for cand in (snap_path.parent, snap_path.parent.parent):
         if (cand / "config.resolved.json").exists():
             return cand
     raise FormatError(f"no config.resolved.json beside {snap_path}; is this a train output?")
-
-
-def _build_transcript(i, server, clients, shards, bundle, cfg, acfg, shape):
-    m = len(clients)
-    cid = i % m
-    j = i // m
-    train = shards[cid][0]
-    if j >= train.n:
-        raise ConfigError(
-            f"sample {i} needs item {j} of client {cid}, which holds only {train.n} samples"
-        )
-    img = train.x[j].reshape(shape)
-    y = int(train.y[j])
-    algo = server.algorithm
-
-    if algo == "fedavg":
-        return atk.fedavg_transcript(server.global_model, bundle.full, img, y)
-    if algo == "dp_fedavg":
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(acfg.seed, 0x4450414B, i)))
-        return atk.dp_fedavg_transcript(server.global_model, bundle.full, img, y, cfg.dp_config, rng)
-    if algo == "pfedhn":
-        model = hn.hypernet_forward(
-            server.embeddings[cid], server.varphi_bar, bundle.pfedhn_hyper()
-        )
-        return atk.pfedhn_transcript(model, bundle.full, img, y, opt=cfg.round_config.eta_g)
-    if algo == "hyperfl":
-        client = clients[cid]
-        return atk.hyperfl_transcript(
-            client.v, server.varphi_bar, client.phi_c, bundle.hyper, bundle.fe, bundle.cls, img, y
-        )
-    raise CapabilityError(f"algorithm {algo!r} shares no model parameters; nothing to attack")
 
 
 # -- partition ----------------------------------------------------------------------
@@ -308,15 +258,13 @@ def cmd_report(args) -> int:
 def _attack_digest(path: Path) -> Optional[dict]:
     if not path.exists():
         return None
-    lines = path.read_text(encoding="utf-8").splitlines()
-    rows = [line.split(",") for line in lines[1:] if line]
+    rows = atk.read_attack_summary_csv(path)
     if not rows:
         return {"samples": 0, "mean_psnr": None, "mean_ssim": None}
-    psnr = [float(r[2]) for r in rows]
-    ssim = [float(r[3]) for r in rows]
+    ssim = [r["ssim"] for r in rows]
     return {
         "samples": len(rows),
-        "mean_psnr": float(np.mean(psnr)),
+        "mean_psnr": float(np.mean([r["psnr"] for r in rows])),
         "mean_ssim": float(np.mean(ssim)) if not any(math.isnan(s) for s in ssim) else None,
     }
 

@@ -746,12 +746,14 @@ def state_to_tensors(server: ServerState, clients: Sequence[ClientState]) -> Par
 
 
 def tensors_to_state(
-    flat: ParamSet, shards: Sequence[tuple[Dataset, Dataset]]
+    flat: ParamSet, shards: Sequence[tuple[Dataset, Dataset]], bundle: ModelBundle
 ) -> tuple[ServerState, list[ClientState]]:
     """Rebuild (server, clients) from a flattened snapshot plus data shards.
 
-    Optimizer state is not restored (snapshots capture parameters, not
-    momentum); resuming treats the snapshot as a fresh-momentum start.
+    The tensor names must be those ``state_to_tensors`` writes for the
+    protocol and ``bundle``; the first missing or extra one raises
+    :class:`ConsistencyError`.  Optimizer state is not restored (snapshots
+    capture parameters, not momentum); resuming starts with fresh momentum.
     """
     missing = sorted({"meta/algorithm", "meta/clients", "meta/round"} - flat.keys())
     if missing:
@@ -802,4 +804,26 @@ def tensors_to_state(
             else None
         ),
     )
+    want = _snapshot_names(algorithm, bundle, n_clients)
+    for kind, names in (("lacks", want - flat.keys()), ("has unexpected", flat.keys() - want)):
+        if names:
+            raise ConsistencyError(f"{algorithm} snapshot {kind} tensor {min(names)!r}")
     return server, clients
+
+
+def _snapshot_names(algorithm: str, bundle: ModelBundle, n_clients: int) -> set[str]:
+    """Every tensor name ``state_to_tensors`` writes for this protocol and bundle."""
+    names = {"meta/algorithm", "meta/clients", "meta/round"}
+    trees = [("server/varphi/", bundle.hyper)] if algorithm == "hyperfl" else []
+    if algorithm == "pfedhn":
+        trees.append(("server/varphi/", bundle.pfedhn_hyper()))
+        names.update(f"server/embedding/{cid}" for cid in range(n_clients))
+    elif algorithm in ("fedavg", "dp_fedavg"):
+        trees.append(("server/model/", bundle.full))
+    for cid in range(n_clients):
+        if algorithm == "hyperfl":
+            names.add(f"client/{cid}/v")
+            trees += [(f"client/{cid}/phi_h/", bundle.hyper), (f"client/{cid}/phi_c/", bundle.cls)]
+        else:
+            trees.append((f"client/{cid}/model/", bundle.full))
+    return names | {prefix + name for prefix, spec in trees for name in spec.param_shapes()}

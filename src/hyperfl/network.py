@@ -175,17 +175,52 @@ def tree_zeros_like(a) -> ParamSet:
     return {k: np.zeros_like(np.asarray(v, dtype=np.float64)) for k, v in a.items()}
 
 
-# -- forward / loss (symbolic core) -------------------------------------------
+# -- forward passes -------------------------------------------------------------
 
-# The _sym functions trace one pass on the autodiff tape (the tests' oracles
-# differentiate through them again); forward_logits, forward_loss and
-# loss_and_grad_params below take and return numpy.
+# forward_logits and the attack objectives run these numpy passes; the autodiff
+# tape sits only behind loss_and_grad_params, through the _sym functions.
+
+
+def dense_layers(params: Mapping[str, np.ndarray], spec: NetSpec):
+    """Each layer's (W, Wᵀ, bias row, activation), laid out as the tape lays them out."""
+    layers = []
+    for layer in spec.layers:
+        w = np.ascontiguousarray(params[f"{layer.name}/W"], dtype=np.float64)
+        b = np.asarray(params[f"{layer.name}/b"], dtype=np.float64).reshape(1, layer.out_dim)
+        layers.append((w, w.T.copy(), b, layer.activation))
+    return layers
+
+
+def dense_forward(layers, h: np.ndarray):
+    """Output of [batch, in] rows, each layer's input and activation factor (None if
+    linear), in the tape's operation order: each result is bitwise the traced one."""
+    inputs, factors = [], []
+    for _, wt, b, activation in layers:
+        inputs.append(h)
+        h, factor = h @ wt + b, None
+        if activation != "linear":
+            factor = np.where(h > 0.0, 1.0, LEAKY_SLOPE if activation == "leaky_relu" else 0.0)
+            h = h * factor
+        factors.append(factor)
+    return h, inputs, factors
+
+
+def dense_backprop(layers, factors, g: np.ndarray, extra=None):
+    """Pull an output adjoint back to the input rows, adding ``extra[i]`` on layer
+    i's input; returns each layer's pre-activation adjoint and the input's."""
+    pre = [None] * len(layers)
+    for i in reversed(range(len(layers))):
+        if factors[i] is not None:
+            g = g * factors[i]
+        pre[i] = g
+        g = g @ layers[i][0]
+        if extra is not None:
+            g = g + extra[i]
+    return pre, g
 
 
 def forward_logits_sym(params: Mapping[str, "ad.Var | np.ndarray"], spec: NetSpec, x) -> ad.Var:
     h = ad.as_var(x)
-    if h.ndim != 2 or h.shape[1] != spec.in_dim:
-        raise DimensionError(f"expected input of shape [batch, {spec.in_dim}], got {h.shape}")
     for layer in spec.layers:
         w = ad.as_var(params[f"{layer.name}/W"])
         b = ad.as_var(params[f"{layer.name}/b"])
@@ -234,17 +269,14 @@ def _validate(params, spec, x):
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise NumericError("input batch contains non-finite values")
+    if x.ndim != 2 or x.shape[1] != spec.in_dim:
+        raise DimensionError(f"expected input of shape [batch, {spec.in_dim}], got {x.shape}")
     return x
 
 
 def forward_logits(params: ParamSet, spec: NetSpec, x) -> np.ndarray:
     x = _validate(params, spec, x)
-    return forward_logits_sym(params, spec, x).data.copy()
-
-
-def forward_loss(params: ParamSet, spec: NetSpec, x, y) -> float:
-    x = _validate(params, spec, x)
-    return float(forward_loss_sym(params, spec, x, y).data)
+    return dense_forward(dense_layers(params, spec), x)[0]
 
 
 def loss_and_grad_params(

@@ -45,6 +45,12 @@ def value_and_grads(objective, xs):
     return float(out.data), {k: g.data for k, g in zip(names, grads)}
 
 
+def forward_loss(params, spec, x, y):
+    """Mean cross-entropy of a batch from one traced forward pass."""
+    nn.check_params(params, spec)
+    return float(nn.forward_loss_sym(params, spec, np.asarray(x, dtype=np.float64), y).data)
+
+
 def grad_params_sym(params, spec, x, y):
     """Traced parameter gradients, usable inside a further-differentiated objective."""
     loss = nn.forward_loss_sym(params, spec, x, y)

@@ -25,7 +25,7 @@ from hyperfl import fedsim as fs
 from hyperfl import hypernet as hn
 from hyperfl import metrics as mx
 from hyperfl import network as nn
-from tape_oracles import grad_params_sym, value_and_grads
+from tape_oracles import forward_loss, grad_params_sym, value_and_grads
 
 
 def gate(number: int, name: str, ok: bool, detail: str) -> bool:
@@ -77,7 +77,7 @@ def test_criterion_01_gradient_correctness():
             def f_param(arr, name=name):
                 trial = dict(params)
                 trial[name] = arr
-                return nn.forward_loss(trial, full, x, y)
+                return forward_loss(trial, full, x, y)
 
             worst = max(worst, rel_err(grads[name], fd_grad(f_param, params[name])))
 
@@ -92,7 +92,7 @@ def test_criterion_01_gradient_correctness():
 
         def composed_loss(v_arr, phi_tree):
             theta = hn.hypernet_forward(v_arr, phi_tree, hyper)
-            return nn.forward_loss({**theta, **phi_c}, full, x, y)
+            return forward_loss({**theta, **phi_c}, full, x, y)
 
         theta = hn.hypernet_forward(v, phi, hyper)
         _, g_theta = nn.loss_and_grad_params(theta, full, x, y, frozen=phi_c)

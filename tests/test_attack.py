@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from hyperfl import attack as atk
 from hyperfl import autodiff as ad
+from hyperfl import datakit as dk
 from hyperfl import fedsim as fs
 from hyperfl import hypernet as hn
 from hyperfl import metrics as mx
@@ -694,6 +695,83 @@ def test_transcript_builders_validate_image():
         atk.fedavg_transcript(PARAMS, FULL, np.ones(H * W), 0)  # not 2-D
     with pytest.raises(DimensionError):
         atk.fedavg_transcript(PARAMS, FULL, np.ones((3, 3)), 0)  # wrong pixel count
+
+
+# -- snapshot transcripts ------------------------------------------------------------
+
+
+DP = fs.DPConfig(clip_norm=1.0, sigma=0.01)
+OPT = nn.OptimConfig(0.1, 0.5, 5e-4)
+
+
+def snapshot_state(algorithm):
+    """A two-client state after one round of ``algorithm`` on 8x8 images."""
+    bundle = fs.ModelBundle(fe=FE, cls=CLS, hyper=HYPER)
+    rng = np.random.default_rng(8)
+    shards = []
+    for _ in range(2):
+        x, y = rng.uniform(size=(10, H * W)), rng.integers(0, 3, size=10)
+        shards.append((dk.Dataset(x[:6], y[:6], 3), dk.Dataset(x[6:], y[6:], 3)))
+    cfg = fs.RoundConfig(local_epochs=1, batch_size=3, total_rounds=1)
+    server, clients = fs.init_experiment(algorithm, bundle, shards, seed=4)
+    server, clients, _ = fs.run_round(server, clients, bundle, cfg, DP, seed=4)
+    return server, clients, bundle
+
+
+def direct_transcript(server, clients, bundle, i, seed):
+    """What snapshot_transcript should build for sample i, spelled out per protocol."""
+    client = clients[i % 2]
+    img, y = client.train.x[i // 2].reshape(H, W), int(client.train.y[i // 2])
+    if server.algorithm == "fedavg":
+        return atk.fedavg_transcript(server.global_model, FULL, img, y)
+    if server.algorithm == "dp_fedavg":
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, atk._TAG_DP, i)))
+        return atk.dp_fedavg_transcript(server.global_model, FULL, img, y, DP, rng)
+    if server.algorithm == "pfedhn":
+        model = hn.hypernet_forward(server.embeddings[client.id], server.varphi_bar, bundle.pfedhn_hyper())
+        return atk.pfedhn_transcript(model, FULL, img, y, opt=OPT)
+    return atk.hyperfl_transcript(client.v, server.varphi_bar, client.phi_c, HYPER, FE, CLS, img, y)
+
+
+@pytest.mark.parametrize("algorithm", ["fedavg", "dp_fedavg", "pfedhn", "hyperfl"])
+def test_snapshot_transcript_equals_a_direct_builder_call(algorithm):
+    server, clients, bundle = snapshot_state(algorithm)
+    got = atk.snapshot_transcript(server, clients, bundle, 3, (H, W), DP, OPT, seed=9)
+    want = direct_transcript(server, clients, bundle, 3, seed=9)
+    assert got.view.algorithm == want.view.algorithm == algorithm
+    for field in ("model_spec", "label", "image_shape", "hyper_spec"):
+        assert getattr(got.view, field) == getattr(want.view, field)
+    for tree in ("params", "observed"):
+        a, b = getattr(got.view, tree), getattr(want.view, tree)
+        assert a.keys() == b.keys() and all(a[k].tobytes() == b[k].tobytes() for k in a)
+    assert got.x_true.tobytes() == want.x_true.tobytes() and got.y_true == want.y_true
+
+
+def test_snapshot_transcript_refuses_a_sample_past_the_shard():
+    server, clients, bundle = snapshot_state("fedavg")
+    with pytest.raises(ConfigError, match="holds only 6 samples"):
+        atk.snapshot_transcript(server, clients, bundle, 12, (H, W), DP, OPT, seed=0)
+
+
+def test_analytic_psnr_is_exact_on_noiseless_batch1_transcripts():
+    img = stripe_image(H, W, 2)
+    for tr in (
+        atk.fedavg_transcript(PARAMS, FULL, img, 1),
+        atk.pfedhn_transcript(PARAMS, FULL, img, 1),
+        hyperfl_tr(img_seed=2, y=1)[1],
+    ):
+        assert atk.score_reconstruction(tr, np.zeros((H, W)))["analytic_psnr"] == mx.PSNR_CAP_DB
+
+
+def test_analytic_psnr_is_nan_when_every_bias_entry_is_zero():
+    _, tr = fedavg_tr()
+    observed = {**tr.view.observed, "fe0/b": np.zeros(12)}
+    flat = dataclasses.replace(tr, view=dataclasses.replace(tr.view, observed=observed))
+    assert math.isnan(atk.score_reconstruction(flat, tr.x_true)["analytic_psnr"])
+    _, trh = hyperfl_tr()
+    observed = {**trh.view.observed, "hyper/head/fe0/b/b": np.zeros(12)}
+    flat = dataclasses.replace(trh, view=dataclasses.replace(trh.view, observed=observed))
+    assert math.isnan(atk.score_reconstruction(flat, trh.x_true)["analytic_psnr"])
 
 
 # -- reports -----------------------------------------------------------------------

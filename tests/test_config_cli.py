@@ -448,6 +448,64 @@ def test_attack_on_sharing_free_algorithm_exits_1(tmp_path, capsys):
     assert "nothing to attack" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def run_of(tmp_path_factory):
+    """Train one small run per algorithm, once per module."""
+    runs = {}
+
+    def get(algorithm: str) -> Path:
+        if algorithm not in runs:
+            over = {"dp": {"clip_norm": 1.0, "sigma": 0.01}} if algorithm == "dp_fedavg" else {}
+            runs[algorithm] = train_run(tmp_path_factory.mktemp(algorithm), algorithm=algorithm, **over)
+        return runs[algorithm]
+
+    return get
+
+
+@pytest.mark.parametrize("algorithm", ["dp_fedavg", "pfedhn"])
+def test_attack_reruns_are_byte_identical(run_of, tmp_path, algorithm):
+    att = tmp_path / "att.json"
+    att.write_text('{"iterations": 20, "samples": 4, "seed": 1}')
+    snap = run_of(algorithm) / "snapshots" / "round_0002.hfl"
+    outputs = []
+    for _ in range(2):
+        assert cli.main(["attack", str(snap), str(att)]) == 0
+        outputs.append([(snap.parents[1] / n).read_bytes() for n in ("attack_summary.csv", "attack_report.json")])
+    assert outputs[0] == outputs[1]
+    rows = [line.split(",") for line in outputs[0][0].decode().splitlines()[1:]]
+    assert [r[:2] for r in rows] == [[str(i), algorithm] for i in range(4)]
+    analytic = [float(r[4]) for r in rows]
+    if algorithm == "pfedhn":  # the inverted one-step delta is the batch-1 gradient
+        assert analytic == [mx.PSNR_CAP_DB] * 4
+    else:  # noise blurs the exact recovery
+        assert all(a < mx.PSNR_CAP_DB for a in analytic)
+
+
+@pytest.mark.parametrize(
+    "algorithm, key",
+    [
+        ("hyperfl", "client/0/v"),
+        ("hyperfl", "client/0/phi_c/cls0/W"),
+        ("hyperfl", "server/varphi/hyper/trunk/W"),
+        ("fedavg", "server/model/fe0/W"),
+        ("pfedhn", "server/embedding/0"),
+    ],
+)
+def test_attack_on_snapshot_without_a_state_tensor_exits_3(run_of, tmp_path, capsys, algorithm, key):
+    run = tmp_path / "copy"
+    shutil.copytree(run_of(algorithm), run)
+    snap = run / "snapshots" / "round_0002.hfl"
+    flat = ckpt.read_checkpoint(snap)
+    del flat[key]
+    ckpt.write_checkpoint(snap, flat)
+    att = tmp_path / "att.json"
+    att.write_text('{"iterations": 2, "samples": 1}')
+    capsys.readouterr()
+    assert cli.main(["attack", str(snap), str(att)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err and len(err.splitlines()) == 1
+
+
 # -- report -------------------------------------------------------------------
 
 
@@ -535,6 +593,25 @@ def test_report_on_non_numeric_metrics_cell_exits_3(fedavg_run, tmp_path, capsys
     assert cli.main(["report", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and "line 3" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "line, edit",
+    [
+        (2, lambda cells: cells[:2] + ["abc"] + cells[3:]),  # non-numeric psnr
+        (3, lambda cells: cells[:4]),  # short row
+        (1, lambda cells: cells[:4]),  # header without the analytic column
+    ],
+    ids=["non-numeric-psnr", "short-row", "wrong-header"],
+)
+def test_report_on_malformed_attack_summary_exits_3(attacked_run, tmp_path, capsys, line, edit):
+    shutil.copy(attacked_run / "metrics.csv", tmp_path / "metrics.csv")
+    lines = (attacked_run / "attack_summary.csv").read_text().splitlines()
+    lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))
+    (tmp_path / "attack_summary.csv").write_text("\n".join(lines) + "\n")
+    assert cli.main(["report", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"line {line}:" in err and len(err.splitlines()) == 1
 
 
 # -- partition ----------------------------------------------------------------

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from hyperfl import autodiff as ad
 from hyperfl import checkpoint as ckpt
 from hyperfl import datakit as dk
 from hyperfl import fedsim as fs
@@ -627,7 +628,7 @@ def test_state_snapshot_round_trip_resumes_identically():
         server, clients, _ = fs.run_round(server, clients, bundle, cfg, dp, seed=33)
 
     blob = ckpt.dump_params(fs.state_to_tensors(server, clients))
-    server2, clients2 = fs.tensors_to_state(ckpt.load_params(blob), shards)
+    server2, clients2 = fs.tensors_to_state(ckpt.load_params(blob), shards, bundle)
     assert server2.round_t == server.round_t
 
     s_a, c_a, rec_a = fs.run_round(server, clients, bundle, cfg, dp, seed=33)
@@ -635,6 +636,43 @@ def test_state_snapshot_round_trip_resumes_identically():
     assert rec_a == rec_b
     for k in s_a.varphi_bar:
         assert s_a.varphi_bar[k].tobytes() == s_b.varphi_bar[k].tobytes()
+
+
+@pytest.mark.parametrize("algorithm", fs.ALGORITHMS)
+def test_snapshot_layout_is_checked_against_the_bundle(algorithm):
+    bundle = small_bundle()
+    shards = make_shards(2, n=12)
+    server, clients = fs.init_experiment(algorithm, bundle, shards, seed=1)
+    server, clients, _ = fs.run_round(server, clients, bundle, quick_cfg(), fs.DPConfig(), seed=1)
+    flat = fs.state_to_tensors(server, clients)
+    assert fs.tensors_to_state(flat, shards, bundle)[0].round_t == 1
+    extra = {**flat, "client/1/extra": np.zeros(2)}
+    with pytest.raises(ConsistencyError, match="unexpected tensor 'client/1/extra'"):
+        fs.tensors_to_state(extra, shards, bundle)
+    renamed = fs.ModelBundle(fe=bundle.fe, cls=nn.dense_net("head", [6, 3]), hyper=bundle.hyper)
+    with pytest.raises(ConsistencyError, match="lacks tensor"):
+        fs.tensors_to_state(flat, shards, renamed)
+
+
+def test_inference_builds_no_tape_nodes(monkeypatch):
+    """forward_logits, accuracy and every protocol's round-0 evaluation run off the tape."""
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an autodiff node was built")
+
+    bundle = small_bundle()
+    shards = make_shards(3, n=12)
+    monkeypatch.setattr(ad.Var, "__init__", refuse)
+    for algorithm in fs.ALGORITHMS:
+        _, clients = fs.init_experiment(algorithm, bundle, shards, seed=3)
+        accs = fs.evaluate_clients(clients, bundle)
+        assert len(accs) == 3 and all(0.0 <= a <= 1.0 for a in accs)
+    params = nn.init_params(bundle.full, 0)
+    test = shards[0][1]
+    pred = np.argmax(nn.forward_logits(params, bundle.full, test.x), axis=1)
+    assert mx.accuracy(params, bundle.full, test.x, test.y) == float(np.mean(pred == test.y))
+    with pytest.raises(AssertionError, match="autodiff node"):  # the patch does bite
+        nn.loss_and_grad_params(params, bundle.full, test.x, test.y)
 
 
 def test_minibatches_cover_everything():

@@ -8,6 +8,7 @@ optimizer recurrences.  Input gradients are taken on the traced loss
 attack's traced oracle objective.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from hyperfl import autodiff as ad
 from hyperfl import network as nn
 from hyperfl.errors import CapabilityError, ConfigError, DimensionError, NumericError
-from tape_oracles import grad_params_sym, value_and_grads
+from tape_oracles import forward_loss, grad_params_sym, value_and_grads
 
 RNG = np.random.default_rng(20240812)
 
@@ -117,8 +118,8 @@ def test_zero_net_gives_log_k():
     params = {k: np.zeros(s) for k, s in spec.param_shapes().items()}
     x = RNG.normal(size=(6, 12))
     y = RNG.integers(0, 10, size=6)
-    assert nn.forward_loss(params, spec, x, y) == pytest.approx(np.log(10.0), abs=1e-15)
-    assert nn.forward_loss(params, spec, x, y) == pytest.approx(2.302585092994046, abs=1e-12)
+    assert forward_loss(params, spec, x, y) == pytest.approx(np.log(10.0), abs=1e-15)
+    assert forward_loss(params, spec, x, y) == pytest.approx(2.302585092994046, abs=1e-12)
 
 
 def test_uniform_logits_any_width_gives_log_k():
@@ -127,7 +128,7 @@ def test_uniform_logits_any_width_gives_log_k():
         params = {n: np.zeros(s) for n, s in spec.param_shapes().items()}
         # constant nonzero bias also yields uniform softmax
         params["n0/b"] = np.full(k, 3.25)
-        loss = nn.forward_loss(params, spec, RNG.normal(size=(3, 4)), np.zeros(3, dtype=int))
+        loss = forward_loss(params, spec, RNG.normal(size=(3, 4)), np.zeros(3, dtype=int))
         assert loss == pytest.approx(np.log(k), rel=1e-14)
 
 
@@ -137,7 +138,7 @@ def test_loss_matches_straightline_reimplementation():
     params = nn.init_params(spec, 123)
     x = RNG.normal(size=(8, 9))
     y = RNG.integers(0, 6, size=8)
-    got = nn.forward_loss(params, spec, x, y)
+    got = forward_loss(params, spec, x, y)
     want = straightline_loss(params, dims, x, y)
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -148,7 +149,7 @@ def test_loss_matches_straightline_with_leaky_relu():
     params = nn.init_params(spec, 5)
     x = RNG.normal(size=(4, 5))
     y = RNG.integers(0, 4, size=4)
-    assert nn.forward_loss(params, spec, x, y) == pytest.approx(
+    assert forward_loss(params, spec, x, y) == pytest.approx(
         straightline_loss(params, dims, x, y, activation="leaky_relu"), abs=1e-12
     )
 
@@ -159,7 +160,7 @@ def test_one_hot_labels_accepted_and_equal_to_indices():
     x = RNG.normal(size=(5, 6))
     y = RNG.integers(0, 3, size=5)
     hot = nn.one_hot(y, 3)
-    assert nn.forward_loss(params, spec, x, y) == nn.forward_loss(params, spec, x, hot)
+    assert forward_loss(params, spec, x, y) == forward_loss(params, spec, x, hot)
 
 
 def test_loss_is_permutation_invariant_over_batch():
@@ -167,24 +168,57 @@ def test_loss_is_permutation_invariant_over_batch():
     params = nn.init_params(spec, 11)
     x = RNG.normal(size=(10, 7))
     y = RNG.integers(0, 4, size=10)
-    base = nn.forward_loss(params, spec, x, y)
+    base = forward_loss(params, spec, x, y)
     perm = RNG.permutation(10)
-    assert nn.forward_loss(params, spec, x[perm], y[perm]) == pytest.approx(base, abs=1e-12)
+    assert forward_loss(params, spec, x[perm], y[perm]) == pytest.approx(base, abs=1e-12)
 
 
 def test_validation_errors():
     spec = nn.dense_net("n", [4, 3])
     params = nn.init_params(spec, 0)
     with pytest.raises(DimensionError):
-        nn.forward_loss(params, spec, np.ones((2, 5)), np.zeros(2, dtype=int))
+        forward_loss(params, spec, np.ones((2, 5)), np.zeros(2, dtype=int))
     bad = dict(params)
     bad["n0/W"] = np.full_like(params["n0/W"], np.nan)
     with pytest.raises(NumericError):
-        nn.forward_loss(bad, spec, np.ones((2, 4)), np.zeros(2, dtype=int))
+        forward_loss(bad, spec, np.ones((2, 4)), np.zeros(2, dtype=int))
     with pytest.raises(DimensionError):
-        nn.forward_loss(params, spec, np.ones((2, 4)), np.array([0, 3]))  # label out of range
+        forward_loss(params, spec, np.ones((2, 4)), np.array([0, 3]))  # label out of range
     with pytest.raises(DimensionError):
         nn.check_params({"n0/W": params["n0/W"]}, spec)
+
+
+@pytest.mark.parametrize("activation", ["relu", "leaky_relu", "linear"])
+def test_forward_logits_bitwise_equals_the_traced_pass(activation):
+    spec = nn.dense_net("n", [7, 9, 6, 4], activation=activation)
+    params = nn.init_params(spec, 41)
+    x = RNG.normal(size=(11, 7))
+    want = nn.forward_logits_sym(params, spec, x).data
+    assert nn.forward_logits(params, spec, x).tobytes() == want.tobytes()
+
+
+def test_forward_logits_checks_input_shape():
+    spec = nn.dense_net("n", [4, 3])
+    params = nn.init_params(spec, 0)
+    for x in (np.ones((2, 5)), np.ones(4), np.ones((1, 2, 4))):
+        with pytest.raises(DimensionError, match=r"\[batch, 4\]"):
+            nn.forward_logits(params, spec, x)
+
+
+def test_only_network_imports_the_tape():
+    """Within the package, the autodiff tape sits behind loss_and_grad_params alone."""
+    importers = set()
+    for path in Path(nn.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(m.split(".")[-1] == "autodiff" for m in modules):
+                importers.add(path.name)
+    assert importers == {"network.py"}
 
 
 # -- gradients ---------------------------------------------------------------------
@@ -200,7 +234,7 @@ def test_grad_params_matches_finite_differences():
         def f(arr, name=name):
             trial = dict(params)
             trial[name] = arr
-            return nn.forward_loss(trial, spec, x, y)
+            return forward_loss(trial, spec, x, y)
 
         want = fd_grad_scalar(f, params[name])
         assert rel_err(grads[name], want) < 1e-5
@@ -212,7 +246,7 @@ def test_grad_input_matches_finite_differences():
     x = RNG.normal(size=(4, 5))
     y = RNG.integers(0, 3, size=4)
     got = input_grad(params, spec, x, y)
-    want = fd_grad_scalar(lambda arr: nn.forward_loss(params, spec, arr, y), x)
+    want = fd_grad_scalar(lambda arr: forward_loss(params, spec, arr, y), x)
     assert rel_err(got, want) < 1e-5
 
 
@@ -484,8 +518,8 @@ def test_loss_nonnegative_and_log_k_at_zero(batch, k, seed):
     rand = nn.init_params(spec, seed)
     x = rng.normal(size=(batch, 5))
     y = rng.integers(0, k, size=batch)
-    assert nn.forward_loss(zero, spec, x, y) == pytest.approx(np.log(k), rel=1e-13)
-    assert nn.forward_loss(rand, spec, x, y) >= 0.0
+    assert forward_loss(zero, spec, x, y) == pytest.approx(np.log(k), rel=1e-13)
+    assert forward_loss(rand, spec, x, y) >= 0.0
 
 
 # -- frozen tensors and buffer ownership ----------------------------------------------
