@@ -4,7 +4,9 @@ A config file names an algorithm, a dataset source, the model and
 hypernetwork architecture, the training recipe, and an output directory.
 `load_config` validates it against the published schema (unknown keys are
 rejected), fills in defaults, and returns a resolved view whose dict form
-round-trips through JSON byte-for-byte.  Builders then materialize the
+round-trips through JSON byte-for-byte.  The package checks the schema
+itself: `_errors` implements the draft-7 keywords the schema file uses, so
+numpy stays the only runtime dependency.  Builders then materialize the
 dataset, shards, and model bundle deterministically from the resolved
 values, so a stored `config.resolved.json` is enough to rebuild a run.
 
@@ -16,13 +18,12 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import os
 from dataclasses import MISSING, asdict, dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Optional
-
-import jsonschema
 
 from . import datakit as dk
 from .attack import AttackConfig
@@ -62,14 +63,70 @@ def _schema() -> dict:
         return json.load(f)
 
 
-def _validate(raw: dict, schema: dict, what: str) -> None:
+# -- schema validation: the draft-7 keywords experiment.schema.json uses -----------------
+
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "null": type(None)}
+_TYPES |= {"number": (int, float), "integer": int}
+_BOUNDS = {"minimum": operator.lt, "maximum": operator.gt}  # keyword -> comparison that breaks it
+_BOUNDS |= {"exclusiveMinimum": operator.le, "exclusiveMaximum": operator.ge}
+SCHEMA_KEYWORDS = {"type", "enum", "const", *_BOUNDS, "minLength", "items", "minItems", "maxItems"}
+SCHEMA_KEYWORDS |= {"properties", "required", "additionalProperties", "oneOf", "$ref"}
+
+
+def _is(value, type_name: str) -> bool:
+    """Draft-7 types: booleans are neither integers nor numbers, and 5.0 is an integer."""
+    if isinstance(value, bool) and type_name != "boolean":
+        return False
+    return isinstance(value, _TYPES[type_name]) or (
+        type_name == "integer" and isinstance(value, float) and value.is_integer()
+    )
+
+
+def _errors(value, schema: dict, root: dict, path: tuple = ()):
+    """Yield (path, message) for each way ``value`` breaks ``schema``, as draft 7 reads it."""
+    while "$ref" in schema:  # draft 7 ignores a $ref's siblings
+        schema = root["definitions"][schema["$ref"].removeprefix("#/definitions/")]
+    types = schema.get("type", [])
+    if types and not any(_is(value, t) for t in ([types] if isinstance(types, str) else types)):
+        yield path, f"{value!r} is not of type {types!r}"
+    allowed = schema.get("enum", [schema["const"]] if "const" in schema else None)
+    if allowed is not None and not any(
+        a == value and isinstance(a, bool) == isinstance(value, bool) for a in allowed  # true is not 1
+    ):
+        yield path, f"{value!r} is not one of {allowed!r}"
+    for key, breaks in _BOUNDS.items():
+        if key in schema and _is(value, "number") and breaks(value, schema[key]):
+            yield path, f"{value!r} is out of range ({key} {schema[key]!r})"
+    if isinstance(value, str) and len(value) < schema.get("minLength", 0):
+        yield path, f"{value!r} is too short"
+    if isinstance(value, list):
+        if not schema.get("minItems", 0) <= len(value) <= schema.get("maxItems", math.inf):
+            yield path, f"{value!r} has {len(value)} items"
+        for i, item in enumerate(value if "items" in schema else ()):
+            yield from _errors(item, schema["items"], root, path + (i,))
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                yield path, f"{key!r} is a required property"
+        extra = [k for k in value if k not in props]
+        if extra and schema.get("additionalProperties", True) is False:
+            yield path, f"unexpected properties {extra!r}"
+        for key, sub in props.items():
+            if key in value:
+                yield from _errors(value[key], sub, root, path + (key,))
+    if "oneOf" in schema:
+        passing = sum(next(_errors(value, sub, root, path), None) is None for sub in schema["oneOf"])
+        if passing != 1:
+            yield path, f"{value!r} is valid under {passing} of the given schemas, not exactly one"
+
+
+def _validate(raw, schema: dict, what: str) -> None:
     """Raise ConfigError naming the first offending path, in path order."""
-    validator = jsonschema.Draft7Validator(schema)
-    errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
-    if errors:
-        e = errors[0]
-        where = "/".join(str(p) for p in e.absolute_path) or "<root>"
-        raise ConfigError(f"{what} invalid at {where}: {e.message}")
+    first = min(_errors(raw, schema, schema), key=lambda e: e[0], default=None)
+    if first is not None:
+        where = "/".join(map(str, first[0])) or "<root>"
+        raise ConfigError(f"{what} invalid at {where}: {first[1]}")
 
 
 def _merge(defaults: dict, user: dict) -> dict:

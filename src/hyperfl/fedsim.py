@@ -750,18 +750,29 @@ def tensors_to_state(
 ) -> tuple[ServerState, list[ClientState]]:
     """Rebuild (server, clients) from a flattened snapshot plus data shards.
 
-    The tensor names must be those ``state_to_tensors`` writes for the
-    protocol and ``bundle``; the first missing or extra one raises
-    :class:`ConsistencyError`.  Optimizer state is not restored (snapshots
-    capture parameters, not momentum); resuming starts with fresh momentum.
+    The tensor names and shapes must be those ``state_to_tensors`` writes
+    for the protocol and ``bundle``; the first misshapen, missing or extra
+    tensor raises :class:`ConsistencyError`.  Optimizer state is not restored
+    (snapshots capture parameters, not momentum); resuming starts with fresh
+    momentum.
     """
     missing = sorted({"meta/algorithm", "meta/clients", "meta/round"} - flat.keys())
     if missing:
         raise ConsistencyError(f"snapshot lacks {missing}")
     algorithm = "".join(chr(int(x)) for x in np.asarray(flat["meta/algorithm"]).ravel())
+    want = _snapshot_shapes(algorithm, bundle, len(shards))
+    for name in sorted(want.keys() & flat.keys()):
+        got = np.shape(flat[name])
+        if got != want[name]:
+            raise ConsistencyError(
+                f"{algorithm} snapshot tensor {name!r} has shape {got}, expected {want[name]}"
+            )
     n_clients = int(float(flat["meta/clients"]))
     if n_clients != len(shards):
         raise ConsistencyError(f"snapshot has {n_clients} clients, got {len(shards)} shards")
+    for kind, names in (("lacks", want.keys() - flat), ("has unexpected", flat.keys() - want)):
+        if names:
+            raise ConsistencyError(f"{algorithm} snapshot {kind} tensor {min(names)!r}")
     round_t = int(float(flat["meta/round"]))
 
     def subtree(prefix: str) -> ParamSet:
@@ -804,26 +815,25 @@ def tensors_to_state(
             else None
         ),
     )
-    want = _snapshot_names(algorithm, bundle, n_clients)
-    for kind, names in (("lacks", want - flat.keys()), ("has unexpected", flat.keys() - want)):
-        if names:
-            raise ConsistencyError(f"{algorithm} snapshot {kind} tensor {min(names)!r}")
     return server, clients
 
 
-def _snapshot_names(algorithm: str, bundle: ModelBundle, n_clients: int) -> set[str]:
-    """Every tensor name ``state_to_tensors`` writes for this protocol and bundle."""
-    names = {"meta/algorithm", "meta/clients", "meta/round"}
+def _snapshot_shapes(algorithm: str, bundle: ModelBundle, n_clients: int) -> dict[str, tuple[int, ...]]:
+    """Every tensor ``state_to_tensors`` writes for this protocol and bundle, with its shape."""
+    shapes = {"meta/algorithm": (len(algorithm),), "meta/clients": (), "meta/round": ()}
+    embedding = (bundle.hyper.embedding_dim,)
     trees = [("server/varphi/", bundle.hyper)] if algorithm == "hyperfl" else []
     if algorithm == "pfedhn":
         trees.append(("server/varphi/", bundle.pfedhn_hyper()))
-        names.update(f"server/embedding/{cid}" for cid in range(n_clients))
+        shapes.update({f"server/embedding/{cid}": embedding for cid in range(n_clients)})
     elif algorithm in ("fedavg", "dp_fedavg"):
         trees.append(("server/model/", bundle.full))
     for cid in range(n_clients):
         if algorithm == "hyperfl":
-            names.add(f"client/{cid}/v")
+            shapes[f"client/{cid}/v"] = embedding
             trees += [(f"client/{cid}/phi_h/", bundle.hyper), (f"client/{cid}/phi_c/", bundle.cls)]
         else:
             trees.append((f"client/{cid}/model/", bundle.full))
-    return names | {prefix + name for prefix, spec in trees for name in spec.param_shapes()}
+    for prefix, spec in trees:
+        shapes.update({prefix + name: shape for name, shape in spec.param_shapes().items()})
+    return shapes

@@ -506,6 +506,30 @@ def test_attack_on_snapshot_without_a_state_tensor_exits_3(run_of, tmp_path, cap
     assert err.startswith("error:") and repr(key) in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "algorithm, key",
+    [
+        ("hyperfl", "client/0/v"),
+        ("hyperfl", "server/varphi/hyper/trunk/b"),
+        ("fedavg", "server/model/fe0/W"),
+        ("pfedhn", "server/embedding/0"),
+    ],
+)
+def test_attack_on_snapshot_with_a_misshapen_tensor_exits_3(run_of, tmp_path, capsys, algorithm, key):
+    run = tmp_path / "copy"
+    shutil.copytree(run_of(algorithm), run)
+    snap = run / "snapshots" / "round_0002.hfl"
+    flat = ckpt.read_checkpoint(snap)
+    flat[key] = flat[key][:-1]  # one row or value short
+    ckpt.write_checkpoint(snap, flat)
+    att = tmp_path / "att.json"
+    att.write_text('{"iterations": 2, "samples": 1}')
+    capsys.readouterr()
+    assert cli.main(["attack", str(snap), str(att)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{key!r} has shape" in err and len(err.splitlines()) == 1
+
+
 # -- report -------------------------------------------------------------------
 
 

@@ -649,6 +649,9 @@ def test_snapshot_layout_is_checked_against_the_bundle(algorithm):
     extra = {**flat, "client/1/extra": np.zeros(2)}
     with pytest.raises(ConsistencyError, match="unexpected tensor 'client/1/extra'"):
         fs.tensors_to_state(extra, shards, bundle)
+    misshapen = {**flat, "meta/round": np.array([1.0])}
+    with pytest.raises(ConsistencyError, match="'meta/round' has shape"):
+        fs.tensors_to_state(misshapen, shards, bundle)
     renamed = fs.ModelBundle(fe=bundle.fe, cls=nn.dense_net("head", [6, 3]), hyper=bundle.hyper)
     with pytest.raises(ConsistencyError, match="lacks tensor"):
         fs.tensors_to_state(flat, shards, renamed)
