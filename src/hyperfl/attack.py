@@ -50,8 +50,6 @@ _TAG_PROBE = 0x50524F42
 _TAG_DP = 0x4450414B
 
 GRAD_LOSSES = ("cosine", "l2")
-INIT_KINDS = ("uniform", "zeros")
-OPTIMIZERS = ("adam", "sgd")
 
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
@@ -62,18 +60,17 @@ _ADAM_EPS = 1e-8
 class AttackConfig:
     """Reconstruction-search settings.
 
-    Defaults are the strong published configuration: 10,000 iterations of
+    Defaults are the strong published configuration of Geiping et al.,
+    "Inverting Gradients" (arXiv:2003.14053): 10,000 iterations of
     adaptive-moment updates at step 0.1 (decayed by 0.1 at 3/8, 5/8 and 7/8
-    of the budget), cosine gradient loss, total-variation weight 1e-6,
-    seeded uniform init.
+    of the budget), cosine gradient loss, total-variation weight 1e-6.  The
+    update rule (Adam) and the seeded uniform init are fixed, not settings.
     """
 
     iterations: int = 10_000
     step_size: float = 0.1
     grad_loss: str = "cosine"
     tv_coeff: float = 1e-6
-    init: str = "uniform"
-    optimizer: str = "adam"
     seed: int = 0
 
     def __post_init__(self):
@@ -85,10 +82,6 @@ class AttackConfig:
             raise ConfigError(f"tv_coeff must be nonnegative, got {self.tv_coeff}")
         if self.grad_loss not in GRAD_LOSSES:
             raise ConfigError(f"grad_loss must be one of {GRAD_LOSSES}, got {self.grad_loss!r}")
-        if self.init not in INIT_KINDS:
-            raise ConfigError(f"init must be one of {INIT_KINDS}, got {self.init!r}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
 
 
 @dataclass(frozen=True)
@@ -179,7 +172,7 @@ def _decay_milestones(n: int) -> set[int]:
 
 
 def _optimize(value_and_grads, init: Mapping[str, np.ndarray], cfg: AttackConfig):
-    """Minimize a scalar objective over a dict of arrays.
+    """Minimize a scalar objective over a dict of arrays with Adam.
 
     ``value_and_grads(xs)`` returns the loss at ``xs`` and a dict of its
     gradients, one per key of ``xs``.  Returns (best iterate, best loss,
@@ -214,17 +207,13 @@ def _optimize(value_and_grads, init: Mapping[str, np.ndarray], cfg: AttackConfig
             best = {k: v.copy() for k, v in xs.items()}
         if t % 100 == 0:
             trace.append(TraceRow(t, loss, best_loss))
-        if cfg.optimizer == "adam":
-            step = t + 1
-            for k, g in grads.items():
-                m[k] = _ADAM_BETA1 * m[k] + (1.0 - _ADAM_BETA1) * g
-                u[k] = _ADAM_BETA2 * u[k] + (1.0 - _ADAM_BETA2) * np.square(g)
-                m_hat = m[k] / (1.0 - _ADAM_BETA1**step)
-                u_hat = u[k] / (1.0 - _ADAM_BETA2**step)
-                xs[k] = xs[k] - lr * m_hat / (np.sqrt(u_hat) + _ADAM_EPS)
-        else:
-            for k, g in grads.items():
-                xs[k] = xs[k] - lr * g
+        step = t + 1
+        for k, g in grads.items():
+            m[k] = _ADAM_BETA1 * m[k] + (1.0 - _ADAM_BETA1) * g
+            u[k] = _ADAM_BETA2 * u[k] + (1.0 - _ADAM_BETA2) * np.square(g)
+            m_hat = m[k] / (1.0 - _ADAM_BETA1**step)
+            u_hat = u[k] / (1.0 - _ADAM_BETA2**step)
+            xs[k] = xs[k] - lr * m_hat / (np.sqrt(u_hat) + _ADAM_EPS)
 
     final_loss, _ = value_and_grads(xs)
     if math.isfinite(final_loss) and final_loss < best_loss:
@@ -235,8 +224,6 @@ def _optimize(value_and_grads, init: Mapping[str, np.ndarray], cfg: AttackConfig
 
 
 def _init_image(shape: tuple[int, int], cfg: AttackConfig) -> np.ndarray:
-    if cfg.init == "zeros":
-        return np.zeros(shape, dtype=np.float64)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, _TAG_INIT)))
     return rng.uniform(0.0, 1.0, size=shape)
 
@@ -387,11 +374,7 @@ def _embedding_objective(phi: Mapping[str, np.ndarray], obs: Mapping[str, np.nda
     names = sorted(obs)
     trunk_w = np.ascontiguousarray(phi["hyper/trunk/W"], dtype=np.float64)
     trunk_wt = trunk_w.T.copy()
-    trunk_b = (
-        np.asarray(phi["hyper/trunk/b"], dtype=np.float64).reshape(1, spec.hidden_dim)
-        if spec.hidden_bias
-        else None
-    )
+    trunk_b = np.asarray(phi["hyper/trunk/b"], dtype=np.float64).reshape(1, spec.hidden_dim)
     heads = []
     for name, shape in spec.target:
         w = np.ascontiguousarray(phi[f"hyper/head/{name}/W"], dtype=np.float64)
@@ -401,9 +384,7 @@ def _embedding_objective(phi: Mapping[str, np.ndarray], obs: Mapping[str, np.nda
     def value_and_grads(xs: Mapping[str, np.ndarray]):
         v = xs["v"]
         row = v.reshape(1, spec.embedding_dim)
-        pre = row @ trunk_wt
-        if trunk_b is not None:
-            pre = pre + trunk_b
+        pre = row @ trunk_wt + trunk_b
         mask = (pre > 0.0).astype(np.float64)
         hidden = pre * mask
 
@@ -422,15 +403,11 @@ def _embedding_objective(phi: Mapping[str, np.ndarray], obs: Mapping[str, np.nda
             d_hidden = contrib if d_hidden is None else d_hidden + contrib
         d_pre = d_hidden * mask
         err["hyper/trunk/W"] = d_pre.T * row - obs["hyper/trunk/W"]
-        if trunk_b is not None:
-            err["hyper/trunk/b"] = d_pre.reshape(-1) - obs["hyper/trunk/b"]
+        err["hyper/trunk/b"] = d_pre.reshape(-1) - obs["hyper/trunk/b"]
         loss = sum(np.sum(err[k] * err[k]) for k in names)
 
         # dL/ds_k = 2 err_k; the factor 2 is applied once at the end
-        g_pre = err["hyper/trunk/W"] @ v
-        if trunk_b is not None:
-            g_pre = g_pre + err["hyper/trunk/b"]
-        g_pre = g_pre * mask[0]
+        g_pre = (err["hyper/trunk/W"] @ v + err["hyper/trunk/b"]) * mask[0]
         grads: dict[str, np.ndarray] = {}
         g_hidden = np.zeros(spec.hidden_dim)
         for (name, shape, w, _, _, e_w), r in zip(heads, residuals):

@@ -227,6 +227,8 @@ def cmd_report(args) -> int:
     )
     if not mean_rows:
         raise FormatError(f"{metrics_path} holds no per-round mean rows")
+    if len(mean_rows) == len(records):
+        raise FormatError(f"{metrics_path} holds no client rows")
     last_mean = mean_rows[-1]
 
     try:
@@ -270,18 +272,13 @@ def _attack_digest(path: Path) -> Optional[dict]:
 
 
 def _jsonable(obj):
-    """NaN-free, numpy-free copy for strict JSON emission."""
+    """NaN-free copy for strict JSON emission; every value is already a plain Python one."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        f = float(obj)
-        return None if math.isnan(f) else f
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
+    if isinstance(obj, float) and math.isnan(obj):
+        return None
     return obj
 
 

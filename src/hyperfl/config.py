@@ -47,7 +47,8 @@ _DEFAULTS = {
         "test_fraction": 1.0 / 6.0,
     },
     "model": {"activation": "relu"},
-    "hypernet": {f.name: f.default for f in fields(HypernetSpec) if f.default is not MISSING},
+    "hypernet": {f.name: f.default for f in fields(HypernetSpec) if f.default is not MISSING}
+    | {"hidden_bias": True},  # accepted only as true: the trunk always has a bias
     "rounds": asdict(RoundConfig()),
     "dp": {"clip_norm": None, "sigma": 0.0},
 }
@@ -266,8 +267,8 @@ def load_attack_overrides(path: str | Path) -> tuple[AttackConfig, int]:
         raise ConfigError(f"attack config is not valid JSON at line {e.lineno}: {e.msg}")
     definitions = _schema()["definitions"]
     _validate(raw, {**definitions["attack"], "definitions": definitions}, "attack config")
-    merged = _merge(ATTACK_DEFAULTS, raw)
-    return AttackConfig(**{k: v for k, v in merged.items() if k != "samples"}), int(merged["samples"])
+    merged = _merge(ATTACK_DEFAULTS, raw)  # the single-valued "init" and "optimizer" are not fields
+    return AttackConfig(**{f.name: merged[f.name] for f in fields(AttackConfig)}), int(merged["samples"])
 
 
 # -- builders -------------------------------------------------------------------
@@ -307,6 +308,11 @@ def build_bundle(cfg: ExperimentConfig) -> ModelBundle:
         raise ConfigError(
             f"extractor input width {m['extractor'][0]} does not match {ds['side']}x{ds['side']} images"
         )
+    shape = ds["image_shape"]
+    if shape is not None and shape[0] * shape[1] != m["extractor"][0]:
+        raise ConfigError(
+            f"dataset/image_shape {shape} does not hold the extractor's {m['extractor'][0]} inputs"
+        )
     fe = dense_net("fe", m["extractor"], activation=m["activation"])
     cls = dense_net("cls", m["classifier"], activation=m["activation"])
     h = cfg.data["hypernet"]
@@ -314,6 +320,5 @@ def build_bundle(cfg: ExperimentConfig) -> ModelBundle:
         target=target_from_netspec(fe),
         embedding_dim=h["embedding_dim"],
         hidden_dim=h["hidden_dim"],
-        hidden_bias=h["hidden_bias"],
     )
     return ModelBundle(fe=fe, cls=cls, hyper=hyper)

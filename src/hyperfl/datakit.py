@@ -8,7 +8,6 @@ can be exported to JSON for auditing exactly which rows each client saw.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -322,8 +321,3 @@ def write_manifest(path: str | Path, shards: Sequence[np.ndarray]) -> None:
     """JSON audit record: client id -> the exact sample indices it received."""
     payload = {str(c): np.asarray(idx).tolist() for c, idx in enumerate(shards)}
     write_json(path, payload)
-
-
-def read_manifest(path: str | Path) -> list[np.ndarray]:
-    payload = json.loads(Path(path).read_text())
-    return [np.asarray(payload[str(c)], dtype=np.int64) for c in range(len(payload))]

@@ -103,7 +103,6 @@ class ModelBundle:
             target=target_from_netspec(self.full),
             embedding_dim=self.hyper.embedding_dim,
             hidden_dim=self.hyper.hidden_dim,
-            hidden_bias=self.hyper.hidden_bias,
         )
 
 
@@ -759,7 +758,12 @@ def tensors_to_state(
     missing = sorted({"meta/algorithm", "meta/clients", "meta/round"} - flat.keys())
     if missing:
         raise ConsistencyError(f"snapshot lacks {missing}")
-    algorithm = "".join(chr(int(x)) for x in np.asarray(flat["meta/algorithm"]).ravel())
+    try:
+        algorithm = "".join(chr(int(x)) for x in np.asarray(flat["meta/algorithm"]).ravel())
+    except (OverflowError, ValueError):  # a code point chr() rejects, or NaN
+        algorithm = None
+    if algorithm not in ALGORITHMS:
+        raise ConsistencyError(f"snapshot meta/algorithm does not name one of {ALGORITHMS}")
     want = _snapshot_shapes(algorithm, bundle, len(shards))
     for name in sorted(want.keys() & flat.keys()):
         got = np.shape(flat[name])

@@ -39,14 +39,13 @@ def target_from_netspec(spec: NetSpec) -> TargetSpec:
 class HypernetSpec:
     """Architecture of the weight generator.
 
-    ``hidden_bias`` toggles the trunk bias (kept on by default).  Head
-    widths are implied by the target shapes: one row per generated value.
+    The trunk always has a bias.  Head widths are implied by the target
+    shapes: one row per generated value.
     """
 
     target: TargetSpec
     embedding_dim: int = 64
     hidden_dim: int = 100
-    hidden_bias: bool = True
 
     def __post_init__(self):
         if self.embedding_dim <= 0 or self.hidden_dim <= 0:
@@ -61,9 +60,8 @@ class HypernetSpec:
                 raise DimensionError(f"target {name!r} has invalid shape {shape}")
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
-        shapes: dict[str, tuple[int, ...]] = {"hyper/trunk/W": (self.hidden_dim, self.embedding_dim)}
-        if self.hidden_bias:
-            shapes["hyper/trunk/b"] = (self.hidden_dim,)
+        h, d = self.hidden_dim, self.embedding_dim
+        shapes: dict[str, tuple[int, ...]] = {"hyper/trunk/W": (h, d), "hyper/trunk/b": (h,)}
         for name, shape in self.target:
             size = int(np.prod(shape))
             shapes[f"hyper/head/{name}/W"] = (size, self.hidden_dim)
@@ -106,9 +104,7 @@ def _trunk(v, phi_h, spec: HypernetSpec) -> tuple[np.ndarray, np.ndarray, dict[s
     phi = {name: np.asarray(val, dtype=np.float64) for name, val in phi_h.items()}
     # the traced forward pass's operations, in its order
     row = v.reshape(1, spec.embedding_dim)
-    hidden = row @ phi["hyper/trunk/W"].T.copy()
-    if spec.hidden_bias:
-        hidden = hidden + phi["hyper/trunk/b"].reshape(1, spec.hidden_dim)
+    hidden = row @ phi["hyper/trunk/W"].T.copy() + phi["hyper/trunk/b"].reshape(1, spec.hidden_dim)
     hidden = hidden * (hidden > 0.0).astype(np.float64)
     return row, hidden, phi
 
@@ -155,8 +151,7 @@ def hypernet_backward(
 
     d_pre = d_hidden * (hidden > 0.0)
     d_phi["hyper/trunk/W"] = d_pre.T @ row
-    if spec.hidden_bias:
-        d_phi["hyper/trunk/b"] = d_pre.reshape(spec.hidden_dim)
+    d_phi["hyper/trunk/b"] = d_pre.reshape(spec.hidden_dim)
     dv = (d_pre @ np.ascontiguousarray(phi["hyper/trunk/W"])).reshape(spec.embedding_dim)
     # tree_sq_norm sums in dict order: keep the tape's sorted order
     return {name: d_phi[name] for name in sorted(d_phi)}, dv
@@ -182,8 +177,7 @@ def init_hypernet(spec: HypernetSpec, seed: int) -> tuple[ParamSet, np.ndarray]:
     phi_h["hyper/trunk/W"] = phi_stream.uniform(
         -trunk_bound, trunk_bound, size=(spec.hidden_dim, spec.embedding_dim)
     )
-    if spec.hidden_bias:
-        phi_h["hyper/trunk/b"] = phi_stream.uniform(-trunk_bound, trunk_bound, size=spec.hidden_dim)
+    phi_h["hyper/trunk/b"] = phi_stream.uniform(-trunk_bound, trunk_bound, size=spec.hidden_dim)
     for name, shape in spec.target:
         size = int(np.prod(shape))
         bound = 1.0 / (math.sqrt(spec.hidden_dim) * math.sqrt(_target_fan_in(shape)))

@@ -5,10 +5,10 @@ The round-record CSV schema is part of the package's external surface:
     round,client_id,train_loss,test_acc,grad_sq_norm,hypernet_drift,extractor_drift,seconds
 
 one row per (round, client) plus a ``_mean`` aggregate row per round.  The
-``seconds`` column is intentionally left empty in every row: wall-clock time
-is inherently nondeterministic, and the metrics file must be byte-identical
-across reruns of the same seeded experiment.  Timings go to a separate
-``timings.csv`` (schema ``round,seconds``) next to the metrics file.
+``seconds`` column is written empty in every row and no record carries it:
+wall-clock time is inherently nondeterministic, and the metrics file must be
+byte-identical across reruns of the same seeded experiment.  Timings go to a
+separate ``timings.csv`` (schema ``round,seconds``) next to the metrics file.
 
 Fields that were not measured (e.g. step metrics of clients not sampled in a
 round) serialize as ``nan``.  :func:`final_accuracy` reads each client's
@@ -106,11 +106,7 @@ def accuracy(params: ParamSet, spec: NetSpec, x: np.ndarray, y: np.ndarray) -> f
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """One client's metrics for one round (client_id ``_mean`` for aggregates).
-
-    ``seconds`` rides along in memory but is not written to the metrics CSV
-    (see module docstring).
-    """
+    """One client's metrics for one round (client_id ``_mean`` for aggregates)."""
 
     round: int
     client_id: str
@@ -119,7 +115,6 @@ class RoundRecord:
     grad_sq_norm: float = math.nan
     hypernet_drift: float = math.nan
     extractor_drift: float = math.nan
-    seconds: float = math.nan
 
 
 def _fmt(x: float) -> str:
@@ -176,13 +171,13 @@ def write_metrics_csv(path: str | Path, records: Sequence[RoundRecord]) -> None:
             writer.writerow(
                 [r.round, r.client_id]
                 + [_fmt(getattr(r, name)) for name in NUMERIC_FIELDS]
-                + [""]  # seconds: never serialized here
+                + [""]  # seconds: always empty
             )
     write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
 def read_metrics_csv(path: str | Path) -> list[RoundRecord]:
-    """Read every row back, aggregate rows included; empty fields become NaN."""
+    """Read every row back, aggregate rows included; empty cells become NaN, bad cells raise."""
     out: list[RoundRecord] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -194,7 +189,9 @@ def read_metrics_csv(path: str | Path) -> list[RoundRecord]:
                 raise ConsistencyError(f"row has {len(row)} fields, expected {len(CSV_HEADER)}")
             try:
                 nums = [math.nan if cell == "" else float(cell) for cell in row[2:]]
-                out.append(RoundRecord(int(row[0]), row[1], *nums))
+                if not (row[1] == "_mean" or row[1].isdecimal()):
+                    raise ValueError(f"client id {row[1]!r} is neither an integer nor _mean")
+                out.append(RoundRecord(int(row[0]), row[1], *nums[: len(NUMERIC_FIELDS)]))
             except ValueError as e:
                 raise ConsistencyError(f"{path} line {reader.line_num}: {e}") from None
     return out

@@ -21,8 +21,7 @@ def hypernet_forward_sym(v, phi_h, spec):
 
     row = ad.reshape(vv, (1, spec.embedding_dim))
     hidden = ad.matmul(row, ad.transpose(ad.as_var(phi_h["hyper/trunk/W"])))
-    if spec.hidden_bias:
-        hidden = ad.add(hidden, ad.reshape(ad.as_var(phi_h["hyper/trunk/b"]), (1, spec.hidden_dim)))
+    hidden = ad.add(hidden, ad.reshape(ad.as_var(phi_h["hyper/trunk/b"]), (1, spec.hidden_dim)))
     hidden = ad.relu(hidden)
 
     theta = {}

@@ -115,7 +115,6 @@ def test_attack_config_defaults_and_validation():
     assert cfg.iterations == 10_000
     assert cfg.step_size == 0.1
     assert cfg.tv_coeff == 1e-6
-    assert cfg.optimizer == "adam"
     with pytest.raises(ConfigError):
         atk.AttackConfig(iterations=-1)
     with pytest.raises(ConfigError):
@@ -124,10 +123,6 @@ def test_attack_config_defaults_and_validation():
         atk.AttackConfig(tv_coeff=-1e-9)
     with pytest.raises(ConfigError):
         atk.AttackConfig(grad_loss="l1")
-    with pytest.raises(ConfigError):
-        atk.AttackConfig(init="noise")
-    with pytest.raises(ConfigError):
-        atk.AttackConfig(optimizer="lbfgs")
 
 
 # -- analytic oracle --------------------------------------------------------------
@@ -204,9 +199,10 @@ def test_gradient_from_delta_inverts_one_step():
 
 def test_ig_attack_zero_iterations_returns_init():
     _, tr = fedavg_tr()
-    cfg = atk.AttackConfig(iterations=0, init="zeros")
+    cfg = atk.AttackConfig(iterations=0, seed=3)
     x_hat, trace = atk.ig_attack(tr.public(), cfg)
-    assert np.array_equal(x_hat, np.zeros((H, W)))
+    assert np.array_equal(x_hat, atk._init_image((H, W), cfg))
+    assert x_hat.min() >= 0.0 and x_hat.max() < 1.0
     assert len(trace) == 1 and trace[0].iteration == 0
 
 
@@ -216,9 +212,9 @@ def test_ig_attack_reconstructs_batch1_input():
     assert mx.psnr(x_hat, img) >= 20.0  # typically lands far above this
 
 
-def test_ig_attack_l2_and_sgd_also_make_progress():
+def test_ig_attack_l2_loss_also_makes_progress():
     img, tr = fedavg_tr()
-    cfg = atk.AttackConfig(iterations=120, grad_loss="l2", optimizer="sgd", step_size=2.0, seed=1)
+    cfg = atk.AttackConfig(iterations=120, grad_loss="l2", seed=1)
     x_hat, trace = atk.ig_attack(tr.public(), cfg)
     assert trace[-1].best_loss < trace[0].loss
 
@@ -344,18 +340,12 @@ def central_differences(value_and_grads, xs, key, h=1e-6):
     return (value_and_grads(up)[0] - value_and_grads(down)[0]) / (2 * h), d
 
 
-def random_hyper(widths, embedding_dim, hidden_dim, hidden_bias, seed):
+def random_hyper(widths, embedding_dim, hidden_dim, seed):
     fe = nn.dense_net("fe", widths)
-    spec = hn.HypernetSpec(
-        target=hn.target_from_netspec(fe),
-        embedding_dim=embedding_dim,
-        hidden_dim=hidden_dim,
-        hidden_bias=hidden_bias,
-    )
+    spec = hn.HypernetSpec(target=hn.target_from_netspec(fe), embedding_dim=embedding_dim, hidden_dim=hidden_dim)
     rng = np.random.default_rng(seed)
     phi = {k: rng.normal(size=s) for k, s in spec.param_shapes().items()}
-    if hidden_bias:
-        phi["hyper/trunk/b"] -= 0.5
+    phi["hyper/trunk/b"] -= 0.5
     obs = {k: rng.normal(size=s) for k, s in spec.param_shapes().items()}
     return spec, phi, obs, rng
 
@@ -365,14 +355,13 @@ def random_hyper(widths, embedding_dim, hidden_dim, hidden_bias, seed):
     widths=st.lists(st.integers(min_value=1, max_value=9), min_size=2, max_size=4),
     embedding_dim=st.integers(min_value=1, max_value=10),
     hidden_dim=st.integers(min_value=1, max_value=16),
-    hidden_bias=st.booleans(),
     v_scale=st.sampled_from([0.0, 0.01, 1.0, 30.0]),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_embedding_objective_matches_tape(widths, embedding_dim, hidden_dim, hidden_bias, v_scale, seed):
+def test_embedding_objective_matches_tape(widths, embedding_dim, hidden_dim, v_scale, seed):
     # 1-3 extractor layers; the v scale and the shifted trunk bias leave some
-    # hidden ReLUs dead (all of them at scale 0 without a bias)
-    spec, phi, obs, rng = random_hyper(widths, embedding_dim, hidden_dim, hidden_bias, seed)
+    # hidden ReLUs dead
+    spec, phi, obs, rng = random_hyper(widths, embedding_dim, hidden_dim, seed)
     xs = {"v": v_scale * rng.normal(size=embedding_dim)}
     for name, shape in spec.target:
         xs[f"theta/{name}"] = rng.normal(size=shape)
@@ -488,9 +477,8 @@ def test_matching_loss_vanishes_at_the_true_input(activation):
         assert abs(loss) <= eps
 
 
-@pytest.mark.parametrize("hidden_bias", [True, False])
-def test_embedding_objective_gradients_match_finite_differences(hidden_bias):
-    spec, phi, obs, rng = random_hyper([6, 5, 3], 4, 7, hidden_bias, seed=11)
+def test_embedding_objective_gradients_match_finite_differences():
+    spec, phi, obs, rng = random_hyper([6, 5, 3], 4, 7, seed=11)
     xs = {"v": rng.normal(size=4), **{f"theta/{n}": rng.normal(size=s) for n, s in spec.target}}
     closed = atk._embedding_objective(phi, obs, spec)
     _, grads = closed(xs)
@@ -676,7 +664,6 @@ def test_hyperfl_transcript_observed_bitwise_equals_merged_pass(seed):
         target=hn.target_from_netspec(fe),
         embedding_dim=int(rng.integers(2, 6)),
         hidden_dim=int(rng.integers(3, 10)),
-        hidden_bias=bool(rng.integers(2)),
     )
     phi_h, v = hn.init_hypernet(hyper, seed=seed)
     phi_c = nn.init_params(cls, rng)

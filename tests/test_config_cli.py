@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hyperfl import attack as atk
 from hyperfl import checkpoint as ckpt
 from hyperfl import cli
 from hyperfl import config as cfgmod
@@ -155,6 +156,40 @@ def test_attack_overrides_reject_unknown_keys(tmp_path):
         cfgmod.load_attack_overrides(p)
 
 
+def readme_json_blocks() -> list[dict]:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return [json.loads(block.split("```", 1)[0]) for block in text.split("```json\n")[1:]]
+
+
+def test_readme_quick_start_and_attack_settings_load(tmp_path):
+    experiment, settings = readme_json_blocks()
+    cfg = cfgmod.load_config(write_config(tmp_path / "config.json", experiment), apply_env=False)
+    assert cfg.algorithm == "hyperfl" and cfg.data["rounds"]["total_rounds"] == 20
+    acfg, samples = cfgmod.load_attack_overrides(write_config(tmp_path / "attack.json", settings))
+    assert acfg == atk.AttackConfig() and samples == 50
+
+
+def test_single_valued_keys_load_only_their_value(fedavg_run, tmp_path, capsys):
+    # older files name them; their one value loads, the removed one exits 1 naming the key
+    cfg = base_config(tmp_path / "run", hypernet={"hidden_bias": True})
+    assert cfgmod.load_config(write_config(tmp_path / "e.json", cfg)).data["hypernet"]["hidden_bias"] is True
+    p = write_config(tmp_path / "att.json", {"init": "uniform", "optimizer": "adam", "iterations": 3})
+    assert cfgmod.load_attack_overrides(p) == (atk.AttackConfig(iterations=3), 50)
+
+    out = tmp_path / "off"
+    cfg_path = write_config(tmp_path / "off.json", base_config(out, hypernet={"hidden_bias": False}))
+    runs = [["train", str(cfg_path)]]
+    for key, value in (("init", "zeros"), ("optimizer", "sgd")):
+        att = write_config(tmp_path / f"{key}.json", {key: value, "samples": 1})
+        runs.append(["attack", str(fedavg_run / "snapshots" / "round_0002.hfl"), str(att)])
+    capsys.readouterr()
+    for argv, path in zip(runs, ["hypernet/hidden_bias", "init", "optimizer"]):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"at {path}:" in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_attack_block_in_experiment_config_exits_1(tmp_path, capsys):
     # attack settings live in their own file (`hyperfl attack SNAPSHOT SETTINGS`)
     out = tmp_path / "run"
@@ -175,6 +210,15 @@ def test_extractor_width_checked_against_dataset(tmp_path):
     )
     with pytest.raises(ConfigError, match="5x5"):
         cfgmod.build_bundle(cfgmod.ExperimentConfig(cfgmod.resolve(cfg)))
+
+
+def test_image_shape_checked_against_extractor_width(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg_path = write_config(tmp_path / "e.json", base_config(out, dataset={"image_shape": [5, 5]}))
+    assert cli.main(["train", str(cfg_path)]) == 1  # 25 pixels, 16 extractor inputs
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "dataset/image_shape" in err and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_group_layout_wraps_consecutive_classes(tmp_path):
@@ -440,6 +484,25 @@ def test_attack_on_snapshot_without_meta_exits_3(fedavg_run, tmp_path, capsys, k
     assert err.startswith("error:") and key in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "codes",
+    [[1e20], [-1.0], [math.nan], [float(ord(ch)) for ch in "xyz"]],
+    ids=["overflow", "negative", "nan", "unknown-name"],
+)
+def test_attack_on_snapshot_with_bad_algorithm_code_points_exits_3(fedavg_run, tmp_path, capsys, codes):
+    run = tmp_path / "copy"
+    shutil.copytree(fedavg_run, run)
+    snap = run / "snapshots" / "round_0002.hfl"
+    flat = ckpt.read_checkpoint(snap)
+    flat["meta/algorithm"] = np.array(codes)
+    ckpt.write_checkpoint(snap, flat)
+    att = tmp_path / "att.json"
+    att.write_text('{"samples": 1}')
+    assert cli.main(["attack", str(snap), str(att)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "meta/algorithm" in err and len(err.splitlines()) == 1
+
+
 def test_attack_on_sharing_free_algorithm_exits_1(tmp_path, capsys):
     out = train_run(tmp_path, algorithm="local", rounds={"total_rounds": 1})
     att = tmp_path / "att.json"
@@ -617,6 +680,26 @@ def test_report_on_non_numeric_metrics_cell_exits_3(fedavg_run, tmp_path, capsys
     assert cli.main(["report", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and "line 3" in err and len(err.splitlines()) == 1
+
+
+def test_report_on_bad_client_id_exits_3(fedavg_run, tmp_path, capsys):
+    lines = (fedavg_run / "metrics.csv").read_text().splitlines()
+    row = lines[2].split(",")
+    row[1] = "client1"
+    lines[2] = ",".join(row)
+    (tmp_path / "metrics.csv").write_text("\n".join(lines) + "\n")
+    assert cli.main(["report", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 3" in err and "'client1'" in err and len(err.splitlines()) == 1
+
+
+def test_report_on_metrics_without_client_rows_exits_3(fedavg_run, tmp_path, capsys):
+    lines = (fedavg_run / "metrics.csv").read_text().splitlines()
+    kept = [lines[0]] + [line for line in lines[1:] if line.split(",")[1] == "_mean"]
+    (tmp_path / "metrics.csv").write_text("\n".join(kept) + "\n")
+    assert cli.main(["report", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no client rows" in err and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(

@@ -24,10 +24,7 @@ def random_phi(seed):
 
 def straightline_forward(v, phi_h, spec):
     """Independent numpy reimplementation: two matmuls per target, plain loops."""
-    hidden = phi_h["hyper/trunk/W"] @ v
-    if spec.hidden_bias:
-        hidden = hidden + phi_h["hyper/trunk/b"]
-    hidden = np.maximum(hidden, 0.0)
+    hidden = np.maximum(phi_h["hyper/trunk/W"] @ v + phi_h["hyper/trunk/b"], 0.0)
     theta = {}
     for name, shape in spec.target:
         flat = phi_h[f"hyper/head/{name}/W"] @ hidden + phi_h[f"hyper/head/{name}/b"]
@@ -108,16 +105,6 @@ def test_forward_shape_errors():
     missing.pop("hyper/trunk/W")
     with pytest.raises(DimensionError):
         hn.hypernet_forward(RNG.normal(size=8), missing, SPEC)
-
-
-def test_no_hidden_bias_variant():
-    spec = hn.HypernetSpec(target=SPEC.target, embedding_dim=8, hidden_dim=13, hidden_bias=False)
-    assert "hyper/trunk/b" not in spec.param_shapes()
-    phi, v = hn.init_hypernet(spec, seed=4)
-    theta = hn.hypernet_forward(v, phi, spec)
-    want = straightline_forward(v, phi, spec)
-    for name, _ in spec.target:
-        np.testing.assert_allclose(theta[name], want[name], atol=1e-12)
 
 
 # -- backward -----------------------------------------------------------------------
@@ -245,24 +232,17 @@ def test_backward_rejects_missing_or_misshapen_phi(name):
     widths=st.lists(st.integers(min_value=1, max_value=9), min_size=2, max_size=4),
     embedding_dim=st.integers(min_value=1, max_value=10),
     hidden_dim=st.integers(min_value=1, max_value=16),
-    hidden_bias=st.booleans(),
     v_scale=st.sampled_from([0.0, 0.01, 1.0, 30.0]),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_closed_form_is_bitwise_the_tape(widths, embedding_dim, hidden_dim, hidden_bias, v_scale, seed):
+def test_closed_form_is_bitwise_the_tape(widths, embedding_dim, hidden_dim, v_scale, seed):
     # 1-3 extractor layers; the v scale and a shifted trunk bias leave some
-    # ReLUs dead (all of them at scale 0 without a bias)
+    # ReLUs dead
     fe = nn.dense_net("fe", widths)
-    spec = hn.HypernetSpec(
-        target=hn.target_from_netspec(fe),
-        embedding_dim=embedding_dim,
-        hidden_dim=hidden_dim,
-        hidden_bias=hidden_bias,
-    )
+    spec = hn.HypernetSpec(target=hn.target_from_netspec(fe), embedding_dim=embedding_dim, hidden_dim=hidden_dim)
     rng = np.random.default_rng(seed)
     phi = {k: rng.normal(size=s) for k, s in spec.param_shapes().items()}
-    if hidden_bias:
-        phi["hyper/trunk/b"] -= 0.5
+    phi["hyper/trunk/b"] -= 0.5
     v = v_scale * rng.normal(size=embedding_dim)
     d_theta = {name: rng.normal(size=shape) for name, shape in spec.target}
 

@@ -154,7 +154,6 @@ def make_records():
                     grad_sq_norm=1.0 / math.sqrt(t + 1),
                     hypernet_drift=0.1 * (t + 1),
                     extractor_drift=0.2 / (t + 1),
-                    seconds=float(t),
                 )
             )
     return recs
@@ -173,19 +172,16 @@ def test_csv_round_trip_and_mean_rows(tmp_path):
     for a, b in zip(sorted(recs, key=lambda r: (r.round, int(r.client_id))), clients):
         assert a.round == b.round and a.client_id == b.client_id
         assert b.train_loss == pytest.approx(a.train_loss, abs=0)  # repr() is exact
-        assert math.isnan(b.seconds)  # the column is written empty
+    rows = path.read_text().splitlines()
+    assert all(row.endswith(",") for row in rows[1:])  # the seconds column is written empty
 
 
 def test_csv_is_byte_deterministic(tmp_path):
     recs = make_records()
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     mx.write_metrics_csv(p1, recs)
-    # same records, different in-memory order and different wall-clock values
-    shuffled = [
-        mx.RoundRecord(**{**r.__dict__, "seconds": r.seconds + 123.456})
-        for r in reversed(recs)
-    ]
-    mx.write_metrics_csv(p2, shuffled)
+    # same records, different in-memory order
+    mx.write_metrics_csv(p2, list(reversed(recs)))
     assert p1.read_bytes() == p2.read_bytes()
 
 
