@@ -33,15 +33,28 @@ hyper = hn.HypernetSpec(target=hn.target_from_netspec(fe), embedding_dim=8, hidd
 bundle = fs.ModelBundle(fe=fe, cls=cls, hyper=hyper)
 cfg = fs.RoundConfig(local_epochs=5, batch_size=10, total_rounds=ROUNDS)
 
+
+class TrafficWire(fs.Wire):
+    """Notes the size of every message it sends; the library's wire keeps nothing."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def send(self, *args, **kwargs):
+        msg = super().send(*args, **kwargs)
+        self.sizes.append(len(msg.payload))
+        return msg
+
+
 results = {}
 for algo in ("local", "fedavg", "pfedhn", "hyperfl"):
-    wire = fs.Wire()
+    wire = TrafficWire()
     _, _, records = fs.run_experiment(algo, bundle, shards, cfg, seed=SEED, wire=wire)
     acc = {r.round: [] for r in records}
     for r in records:
         acc[r.round].append(r.test_acc)
     curve = {t: float(np.mean(v)) for t, v in acc.items()}
-    traffic = sum(len(m.payload) for m in wire.messages)
+    traffic = sum(wire.sizes)
     results[algo] = (curve, traffic, mx.convergence_stats(records))
 
 print(f"{'round':>5} " + " ".join(f"{a:>8}" for a in results))

@@ -16,6 +16,11 @@ Entries are written sorted by name, so two parameter sets with equal content
 serialize to identical bytes regardless of insertion order.  Payload bytes
 are copied verbatim: NaNs, infinities and signed zeros survive a round trip
 bit-for-bit.
+
+One encoder, :func:`encode_chunks`, yields the container piece by piece and
+serves both sinks: :func:`dump_params` joins the pieces into bytes for the
+wire, and :func:`write_checkpoint` streams them into the file, so a snapshot
+is never held in memory as a whole.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import os
 import struct
 import threading
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -35,23 +40,28 @@ MAGIC = b"HFLTNSR1"
 _MAX_NDIM = 32
 
 
-def dump_params(params: Mapping[str, np.ndarray]) -> bytes:
-    """Serialize a name -> tensor map to the container format."""
-    chunks = [MAGIC, struct.pack("<I", len(params))]
+def encode_chunks(params: Mapping[str, np.ndarray]) -> Iterator[bytes | np.ndarray]:
+    """The container encoding of a name -> tensor map, as consecutive byte chunks.
+
+    A tensor that is already C-contiguous little-endian float64 is yielded
+    as its own buffer, not copied; any other is converted once.
+    """
+    yield MAGIC + struct.pack("<I", len(params))
     for name in sorted(params):
         raw = name.encode("utf-8")
         if len(raw) > 0xFFFF:
             raise FormatError(f"tensor name too long ({len(raw)} bytes)")
-        # asarray only: ascontiguousarray would promote 0-d arrays to 1-d
+        # the dims come from asarray: ascontiguousarray would promote 0-d arrays to 1-d
         arr = np.asarray(params[name], dtype=np.float64)
         if arr.ndim > _MAX_NDIM:
             raise FormatError(f"{name}: ndim {arr.ndim} exceeds container limit {_MAX_NDIM}")
-        chunks.append(struct.pack("<H", len(raw)))
-        chunks.append(raw)
-        chunks.append(struct.pack("<B", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(arr.astype("<f8", copy=False).tobytes(order="C"))
-    return b"".join(chunks)
+        yield struct.pack(f"<H{len(raw)}sB{arr.ndim}I", len(raw), raw, arr.ndim, *arr.shape)
+        yield np.ascontiguousarray(arr, dtype="<f8")
+
+
+def dump_params(params: Mapping[str, np.ndarray]) -> bytes:
+    """Serialize a name -> tensor map to the container format."""
+    return b"".join(encode_chunks(params))
 
 
 def load_params(data: bytes) -> dict[str, np.ndarray]:
@@ -102,18 +112,19 @@ def load_params(data: bytes) -> dict[str, np.ndarray]:
     return out
 
 
-def write_atomic(path: str | Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` atomically.
+def write_atomic(path: str | Path, data: bytes | Iterable[bytes | np.ndarray]) -> None:
+    """Write ``data``, bytes or byte chunks written in order, to ``path`` atomically.
 
     The bytes go to a temporary file in the same directory, which then
-    replaces ``path``: a crash mid-write leaves the previous file as it was.
+    replaces ``path``: a crash anywhere mid-write, producing a chunk
+    included, leaves the previous file as it was and no temporary file.
     """
     path = Path(path)
     # one temporary name per writing thread: concurrent writers never share it
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            fh.writelines([data] if isinstance(data, bytes) else data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -126,8 +137,8 @@ def write_json(path: str | Path, obj) -> None:
 
 
 def write_checkpoint(path: str | Path, params: Mapping[str, np.ndarray]) -> None:
-    """Write ``params`` to ``path`` atomically (see :func:`write_atomic`)."""
-    write_atomic(path, dump_params(params))
+    """Stream ``params`` into ``path`` atomically (see :func:`write_atomic`)."""
+    write_atomic(path, encode_chunks(params))
 
 
 def read_checkpoint(path: str | Path) -> dict[str, np.ndarray]:

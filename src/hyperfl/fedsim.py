@@ -8,7 +8,11 @@ Every value that crosses the client/server boundary goes through a
 those bytes; there is no side channel.  Each message is checked against the
 exact set of tensor names the protocol allows in that direction; a classifier
 tensor or an embedding showing up in a HyperFL message raises
-:class:`~hyperfl.errors.PrivacyError` before anything is recorded.
+:class:`~hyperfl.errors.PrivacyError` before anything is encoded.
+
+Nothing keeps a payload once it is decoded: the wire holds no log, and each
+upload folds into the running aggregate as it arrives, so a round holds one
+upload at a time however many clients it samples.
 
 Determinism
 -----------
@@ -31,9 +35,10 @@ Algorithm tags: ``hyperfl``, ``fedavg``, ``dp_fedavg``, ``local``,
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -210,11 +215,13 @@ class Message:
         return checkpoint.load_params(self.payload)
 
 
-@dataclass
 class Wire:
-    """Records every message and polices which tensor names may cross."""
+    """The one path every message takes: polices which tensor names may cross.
 
-    messages: list[Message] = field(default_factory=list)
+    ``send`` checks the names, encodes the payload and returns the
+    :class:`Message`; the wire keeps nothing.  A caller that wants a log of
+    the traffic subclasses it and records what ``send`` returns.
+    """
 
     def send(
         self,
@@ -230,7 +237,7 @@ class Wire:
             raise PrivacyError(
                 f"{sender} -> {receiver}: tensors {sorted(illegal)} are not allowed on the wire"
             )
-        msg = Message(
+        return Message(
             sender=sender,
             receiver=receiver,
             kind=kind,
@@ -238,8 +245,6 @@ class Wire:
             payload=checkpoint.dump_params(payload),
             names=tuple(sorted(payload.keys())),
         )
-        self.messages.append(msg)
-        return msg
 
 
 def _allowed_upload_names(algorithm: str, bundle: ModelBundle) -> set[str]:
@@ -389,18 +394,23 @@ def dp_sanitize(update: ParamSet, dp: DPConfig, rng: np.random.Generator) -> Par
 # -- aggregation ---------------------------------------------------------------------
 
 
-def aggregate(uploads: Sequence[ParamSet], weights: Sequence[float]) -> ParamSet:
-    """Weighted elementwise mean of parameter sets.
+def aggregate(uploads: Iterable[ParamSet], weights: Sequence[float]) -> ParamSet:
+    """Weighted elementwise mean of parameter sets, folded in as they arrive.
 
-    Weights must be nonnegative with sum within 1e-9 of 1 (they are then
-    renormalized exactly).  Computed as u0 + sum_i w_i (u_i - u0), which makes
-    a single upload (and any set of identical uploads) return the common
-    value bitwise.
+    ``uploads`` may be any iterable; it is consumed lazily, one upload at a
+    time, so only the first upload, the running sum and the current upload
+    are held.  Weights must be nonnegative with sum within 1e-9 of 1 (they
+    are then renormalized exactly).  Computed as u0 + sum_i w_i (u_i - u0),
+    summed elementwise in upload order, which makes a single upload (and any
+    set of identical uploads) return the common value bitwise.  Checks run
+    in this order: no upload, the weights, each upload's names and shapes
+    as it arrives, and last the count, which shows only when the input
+    outruns the weights or runs out.
     """
-    if not uploads:
+    uploads = iter(uploads)
+    anchor = next(uploads, None)
+    if anchor is None:
         raise ConfigError("aggregate needs at least one upload")
-    if len(uploads) != len(weights):
-        raise ConsistencyError(f"{len(uploads)} uploads but {len(weights)} weights")
     w = np.asarray(weights, dtype=np.float64)
     if np.any(w < 0):
         raise ConfigError("aggregation weights must be nonnegative")
@@ -409,26 +419,30 @@ def aggregate(uploads: Sequence[ParamSet], weights: Sequence[float]) -> ParamSet
         raise ConsistencyError(f"aggregation weights sum to {total}, expected 1 within 1e-9")
     w = w / total
 
-    keys = uploads[0].keys()
-    for i, u in enumerate(uploads[1:], start=1):
+    keys = anchor.keys()
+    acc = {k: np.zeros_like(anchor[k], dtype=np.float64) for k in keys}
+    n = 0
+    for u in itertools.chain([anchor], uploads):
+        if n == len(w):
+            raise ConsistencyError(f"more than {len(w)} uploads but {len(w)} weights")
         if u.keys() != keys:
-            raise DimensionError(f"upload {i} has different tensor names")
+            raise DimensionError(f"upload {n} has different tensor names")
         for k in keys:
-            if np.asarray(u[k]).shape != np.asarray(uploads[0][k]).shape:
-                raise DimensionError(f"upload {i} tensor {k} has mismatched shape")
+            if np.asarray(u[k]).shape != np.asarray(anchor[k]).shape:
+                raise DimensionError(f"upload {n} tensor {k} has mismatched shape")
+        for k in keys:
+            acc[k] += w[n] * (np.asarray(u[k], dtype=np.float64) - anchor[k])
+        n += 1
+    if n != len(w):
+        raise ConsistencyError(f"{n} uploads but {len(w)} weights")
 
-    anchor = uploads[0]
-    out = tree_copy(anchor)
-    for k in keys:
-        acc = np.zeros_like(out[k])
-        for wi, u in zip(w, uploads):
-            acc += wi * (np.asarray(u[k], dtype=np.float64) - anchor[k])
-        # skip the final add when the correction is identically zero so that
-        # single or identical uploads come back bitwise (adding 0.0 would
-        # flip the sign of -0.0 entries)
-        if np.any(acc):
-            out[k] = anchor[k] + acc
-    return out
+    # skip the final add when the correction is identically zero so that
+    # single or identical uploads come back bitwise (adding 0.0 would flip
+    # the sign of -0.0 entries)
+    return {
+        k: anchor[k] + acc[k] if np.any(acc[k]) else np.array(anchor[k], dtype=np.float64, copy=True)
+        for k in keys
+    }
 
 
 def sample_clients(
@@ -566,8 +580,10 @@ def run_round(
 
     Sampled clients train one after another in ascending id; each one's row
     is built right after its training, from its loss, gradient norm and
-    drift.  Unsampled clients keep NaN step metrics.  Every client, trained
-    or not, then gets its ``test_acc`` from one :func:`evaluate_clients` call.
+    drift, and its upload folds into :func:`aggregate` before the next
+    client trains.  Unsampled clients keep NaN step metrics.  Every client,
+    trained or not, then gets its ``test_acc`` from one
+    :func:`evaluate_clients` call.
     """
     wire = wire if wire is not None else Wire()
     t = server.round_t + 1
@@ -585,15 +601,15 @@ def run_round(
     else:
         upload_names = _allowed_upload_names(algorithm, bundle)
         train = local_train_hyperfl if algorithm == "hyperfl" else local_train_fedavg
-        uploads: list[ParamSet] = []
-        for cid in sampled:
+
+        def train_client(cid: int) -> ParamSet | None:
+            """Train one sampled client and record its row; its upload as the server decodes it."""
             client = clients[cid]
             if algorithm == "local":  # no broadcast, train from own model
                 received = client.model
             else:  # decoded from wire bytes on the "client side"
                 sent = server.varphi_bar if algorithm == "hyperfl" else server.global_model
-                msg = wire.send("server", f"client:{cid}", "broadcast", t, sent, upload_names)
-                received = msg.tensors()
+                received = wire.send("server", f"client:{cid}", "broadcast", t, sent, upload_names).tensors()
             step_rng = derive_rng(seed, _TAG_STEP, cid, t)
             new_c, upload, stats = train(client, received, bundle, cfg, step_rng)
             new_clients[cid] = new_c
@@ -609,14 +625,18 @@ def run_round(
                 t, str(cid), train_loss=stats.train_loss, grad_sq_norm=stats.grad_sq_norm,
                 hypernet_drift=hdrift, extractor_drift=edrift,
             )
-            if algorithm != "local":
-                msg = wire.send(f"client:{cid}", "server", "upload", t, upload, upload_names)
-                uploads.append(msg.tensors())
+            if algorithm == "local":
+                return None
+            return wire.send(f"client:{cid}", "server", "upload", t, upload, upload_names).tensors()
 
-        # aggregation phase, ascending client id, weights n_i over the sampled subset
-        if uploads:
+        if algorithm == "local":
+            for cid in sampled:
+                train_client(cid)
+        else:
+            # each upload folds into the aggregate as it arrives, in ascending
+            # client id, weights n_i over the sampled subset
             sizes = np.array([clients[cid].train.n for cid in sampled], dtype=np.float64)
-            merged = aggregate(uploads, list(sizes / sizes.sum()))
+            merged = aggregate((train_client(cid) for cid in sampled), list(sizes / sizes.sum()))
             if algorithm == "hyperfl":
                 changes = {"varphi_bar": merged}
             else:
@@ -771,13 +791,13 @@ def tensors_to_state(
             raise ConsistencyError(
                 f"{algorithm} snapshot tensor {name!r} has shape {got}, expected {want[name]}"
             )
-    n_clients = int(float(flat["meta/clients"]))
+    n_clients = _meta_count(flat, "meta/clients")
     if n_clients != len(shards):
         raise ConsistencyError(f"snapshot has {n_clients} clients, got {len(shards)} shards")
     for kind, names in (("lacks", want.keys() - flat), ("has unexpected", flat.keys() - want)):
         if names:
             raise ConsistencyError(f"{algorithm} snapshot {kind} tensor {min(names)!r}")
-    round_t = int(float(flat["meta/round"]))
+    round_t = _meta_count(flat, "meta/round")
 
     def subtree(prefix: str) -> ParamSet:
         plen = len(prefix)
@@ -820,6 +840,14 @@ def tensors_to_state(
         ),
     )
     return server, clients
+
+
+def _meta_count(flat: ParamSet, name: str) -> int:
+    """A snapshot's ``meta/clients`` or ``meta/round``: a count a float64 holds exactly."""
+    x = float(flat[name])
+    if not (0 <= x < 2.0**53 and x.is_integer()):  # NaN fails every comparison
+        raise ConsistencyError(f"snapshot {name} is {x!r}, expected an integer in [0, 2**53)")
+    return int(x)
 
 
 def _snapshot_shapes(algorithm: str, bundle: ModelBundle, n_clients: int) -> dict[str, tuple[int, ...]]:

@@ -412,6 +412,18 @@ def test_criterion_08_pfedhn_susceptibility(attack_bench):
 # -- 9: privacy boundary ------------------------------------------------------------
 
 
+class RecordingWire(fs.Wire):
+    """A wire that keeps every message it sends, so the test can scan the traffic."""
+
+    def __init__(self):
+        self.messages = []
+
+    def send(self, *args, **kwargs):
+        msg = super().send(*args, **kwargs)
+        self.messages.append(msg)
+        return msg
+
+
 def test_criterion_09_privacy_boundary():
     seed = 9
     ds = dk.synth_dataset(num_classes=3, dim=8, per_class=60, separation=3.0, seed=seed)
@@ -442,7 +454,7 @@ def test_criterion_09_privacy_boundary():
     planted = ckpt.dump_params({"x": clients[0].phi_c["cls0/W"]})
     detector_fires = any(planted.find(b) >= 0 for b in private_bytes())
 
-    wire = fs.Wire()
+    wire = RecordingWire()
     cfg = fs.RoundConfig(local_epochs=1, batch_size=10, total_rounds=20)
     secrets = private_bytes()
     for _ in range(20):

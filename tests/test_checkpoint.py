@@ -1,6 +1,8 @@
 """Tensor container: bit-exact round trips, format policing, atomic writes."""
 
+import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,20 +53,85 @@ def test_file_round_trip(tmp_path):
     assert back["a/W"].tobytes() == params["a/W"].astype(np.float64).tobytes()
 
 
-@pytest.mark.parametrize("stage", ["dump_params", "replace"])
+@pytest.mark.parametrize("stage", ["encode_chunks", "mid_write", "replace"])
 def test_failed_write_keeps_previous_file_and_leaves_no_temp(tmp_path, monkeypatch, stage):
     path = tmp_path / "round_0001.hfl"
     ckpt.write_checkpoint(path, {"a": np.arange(4.0)})
     before = path.read_bytes()
+    encode = ckpt.encode_chunks
 
     def crash(*args):
         raise OSError("disk full")
 
-    monkeypatch.setattr(ckpt if stage == "dump_params" else ckpt.os, stage, crash)
+    def crash_after_first_chunk(params):
+        chunks = encode(params)
+        yield next(chunks)
+        assert [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")], "the temporary file is open"
+        raise OSError("disk full")
+
+    if stage == "replace":
+        monkeypatch.setattr(ckpt.os, "replace", crash)
+    else:
+        monkeypatch.setattr(ckpt, "encode_chunks", crash if stage == "encode_chunks" else crash_after_first_chunk)
     with pytest.raises(OSError):
         ckpt.write_checkpoint(path, {"a": np.zeros(4)})
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["round_0001.hfl"]
+
+
+def reference_container(params):
+    """The container built eagerly from ``tobytes`` copies: the oracle for the streamed encoder."""
+    out = [b"HFLTNSR1", struct.pack("<I", len(params))]
+    for name in sorted(params):
+        raw = name.encode("utf-8")
+        arr = np.asarray(params[name], dtype=np.float64)
+        out += [struct.pack("<H", len(raw)), raw, struct.pack("<B", arr.ndim), struct.pack(f"<{arr.ndim}I", *arr.shape)]
+        out.append(arr.astype("<f8").tobytes(order="C"))
+    return b"".join(out)
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1.5, -2.25])
+
+
+@st.composite
+def tensors(draw):
+    shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+    values = draw(st.lists(SPECIAL | st.floats(width=64), min_size=math.prod(shape), max_size=math.prod(shape)))
+    arr = np.array(values, dtype=np.float64).reshape(shape)
+    layout = draw(st.sampled_from(["contiguous", "transposed", "strided", "big-endian", "scalar"]))
+    if layout == "transposed":
+        return arr.T
+    if layout == "strided" and arr.ndim:
+        return np.repeat(arr, 2, axis=-1)[..., ::2]  # same values, every other element of a buffer
+    if layout == "big-endian":
+        return arr.astype(">f8")
+    if layout == "scalar":
+        return float(arr.reshape(-1)[0]) if arr.size else np.float64(-0.0)
+    return arr
+
+
+@settings(max_examples=80, deadline=None)
+@given(params=st.dictionaries(st.text(st.characters(codec="utf-8"), max_size=6), tensors(), max_size=4))
+def test_written_file_equals_dump_params(tmp_path_factory, params):
+    path = tmp_path_factory.mktemp("sink") / "state.hfl"
+    ckpt.write_checkpoint(path, params)
+    blob = ckpt.dump_params(params)
+    assert path.read_bytes() == blob == reference_container(params)
+
+
+def test_write_checkpoint_streams_without_copying_the_container(tmp_path):
+    rng = np.random.default_rng(4)
+    params = {f"t{i}": rng.normal(size=(64, 512)) for i in range(8)}  # 256 KiB each
+    size = len(ckpt.dump_params(params))
+    tracemalloc.start()
+    try:
+        ckpt.write_checkpoint(tmp_path / "state.hfl", params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # contiguous float64 tensors go to the file from their own buffers: the
+    # peak stays below one tensor, let alone one copy of the 2 MiB container
+    assert peak < size // 8, (peak, size)
 
 
 SAMPLE = atk.sample_record(0, "fedavg", np.zeros((2, 2)), {"psnr": 1.0, "ssim": 0.5}, [])

@@ -503,6 +503,32 @@ def test_attack_on_snapshot_with_bad_algorithm_code_points_exits_3(fedavg_run, t
     assert err.startswith("error:") and "meta/algorithm" in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("meta/clients", math.nan),
+        ("meta/round", math.inf),
+        ("meta/clients", 1e300),
+        ("meta/round", -1.0),
+        ("meta/round", 2.5),
+    ],
+    ids=["clients-nan", "round-inf", "clients-huge", "round-negative", "round-fraction"],
+)
+def test_attack_on_snapshot_with_a_bad_meta_count_exits_3(fedavg_run, tmp_path, capsys, key, value):
+    run = tmp_path / "copy"
+    shutil.copytree(fedavg_run, run)
+    snap = run / "snapshots" / "round_0002.hfl"
+    flat = ckpt.read_checkpoint(snap)
+    flat[key] = np.array(value)
+    ckpt.write_checkpoint(snap, flat)
+    att = tmp_path / "att.json"
+    att.write_text('{"iterations": 2, "samples": 1}')
+    assert cli.main(["attack", str(snap), str(att)]) == 3
+    err = capsys.readouterr().err
+    # one short line: the value as written, not a 300-digit integer
+    assert err.startswith("error:") and key in err and len(err.splitlines()) == 1 and len(err) < 120
+
+
 def test_attack_on_sharing_free_algorithm_exits_1(tmp_path, capsys):
     out = train_run(tmp_path, algorithm="local", rounds={"total_rounds": 1})
     att = tmp_path / "att.json"

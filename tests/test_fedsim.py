@@ -4,10 +4,15 @@ Composition oracles rebuild one local step by hand from loss_and_grad_params +
 sgd_step with an identically seeded batch stream, then demand equality.
 """
 
+import gc
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperfl import autodiff as ad
 from hyperfl import checkpoint as ckpt
@@ -35,6 +40,18 @@ def make_shards(m, n=24, seed=0):
         shard = ds.subset(np.arange(c * n, (c + 1) * n))
         shards.append(dk.train_test_split(shard, seed=seed + c))
     return shards
+
+
+class RecordingWire(fs.Wire):
+    """A wire that keeps every message it sends, for tests that read the traffic."""
+
+    def __init__(self):
+        self.messages = []
+
+    def send(self, *args, **kwargs):
+        msg = super().send(*args, **kwargs)
+        self.messages.append(msg)
+        return msg
 
 
 def quick_cfg(**kw):
@@ -117,6 +134,85 @@ def test_aggregate_weight_validation():
     # tiny deviation renormalizes instead of failing
     out = fs.aggregate([u, u], [0.5, 0.5 + 1e-10])
     np.testing.assert_allclose(out["w"], np.ones(2), rtol=1e-12)
+
+
+def anchored_mean(uploads, weights):
+    """The anchored formula over a list, one tensor at a time: the reference for the fold."""
+    w = np.asarray(weights, dtype=np.float64)
+    w = w / float(w.sum())
+    out = {}
+    for k, a0 in uploads[0].items():
+        acc = np.zeros_like(a0)
+        for wi, u in zip(w, uploads):
+            acc += wi * (u[k] - a0)
+        out[k] = a0 + acc if np.any(acc) else a0.copy()
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    m=st.integers(min_value=1, max_value=6),
+    shapes=st.lists(st.lists(st.integers(0, 4), max_size=3).map(tuple), min_size=1, max_size=3),
+    identical=st.booleans(),
+)
+def test_aggregate_generator_input_matches_list_bitwise(seed, m, shapes, identical):
+    rng = np.random.default_rng(seed)
+    first = {f"t{i}": rng.normal(size=s) for i, s in enumerate(shapes)}
+    for a in first.values():
+        a.reshape(-1)[::2] = -0.0  # signed zeros must survive a single or identical set
+    if identical:
+        uploads = [{k: a.copy() for k, a in first.items()} for _ in range(m)]
+    else:
+        uploads = [first] + [{k: rng.normal(size=a.shape) for k, a in first.items()} for _ in range(m - 1)]
+    weights = list(rng.uniform(0.01, 1.0, size=m))
+    weights = [x / sum(weights) for x in weights]
+    want = anchored_mean(uploads, weights)
+    for got in (fs.aggregate(uploads, weights), fs.aggregate((u for u in uploads), weights)):
+        assert got.keys() == want.keys()
+        for k in want:
+            assert got[k].shape == want[k].shape and got[k].tobytes() == want[k].tobytes()
+    if identical or m == 1:
+        assert all(want[k].tobytes() == first[k].tobytes() for k in first)
+
+
+def test_aggregate_holds_one_upload_at_a_time():
+    rng = np.random.default_rng(12)
+    alive = []  # weak references to each upload's tensor, in arrival order
+
+    def uploads():
+        for i in range(6):
+            # every upload but the anchor and the one just folded is gone
+            assert [ref() is not None for ref in alive[1:-1]] == [False] * max(i - 2, 0)
+            u = {"w": rng.normal(size=(3, 3))}
+            alive.append(weakref.ref(u["w"]))
+            yield u
+
+    fs.aggregate(uploads(), [1 / 6] * 6)
+    assert len(alive) == 6
+
+
+U1 = {"w": np.ones(2)}
+
+
+@pytest.mark.parametrize(
+    "uploads, weights, error",
+    [
+        ([U1, U1], [0.6, 0.5], ConsistencyError),
+        ([U1, U1], [1.5, -0.5], ConfigError),
+        ([], [], ConfigError),
+        ([U1, {"w": np.ones(3)}], [0.5, 0.5], DimensionError),
+        ([U1, {"v": np.ones(2)}], [0.5, 0.5], DimensionError),
+        ([U1, U1], [1.0], ConsistencyError),
+        ([U1], [0.5, 0.5], ConsistencyError),
+    ],
+    ids=["sum", "negative", "empty", "shape", "names", "more-uploads", "fewer-uploads"],
+)
+def test_aggregate_generator_input_raises_like_a_list(uploads, weights, error):
+    with pytest.raises(error):
+        fs.aggregate(uploads, weights)
+    with pytest.raises(error):
+        fs.aggregate((u for u in uploads), weights)
 
 
 # -- sampling ------------------------------------------------------------------
@@ -328,11 +424,57 @@ def test_identical_clients_upload_identically():
         assert agg[k].tobytes() == ups[0][k].tobytes()
 
 
+@pytest.mark.parametrize("algorithm", ["fedavg", "dp_fedavg"])
+def test_round_memory_does_not_grow_with_sampled_uploads(algorithm, monkeypatch):
+    # a 64-256-128-10 model, about 400 KB; eight clients, of which a round
+    # samples two or all eight
+    train = fs.local_train_fedavg
+
+    def train_then_collect(*args):
+        # each training step's tape holds reference cycles that only the
+        # cyclic collector frees; collecting per client makes the peak count
+        # what the round keeps, not garbage waiting for the collector
+        out = train(*args)
+        gc.collect()
+        return out
+
+    monkeypatch.setattr(fs, "local_train_fedavg", train_then_collect)
+    fe = nn.dense_net("fe", [64, 256, 128])
+    cls = nn.dense_net("cls", [128, 10])
+    hyper = hn.HypernetSpec(target=hn.target_from_netspec(fe), embedding_dim=2, hidden_dim=2)
+    bundle = fs.ModelBundle(fe=fe, cls=cls, hyper=hyper)
+    ds = dk.synth_dataset(num_classes=10, dim=64, per_class=12, separation=2.0, seed=2)
+    shards = [dk.train_test_split(ds.subset(np.arange(c * 15, (c + 1) * 15)), seed=c) for c in range(8)]
+    dp = fs.DPConfig(clip_norm=1.0, sigma=0.01) if algorithm == "dp_fedavg" else fs.DPConfig()
+
+    def round_peak(rate):
+        server, clients = fs.init_experiment(algorithm, bundle, shards, seed=2)
+        cfg = quick_cfg(total_rounds=3, sampling_rate=rate, batch_size=16)
+        tracemalloc.start()
+        try:
+            _, new_clients, _ = fs.run_round(server, clients, bundle, cfg, dp, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak, new_clients
+
+    few, _ = round_peak(0.25)
+    many, new_clients = round_peak(1.0)
+    model_bytes = sum(a.nbytes for a in new_clients[0].model.values())
+    # a trained client's own new state: its model and its momentum
+    new_state = model_bytes + sum(a.nbytes for a in new_clients[0].opt_c.values())
+    per_client = (many - few) / 6
+    # margin: a quarter of a model for allocator and bookkeeping noise; one
+    # more copy of an upload per client (a kept payload or decoded upload)
+    # would exceed it four times over
+    assert per_client <= new_state + model_bytes / 4, (per_client, new_state)
+
+
 def test_hyperfl_wire_carries_only_hypernet_names():
     bundle = small_bundle()
     shards = make_shards(3)
     server, clients = fs.init_experiment("hyperfl", bundle, shards, seed=4)
-    wire = fs.Wire()
+    wire = RecordingWire()
     cfg = quick_cfg(total_rounds=2)
     dp = fs.DPConfig()
     server, clients, _ = fs.run_round(server, clients, bundle, cfg, dp, seed=4, wire=wire)
@@ -345,7 +487,7 @@ def test_hyperfl_wire_carries_only_hypernet_names():
 
 
 def test_wire_rejects_forbidden_tensor():
-    wire = fs.Wire()
+    wire = RecordingWire()
     with pytest.raises(PrivacyError):
         wire.send("client:0", "server", "upload", 1, {"cls0/W": np.ones((2, 2))}, {"hyper/trunk/W"})
     assert wire.messages == []  # nothing recorded on refusal
@@ -355,7 +497,7 @@ def test_local_mode_sends_nothing_and_diverges():
     bundle = small_bundle()
     shards = make_shards(2, n=20, seed=5)
     server, clients = fs.init_experiment("local", bundle, shards, seed=5)
-    wire = fs.Wire()
+    wire = RecordingWire()
     cfg = quick_cfg(total_rounds=2)
     server, clients, _ = fs.run_round(server, clients, bundle, cfg, fs.DPConfig(), seed=5, wire=wire)
     assert wire.messages == []
@@ -562,7 +704,7 @@ def test_pfedhn_wire_exposes_full_model():
     bundle = small_bundle()
     shards = make_shards(2, n=12)
     server, clients = fs.init_experiment("pfedhn", bundle, shards, seed=11)
-    wire = fs.Wire()
+    wire = RecordingWire()
     cfg = quick_cfg(total_rounds=1)
     fs.run_round(server, clients, bundle, cfg, fs.DPConfig(), seed=11, wire=wire)
     full_names = set(bundle.full.param_shapes())
