@@ -14,10 +14,15 @@ every adjoint is what the full reverse pass would give, bit for bit.
 
 All arithmetic is 64-bit.  Operations never mutate their inputs; a ``Var``
 and its payload may be shared freely across threads.
+
+No node references itself, so a graph is freed as soon as its last outside
+reference drops.  The VJPs of ``exp`` and ``sqrt`` reuse their own output and
+hold it weakly; :func:`grad` keeps every node alive through the reverse pass.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,7 +41,7 @@ _CONVERSION_MSG = (
 class Var:
     """Node in the computation graph: an ndarray plus parent edges."""
 
-    __slots__ = ("data", "parents")
+    __slots__ = ("data", "parents", "__weakref__")
 
     def __init__(self, data: Array | float, parents: tuple[tuple["Var", VjpFn], ...] = ()):
         arr = np.asarray(data, dtype=np.float64)
@@ -220,7 +225,8 @@ def mean_(a, axis=None, keepdims: bool = False) -> Var:
 def exp(a) -> Var:
     a = as_var(a)
     out = Var(np.exp(a.data))
-    out.parents = ((a, lambda g: mul(g, out)),)
+    ref = weakref.ref(out)
+    out.parents = ((a, lambda g: mul(g, ref())),)
     return out
 
 
@@ -234,7 +240,8 @@ def log(a) -> Var:
 def sqrt(a) -> Var:
     a = as_var(a)
     out = Var(np.sqrt(a.data))
-    out.parents = ((a, lambda g: div(mul(g, constant(0.5)), out)),)
+    ref = weakref.ref(out)
+    out.parents = ((a, lambda g: div(mul(g, constant(0.5)), ref())),)
     return out
 
 

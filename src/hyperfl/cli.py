@@ -15,9 +15,9 @@ Every artifact lands under the config's output directory:
     attack_summary.csv     per-sample PSNR/SSIM table
     report/                summary.json plus plot-ready per-metric series
 
-Exit codes: 0 success, 1 bad configuration, 2 numeric failure mid-run
-(a best-effort emergency snapshot is written first), 3 file or format
-problems.
+Exit codes: 0 success, 1 bad configuration, 2 numeric failure mid-run, 3
+file or format problems.  A numeric failure or an interrupt (Ctrl-C) mid-run
+first writes a best-effort emergency snapshot of the last intact state.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def cmd_train(args) -> int:
             dp=cfg.dp_config,
             on_round=on_round,
         )
-    except NumericError:
+    except (NumericError, KeyboardInterrupt):
         if "state" in latest:  # keep what progress there was
             _write_snapshot(out / "snapshots" / "emergency.hfl", *latest["state"])
         raise

@@ -6,6 +6,9 @@ Second-order behaviour is exercised explicitly because downstream code
 differentiates through gradient-valued objectives.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -242,7 +245,59 @@ def test_grad_of_gradient_norm_through_logsumexp():
     np.testing.assert_allclose(gg.data, fd_grad(outer, z), rtol=1e-4, atol=1e-8)
 
 
+def test_hessian_vector_product_through_sqrt_matches_fd_of_gradient():
+    x = RNG.normal(size=(5,))
+    vec = RNG.normal(size=(5,))
+    w = RNG.uniform(0.5, 1.5, size=(5,))
+
+    def loss(v):
+        return ad.sum_(ad.mul(ad.sqrt(ad.add(ad.square(v), ad.constant(1.0))), ad.constant(w)))
+
+    xv = ad.Var(x)
+    (g,) = ad.grad(loss(xv), [xv])
+    (hv,) = ad.grad(ad.dot(g, ad.constant(vec)), [xv])
+
+    h = 1e-5
+    gp = engine_grad(loss, x + h * vec)
+    gm = engine_grad(loss, x - h * vec)
+    np.testing.assert_allclose(hv.data, (gp - gm) / (2.0 * h), rtol=1e-4, atol=1e-7)
+
+
+@pytest.mark.parametrize(
+    "op, want",
+    [(ad.exp, lambda x: 2.0 * np.exp(2.0 * x)), (ad.sqrt, lambda x: -0.25 / x**2)],
+)
+def test_second_order_reaches_an_output_held_only_by_the_graph(op, want):
+    # no name holds op's output: the loss holds it for the first pass, and
+    # the first-order adjoint, which reuses it, for the second
+    x = np.array([0.7, 1.9])
+    xv = ad.Var(x)
+    loss = ad.sum_(op(xv))
+    (g,) = ad.grad(loss, [xv])
+    del loss
+    (gg,) = ad.grad(ad.sum_(ad.square(g)), [xv])
+    np.testing.assert_allclose(gg.data, want(x), rtol=1e-12)
+
+
 # -- bookkeeping ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("op", [ad.exp, ad.sqrt])
+def test_graph_dies_with_its_last_outside_reference(op):
+    # reference counting alone frees the graph: no node is part of a cycle
+    gc.collect()
+    gc.disable()
+    try:
+        xv = ad.Var(np.array([0.7, 1.9]))
+        out = op(xv)
+        loss = ad.sum_(ad.square(out))
+        (g,) = ad.grad(loss, [xv])
+        (gg,) = ad.grad(ad.sum_(g), [xv])
+        alive = weakref.ref(out)
+        del out, loss, g, gg
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_grad_zero_for_unreached_variable():

@@ -20,6 +20,7 @@ from hyperfl import checkpoint as ckpt
 from hyperfl import cli
 from hyperfl import config as cfgmod
 from hyperfl import datakit as dk
+from hyperfl import fedsim as fs
 from hyperfl import metrics as mx
 from hyperfl.errors import ConfigError
 
@@ -359,6 +360,27 @@ def test_numeric_blowup_exits_2_and_leaves_emergency_snapshot(tmp_path):
     cfg_path = write_config(tmp_path / "e.json", cfg)
     assert cli.main(["train", str(cfg_path)]) == 2
     assert (out / "snapshots" / "emergency.hfl").exists()
+
+
+def test_interrupt_mid_run_leaves_emergency_snapshot(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    cfg_path = write_config(tmp_path / "i.json", base_config(out, rounds={"total_rounds": 5}))
+    run_round = fs.run_round
+
+    def interrupted_in_round_3(server, *args, **kw):
+        if server.round_t == 2:
+            raise KeyboardInterrupt
+        return run_round(server, *args, **kw)
+
+    monkeypatch.setattr(fs, "run_round", interrupted_in_round_3)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["train", str(cfg_path)])
+    cfg = cfgmod.load_config(out / "config.resolved.json", apply_env=False)
+    shards = cfgmod.build_shards(cfg, cfgmod.build_dataset(cfg))
+    flat = ckpt.read_checkpoint(out / "snapshots" / "emergency.hfl")
+    server, clients = fs.tensors_to_state(flat, shards, cfgmod.build_bundle(cfg))
+    assert flat["meta/round"] == 2.0
+    assert server.round_t == 2 and len(clients) == 3
 
 
 def test_cli_leaves_working_directory_clean(tmp_path, monkeypatch):

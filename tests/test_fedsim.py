@@ -425,20 +425,9 @@ def test_identical_clients_upload_identically():
 
 
 @pytest.mark.parametrize("algorithm", ["fedavg", "dp_fedavg"])
-def test_round_memory_does_not_grow_with_sampled_uploads(algorithm, monkeypatch):
+def test_round_memory_does_not_grow_with_sampled_uploads(algorithm):
     # a 64-256-128-10 model, about 400 KB; eight clients, of which a round
     # samples two or all eight
-    train = fs.local_train_fedavg
-
-    def train_then_collect(*args):
-        # each training step's tape holds reference cycles that only the
-        # cyclic collector frees; collecting per client makes the peak count
-        # what the round keeps, not garbage waiting for the collector
-        out = train(*args)
-        gc.collect()
-        return out
-
-    monkeypatch.setattr(fs, "local_train_fedavg", train_then_collect)
     fe = nn.dense_net("fe", [64, 256, 128])
     cls = nn.dense_net("cls", [128, 10])
     hyper = hn.HypernetSpec(target=hn.target_from_netspec(fe), embedding_dim=2, hidden_dim=2)
@@ -450,12 +439,17 @@ def test_round_memory_does_not_grow_with_sampled_uploads(algorithm, monkeypatch)
     def round_peak(rate):
         server, clients = fs.init_experiment(algorithm, bundle, shards, seed=2)
         cfg = quick_cfg(total_rounds=3, sampling_rate=rate, batch_size=16)
+        # the cyclic collector stays off: the peak counts what reference
+        # counting alone frees, so a step's tape must die with its step
+        gc.collect()
+        gc.disable()
         tracemalloc.start()
         try:
             _, new_clients, _ = fs.run_round(server, clients, bundle, cfg, dp, seed=2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+            gc.enable()
         return peak, new_clients
 
     few, _ = round_peak(0.25)
@@ -540,6 +534,22 @@ def test_dp_with_noise_differs_from_fedavg():
         "dp_fedavg", bundle, shards, cfg, seed=13, dp=fs.DPConfig(clip_norm=0.5, sigma=1e-3)
     )
     assert s_fed.global_model["fe0/W"].tobytes() != s_dp.global_model["fe0/W"].tobytes()
+
+
+@pytest.mark.parametrize("algorithm", fs.ALGORITHMS)
+def test_training_round_leaves_no_cyclic_garbage(algorithm):
+    # every training step's tape dies with the step, by reference counting
+    bundle = small_bundle()
+    shards = make_shards(3, n=12)
+    dp = fs.DPConfig(clip_norm=1.0, sigma=0.01)
+    gc.collect()
+    gc.disable()
+    try:
+        server, clients = fs.init_experiment(algorithm, bundle, shards, seed=1)
+        fs.run_round(server, clients, bundle, quick_cfg(), dp, seed=1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("algorithm", fs.ALGORITHMS)
