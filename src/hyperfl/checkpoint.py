@@ -21,16 +21,25 @@ One encoder, :func:`encode_chunks`, yields the container piece by piece and
 serves both sinks: :func:`dump_params` joins the pieces into bytes for the
 wire, and :func:`write_checkpoint` streams them into the file, so a snapshot
 is never held in memory as a whole.
+
+One parser, :func:`load_params`, reads the container from a seekable binary
+stream and serves both sources: wire payloads are wrapped in
+:class:`io.BytesIO`, and :func:`read_checkpoint` hands it the open file.
+Every size is checked against what the stream has left before anything is
+allocated, and each payload is read straight into its own fresh array, so
+no container-sized buffer ever exists.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import os
 import struct
 import threading
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import BinaryIO, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -64,51 +73,56 @@ def dump_params(params: Mapping[str, np.ndarray]) -> bytes:
     return b"".join(encode_chunks(params))
 
 
-def load_params(data: bytes) -> dict[str, np.ndarray]:
-    """Parse container bytes back into a name -> float64 array map."""
-    if len(data) < len(MAGIC) + 4:
-        raise FormatError("container truncated before header")
-    if data[: len(MAGIC)] != MAGIC:
-        raise FormatError(f"bad magic {data[:len(MAGIC)]!r}, expected {MAGIC!r}")
-    pos = len(MAGIC)
-    (count,) = struct.unpack_from("<I", data, pos)
-    pos += 4
+def _read(src: BinaryIO, n: int, message: str) -> bytes:
+    chunk = src.read(n)
+    if len(chunk) < n:
+        raise FormatError(message)
+    return chunk
+
+
+def load_params(source: bytes | BinaryIO) -> dict[str, np.ndarray]:
+    """Parse a container, as bytes or a seekable binary stream, into a name -> float64 array map.
+
+    The stream is read from its current position to its end; each payload
+    goes from the stream straight into a fresh array.
+    """
+    src = io.BytesIO(source) if isinstance(source, bytes) else source
+    pos = src.tell()
+    end = src.seek(0, io.SEEK_END)
+    src.seek(pos)
+    header = _read(src, len(MAGIC) + 4, "container truncated before header")
+    if header[: len(MAGIC)] != MAGIC:
+        raise FormatError(f"bad magic {header[:len(MAGIC)]!r}, expected {MAGIC!r}")
+    (count,) = struct.unpack_from("<I", header, len(MAGIC))
 
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
-        if pos + 2 > len(data):
-            raise FormatError("container truncated inside entry header")
-        (name_len,) = struct.unpack_from("<H", data, pos)
-        pos += 2
-        if pos + name_len + 1 > len(data):
-            raise FormatError("container truncated inside entry name")
+        (name_len,) = struct.unpack("<H", _read(src, 2, "container truncated inside entry header"))
+        # the name and the ndim byte
+        raw = _read(src, name_len + 1, "container truncated inside entry name")
         try:
-            name = data[pos : pos + name_len].decode("utf-8")
+            name = raw[:name_len].decode("utf-8")
         except UnicodeDecodeError as err:
             raise FormatError(f"entry name is not valid UTF-8: {err}") from err
-        pos += name_len
         if name in out:
             raise FormatError(f"duplicate tensor name {name!r}")
-        (ndim,) = struct.unpack_from("<B", data, pos)
-        pos += 1
+        ndim = raw[name_len]
         if ndim > _MAX_NDIM:
             raise FormatError(f"{name}: ndim {ndim} exceeds container limit {_MAX_NDIM}")
-        if pos + 4 * ndim > len(data):
-            raise FormatError(f"{name}: container truncated inside dims")
-        dims = struct.unpack_from(f"<{ndim}I", data, pos)
-        pos += 4 * ndim
-        n_values = 1
-        for d in dims:
-            n_values *= d
-        nbytes = 8 * n_values
-        if pos + nbytes > len(data):
-            raise FormatError(f"{name}: payload truncated ({len(data) - pos} of {nbytes} bytes)")
-        arr = np.frombuffer(data, dtype="<f8", count=n_values, offset=pos).reshape(dims)
-        out[name] = arr.astype(np.float64, copy=True)
-        pos += nbytes
+        dims = struct.unpack(f"<{ndim}I", _read(src, 4 * ndim, f"{name}: container truncated inside dims"))
+        nbytes = 8 * math.prod(dims)
+        left = end - src.tell()
+        # checked before allocating: a forged header cannot ask for more than the source holds
+        if nbytes > left:
+            raise FormatError(f"{name}: payload truncated ({left} of {nbytes} bytes)")
+        arr = np.empty(dims, dtype="<f8")
+        if src.readinto(arr) != nbytes:
+            raise FormatError(f"{name}: payload truncated while reading")
+        out[name] = arr.astype(np.float64, copy=False)  # a no-op on little-endian hosts
 
-    if pos != len(data):
-        raise FormatError(f"{len(data) - pos} trailing bytes after last entry")
+    left = end - src.tell()
+    if left:
+        raise FormatError(f"{left} trailing bytes after last entry")
     return out
 
 
@@ -142,4 +156,10 @@ def write_checkpoint(path: str | Path, params: Mapping[str, np.ndarray]) -> None
 
 
 def read_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
-    return load_params(Path(path).read_bytes())
+    """The name -> float64 array map stored in the container file ``path``.
+
+    The file is parsed as it is read, tensor by tensor: only the arrays
+    that come back are held in memory, never the file's bytes as a whole.
+    """
+    with open(path, "rb") as fh:
+        return load_params(fh)

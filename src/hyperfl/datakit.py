@@ -147,7 +147,7 @@ def pattern_dataset(num_classes: int, side: int, per_class: int, seed: int) -> D
 # -- IDX files -----------------------------------------------------------------
 
 
-def _read_exact(data: bytes, pos: int, count: int, what: str) -> bytes:
+def _read_exact(data: memoryview, pos: int, count: int, what: str) -> memoryview:
     if pos + count > len(data):
         raise FormatError(f"{what}: truncated ({len(data) - pos} of {count} bytes)")
     return data[pos : pos + count]
@@ -159,7 +159,8 @@ def load_idx(images_path: str | Path, labels_path: str | Path, num_classes: int 
     Headers are big-endian: magic, then one u32 per dimension.  Pixels are
     unsigned bytes, scaled to [0, 1] by division by 255.
     """
-    img_data = Path(images_path).read_bytes()
+    # memoryview slices share the file's bytes instead of copying them
+    img_data = memoryview(Path(images_path).read_bytes())
     (magic,) = struct.unpack(">I", _read_exact(img_data, 0, 4, "image header"))
     if magic != IDX_IMAGES_MAGIC:
         raise FormatError(f"image magic 0x{magic:08X}, expected 0x{IDX_IMAGES_MAGIC:08X}")
@@ -168,7 +169,7 @@ def load_idx(images_path: str | Path, labels_path: str | Path, num_classes: int 
     if len(img_data) != 16 + n * rows * cols:
         raise FormatError(f"image file has {len(img_data) - 16 - n * rows * cols} trailing bytes")
 
-    lbl_data = Path(labels_path).read_bytes()
+    lbl_data = memoryview(Path(labels_path).read_bytes())
     (magic,) = struct.unpack(">I", _read_exact(lbl_data, 0, 4, "label header"))
     if magic != IDX_LABELS_MAGIC:
         raise FormatError(f"label magic 0x{magic:08X}, expected 0x{IDX_LABELS_MAGIC:08X}")
@@ -182,7 +183,8 @@ def load_idx(images_path: str | Path, labels_path: str | Path, num_classes: int 
     if n == 0:
         raise ConsistencyError("empty dataset (N=0)")
 
-    x = np.frombuffer(payload, dtype=np.uint8).astype(np.float64).reshape(n, rows * cols) / 255.0
+    x = np.frombuffer(payload, dtype=np.uint8).astype(np.float64).reshape(n, rows * cols)
+    np.divide(x, 255.0, out=x)
     y = np.frombuffer(labels, dtype=np.uint8).astype(np.int64)
     k = int(y.max()) + 1 if num_classes is None else num_classes
     return Dataset(x, y, max(k, 2))

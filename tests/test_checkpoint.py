@@ -117,6 +117,10 @@ def test_written_file_equals_dump_params(tmp_path_factory, params):
     ckpt.write_checkpoint(path, params)
     blob = ckpt.dump_params(params)
     assert path.read_bytes() == blob == reference_container(params)
+    back, want = ckpt.read_checkpoint(path), ckpt.load_params(blob)
+    assert list(back) == list(want)
+    for name in want:
+        assert back[name].shape == want[name].shape and back[name].tobytes() == want[name].tobytes()
 
 
 def test_write_checkpoint_streams_without_copying_the_container(tmp_path):
@@ -132,6 +136,25 @@ def test_write_checkpoint_streams_without_copying_the_container(tmp_path):
     # contiguous float64 tensors go to the file from their own buffers: the
     # peak stays below one tensor, let alone one copy of the 2 MiB container
     assert peak < size // 8, (peak, size)
+
+
+def test_read_checkpoint_streams_without_copying_the_container(tmp_path):
+    rng = np.random.default_rng(4)
+    params = {f"t{i}": rng.normal(size=(64, 512)) for i in range(8)}  # 256 KiB each
+    path = tmp_path / "state.hfl"
+    ckpt.write_checkpoint(path, params)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        back = ckpt.read_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    result = sum(arr.nbytes for arr in back.values())
+    # each payload is read straight into its array: besides the result, the
+    # peak holds less than one tensor, let alone a copy of the 2 MiB file
+    assert peak < result + size // 8, (peak, result, size)
+    assert all(back[k].tobytes() == params[k].tobytes() for k in params)
 
 
 SAMPLE = atk.sample_record(0, "fedavg", np.zeros((2, 2)), {"psnr": 1.0, "ssim": 0.5}, [])
@@ -185,32 +208,56 @@ def test_empty_container_round_trips():
     assert ckpt.load_params(ckpt.dump_params({})) == {}
 
 
-def test_bad_magic_rejected():
+def both_sources(tmp_path):
+    """Two parsers of container bytes: ``load_params`` on the bytes, and ``read_checkpoint`` on a file holding them."""
+
+    def from_file(blob):
+        path = tmp_path / "state.hfl"
+        path.write_bytes(blob)
+        return ckpt.read_checkpoint(path)
+
+    return [ckpt.load_params, from_file]
+
+
+def test_bad_magic_rejected(tmp_path):
     blob = bytearray(ckpt.dump_params({"x": np.array(1.0)}))
     blob[0] ^= 0xFF
-    with pytest.raises(FormatError):
-        ckpt.load_params(bytes(blob))
-
-
-def test_truncation_rejected_at_every_boundary():
-    blob = ckpt.dump_params({"x": np.array([1.0, 2.0, 3.0])})
-    for cut in (4, 11, 13, 15, 18, len(blob) - 1):
+    for load in both_sources(tmp_path):
         with pytest.raises(FormatError):
-            ckpt.load_params(blob[:cut])
+            load(bytes(blob))
 
 
-def test_trailing_bytes_rejected():
+def test_truncation_rejected_at_every_boundary(tmp_path):
+    blob = ckpt.dump_params({"x": np.array([1.0, 2.0, 3.0])})
+    for load in both_sources(tmp_path):
+        for cut in (4, 11, 13, 15, 18, len(blob) - 1):
+            with pytest.raises(FormatError):
+                load(blob[:cut])
+
+
+def test_trailing_bytes_rejected(tmp_path):
     blob = ckpt.dump_params({"x": np.array(1.0)})
-    with pytest.raises(FormatError):
-        ckpt.load_params(blob + b"\x00")
+    for load in both_sources(tmp_path):
+        with pytest.raises(FormatError):
+            load(blob + b"\x00")
 
 
-def test_duplicate_names_rejected():
+def test_duplicate_names_rejected(tmp_path):
     one = ckpt.dump_params({"x": np.array(1.0)})
     entry = one[12:]  # everything after magic+count
     forged = b"HFLTNSR1" + struct.pack("<I", 2) + entry + entry
-    with pytest.raises(FormatError):
-        ckpt.load_params(forged)
+    for load in both_sources(tmp_path):
+        with pytest.raises(FormatError):
+            load(forged)
+
+
+def test_forged_huge_dims_rejected_before_allocation(tmp_path):
+    # 40 bytes whose one entry claims (2**32 - 1)**2 float64 values
+    forged = b"HFLTNSR1" + struct.pack("<IH1sB2I", 1, 1, b"x", 2, 2**32 - 1, 2**32 - 1) + bytes(16)
+    assert len(forged) == 40
+    for load in both_sources(tmp_path):
+        with pytest.raises(FormatError, match="payload truncated"):
+            load(forged)
 
 
 def test_loaded_arrays_are_writable_copies():

@@ -10,6 +10,7 @@ import csv
 import json
 import math
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -504,6 +505,29 @@ def test_attack_on_snapshot_without_meta_exits_3(fedavg_run, tmp_path, capsys, k
     assert cli.main(["attack", str(snap), str(att)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda blob: blob[:-1],
+        lambda blob: blob + b"\x00",
+        # one entry whose dims claim (2**32 - 1)**2 float64 values, in 40 bytes
+        lambda blob: b"HFLTNSR1" + struct.pack("<IH1sB2I", 1, 1, b"x", 2, 2**32 - 1, 2**32 - 1) + bytes(16),
+    ],
+    ids=["truncated", "trailing-byte", "forged-huge-dims"],
+)
+def test_attack_on_a_damaged_container_exits_3(fedavg_run, tmp_path, capsys, damage):
+    run = tmp_path / "copy"
+    shutil.copytree(fedavg_run, run)
+    snap = run / "snapshots" / "round_0002.hfl"
+    snap.write_bytes(damage(snap.read_bytes()))
+    att = tmp_path / "att.json"
+    att.write_text('{"iterations": 2, "samples": 1}')
+    capsys.readouterr()
+    assert cli.main(["attack", str(snap), str(att)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ any model from this package.
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +139,22 @@ def test_load_idx_flattens_and_counts(tmp_path):
     ds = dk.load_idx(ip, lp)
     assert ds.x.shape == (2, 4)
     assert ds.num_classes == 2
+
+
+def test_load_idx_holds_one_float_copy_of_the_pixels(tmp_path):
+    rng = np.random.default_rng(2)
+    n, rows, cols = 1000, 28, 28
+    ip, lp = idx_pair(tmp_path, rng.integers(0, 256, n * rows * cols).tolist(), [i % 10 for i in range(n)],
+                      rows=rows, cols=cols)
+    tracemalloc.start()
+    try:
+        ds = dk.load_idx(ip, lp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the file's bytes plus the float64 result, divided in place: no slice
+    # copy of the payload and no second float64 array
+    assert peak <= 1.3 * ds.x.nbytes, (peak, ds.x.nbytes)
 
 
 def test_load_idx_bad_magic(tmp_path):
