@@ -29,6 +29,7 @@ so reconstruction code cannot touch ground truth even by accident.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -631,6 +632,20 @@ def hyperfl_transcript(
     d_theta = _batch1_grads(theta, nn.concat_specs(fe_spec, cls_spec), x_img, y, frozen=phi_c)
     d_phi, _ = hn.hypernet_backward(d_theta, v, phi_h, hyper_spec)
     return _transcript("hyperfl", fe_spec, phi_h, d_phi, x_img, y, hyper_spec=hyper_spec)
+
+
+_CLIENT_INPUT = re.compile(r"client/\d+/(?:v|phi_c/.+)")
+
+
+def transcript_reads(name: str) -> bool:
+    """Whether :func:`snapshot_transcript` reads the snapshot tensor ``name``.
+
+    It reads the ``meta/`` and ``server/`` tensors, and a HyperFL client's
+    embedding ``v`` and classifier ``phi_c``: the private inputs from which its
+    transcript rebuilds the upload the server receives.  Client hypernetwork
+    copies (``phi_h``) and FedAvg-family local models (``model``) are never read.
+    """
+    return name.startswith(("meta/", "server/")) or _CLIENT_INPUT.fullmatch(name) is not None
 
 
 def snapshot_transcript(

@@ -28,6 +28,12 @@ stream and serves both sources: wire payloads are wrapped in
 Every size is checked against what the stream has left before anything is
 allocated, and each payload is read straight into its own fresh array, so
 no container-sized buffer ever exists.
+
+Given a name predicate, the parser loads only the entries it keeps.  A
+rejected entry gets every check a kept one gets up to its payload, which is
+then seeked past unread and comes back as a :class:`Skipped` record of its
+shape: a reader that needs a few tensors of a large snapshot, such as the
+attack, never allocates the rest.
 """
 
 from __future__ import annotations
@@ -38,8 +44,9 @@ import math
 import os
 import struct
 import threading
+from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Mapping
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -80,11 +87,22 @@ def _read(src: BinaryIO, n: int, message: str) -> bytes:
     return chunk
 
 
-def load_params(source: bytes | BinaryIO) -> dict[str, np.ndarray]:
+@dataclass(frozen=True)
+class Skipped:
+    """An entry :func:`load_params` checked but did not load: its shape, no data."""
+
+    shape: tuple[int, ...]
+
+
+def load_params(
+    source: bytes | BinaryIO, keep: Callable[[str], bool] | None = None
+) -> dict[str, np.ndarray | Skipped]:
     """Parse a container, as bytes or a seekable binary stream, into a name -> float64 array map.
 
     The stream is read from its current position to its end; each payload
-    goes from the stream straight into a fresh array.
+    goes from the stream straight into a fresh array.  With ``keep``, an
+    entry whose name it rejects is checked like any other, its payload is
+    seeked past, and it maps to a :class:`Skipped` record of its shape.
     """
     src = io.BytesIO(source) if isinstance(source, bytes) else source
     pos = src.tell()
@@ -95,7 +113,7 @@ def load_params(source: bytes | BinaryIO) -> dict[str, np.ndarray]:
         raise FormatError(f"bad magic {header[:len(MAGIC)]!r}, expected {MAGIC!r}")
     (count,) = struct.unpack_from("<I", header, len(MAGIC))
 
-    out: dict[str, np.ndarray] = {}
+    out: dict[str, np.ndarray | Skipped] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", _read(src, 2, "container truncated inside entry header"))
         # the name and the ndim byte
@@ -115,6 +133,10 @@ def load_params(source: bytes | BinaryIO) -> dict[str, np.ndarray]:
         # checked before allocating: a forged header cannot ask for more than the source holds
         if nbytes > left:
             raise FormatError(f"{name}: payload truncated ({left} of {nbytes} bytes)")
+        if keep is not None and not keep(name):
+            src.seek(nbytes, io.SEEK_CUR)
+            out[name] = Skipped(dims)
+            continue
         arr = np.empty(dims, dtype="<f8")
         if src.readinto(arr) != nbytes:
             raise FormatError(f"{name}: payload truncated while reading")
@@ -155,11 +177,14 @@ def write_checkpoint(path: str | Path, params: Mapping[str, np.ndarray]) -> None
     write_atomic(path, encode_chunks(params))
 
 
-def read_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
+def read_checkpoint(
+    path: str | Path, keep: Callable[[str], bool] | None = None
+) -> dict[str, np.ndarray | Skipped]:
     """The name -> float64 array map stored in the container file ``path``.
 
     The file is parsed as it is read, tensor by tensor: only the arrays
     that come back are held in memory, never the file's bytes as a whole.
+    Entries ``keep`` rejects are checked and skipped (see :func:`load_params`).
     """
     with open(path, "rb") as fh:
-        return load_params(fh)
+        return load_params(fh, keep)

@@ -160,7 +160,8 @@ def cmd_attack(args) -> int:
     bundle = cfgmod.build_bundle(cfg)
     ds = cfgmod.build_dataset(cfg)
     shards = cfgmod.build_shards(cfg, ds)
-    server, clients = fs.tensors_to_state(ckpt.read_checkpoint(snap_path), shards, bundle)
+    # load what the transcripts read; every other tensor is checked and skipped
+    server, clients = fs.tensors_to_state(ckpt.read_checkpoint(snap_path, atk.transcript_reads), shards, bundle)
     if server.algorithm != cfg.algorithm:
         raise CapabilityError(
             f"snapshot was produced by {server.algorithm!r} but the run config says {cfg.algorithm!r}"

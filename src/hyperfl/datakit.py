@@ -27,6 +27,9 @@ from .errors import (
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+# features are checked for finiteness this many elements at a time, so the
+# check's boolean scratch stays at 64 KiB however large the dataset
+_FINITE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -46,7 +49,8 @@ class Dataset:
             raise DimensionError(f"features must be a non-empty [N, D] matrix, got {x.shape}")
         if y.shape != (x.shape[0],):
             raise ConsistencyError(f"{x.shape[0]} feature rows but {y.shape} labels")
-        if not np.all(np.isfinite(x)):
+        rows = max(1, _FINITE_BLOCK // max(1, x.shape[1]))
+        if not all(np.isfinite(x[i : i + rows]).all() for i in range(0, x.shape[0], rows)):
             raise NumericError("features contain non-finite values")
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be at least 2, got {self.num_classes}")

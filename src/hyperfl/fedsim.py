@@ -771,11 +771,15 @@ def tensors_to_state(
 
     The tensor names and shapes must be those ``state_to_tensors`` writes
     for the protocol and ``bundle``; the first misshapen, missing or extra
-    tensor raises :class:`ConsistencyError`.  Optimizer state is not restored
-    (snapshots capture parameters, not momentum); resuming starts with fresh
-    momentum.
+    tensor raises :class:`ConsistencyError`.  A :class:`checkpoint.Skipped`
+    entry, one the container parser checked but did not load, passes these
+    checks by its shape alone; the tree it belongs to (a client's ``v``,
+    ``phi_h``, ``phi_c`` or ``model``, or a server tree) stays None, so any
+    later use fails loudly.  Optimizer state is not restored (snapshots
+    capture parameters, not momentum); resuming starts with fresh momentum.
     """
-    missing = sorted({"meta/algorithm", "meta/clients", "meta/round"} - flat.keys())
+    meta = ("meta/algorithm", "meta/clients", "meta/round")
+    missing = [name for name in meta if name not in flat or isinstance(flat[name], checkpoint.Skipped)]
     if missing:
         raise ConsistencyError(f"snapshot lacks {missing}")
     try:
@@ -799,31 +803,32 @@ def tensors_to_state(
             raise ConsistencyError(f"{algorithm} snapshot {kind} tensor {min(names)!r}")
     round_t = _meta_count(flat, "meta/round")
 
-    def subtree(prefix: str) -> ParamSet:
+    def subtree(prefix: str) -> ParamSet | None:
+        """The tree under ``prefix``; None if it is empty or any entry was skipped."""
         plen = len(prefix)
-        return {k[plen:]: np.asarray(a) for k, a in flat.items() if k.startswith(prefix)}
+        tree = {k[plen:]: a for k, a in flat.items() if k.startswith(prefix)}
+        if not tree or any(isinstance(a, checkpoint.Skipped) for a in tree.values()):
+            return None
+        return {k: np.asarray(a) for k, a in tree.items()}
 
-    varphi = subtree("server/varphi/") or None
-    global_model = subtree("server/model/") or None
+    varphi = subtree("server/varphi/")
+    global_model = subtree("server/model/")
     emb_tree = subtree("server/embedding/")
-    embeddings = {int(k): np.asarray(v) for k, v in emb_tree.items()} or None
+    embeddings = None if emb_tree is None else {int(k): v for k, v in emb_tree.items()}
 
     clients = []
     for cid, (train, test) in enumerate(shards):
         base = f"client/{cid}/"
-        v = flat.get(f"client/{cid}/v")
-        phi_h = subtree(base + "phi_h/") or None
-        phi_c = subtree(base + "phi_c/") or None
-        model = subtree(base + "model/") or None
+        v = flat.get(base + "v")
         clients.append(
             ClientState(
                 id=cid,
                 train=train,
                 test=test,
-                v=None if v is None else np.asarray(v),
-                phi_h=phi_h,
-                phi_c=phi_c,
-                model=model,
+                v=None if v is None or isinstance(v, checkpoint.Skipped) else np.asarray(v),
+                phi_h=subtree(base + "phi_h/"),
+                phi_c=subtree(base + "phi_c/"),
+                model=subtree(base + "model/"),
             )
         )
     server = ServerState(

@@ -1,5 +1,6 @@
 """Tensor container: bit-exact round trips, format policing, atomic writes."""
 
+import io
 import math
 import struct
 import tracemalloc
@@ -208,28 +209,52 @@ def test_empty_container_round_trips():
     assert ckpt.load_params(ckpt.dump_params({})) == {}
 
 
-def both_sources(tmp_path):
-    """Two parsers of container bytes: ``load_params`` on the bytes, and ``read_checkpoint`` on a file holding them."""
+class SeekLog(io.BytesIO):
+    """Container bytes that record the position every seek lands on."""
+
+    def __init__(self, blob):
+        super().__init__(blob)
+        self.landed = []
+
+    def seek(self, offset, whence=io.SEEK_SET):
+        pos = super().seek(offset, whence)
+        self.landed.append(pos)
+        return pos
+
+
+def skip_everything(blob):
+    """The parser checking every entry of ``blob`` and loading none of them."""
+    stream = SeekLog(blob)
+    try:
+        return ckpt.load_params(stream, lambda name: False)
+    finally:
+        # a payload skip must never be the first thing to notice a short stream
+        assert all(pos <= len(blob) for pos in stream.landed), (stream.landed, len(blob))
+
+
+def all_sources(tmp_path):
+    """Three parsers of container bytes: ``load_params`` on the bytes, ``read_checkpoint``
+    on a file holding them, and ``load_params`` skipping every entry."""
 
     def from_file(blob):
         path = tmp_path / "state.hfl"
         path.write_bytes(blob)
         return ckpt.read_checkpoint(path)
 
-    return [ckpt.load_params, from_file]
+    return [ckpt.load_params, from_file, skip_everything]
 
 
 def test_bad_magic_rejected(tmp_path):
     blob = bytearray(ckpt.dump_params({"x": np.array(1.0)}))
     blob[0] ^= 0xFF
-    for load in both_sources(tmp_path):
+    for load in all_sources(tmp_path):
         with pytest.raises(FormatError):
             load(bytes(blob))
 
 
 def test_truncation_rejected_at_every_boundary(tmp_path):
     blob = ckpt.dump_params({"x": np.array([1.0, 2.0, 3.0])})
-    for load in both_sources(tmp_path):
+    for load in all_sources(tmp_path):
         for cut in (4, 11, 13, 15, 18, len(blob) - 1):
             with pytest.raises(FormatError):
                 load(blob[:cut])
@@ -237,7 +262,7 @@ def test_truncation_rejected_at_every_boundary(tmp_path):
 
 def test_trailing_bytes_rejected(tmp_path):
     blob = ckpt.dump_params({"x": np.array(1.0)})
-    for load in both_sources(tmp_path):
+    for load in all_sources(tmp_path):
         with pytest.raises(FormatError):
             load(blob + b"\x00")
 
@@ -246,7 +271,7 @@ def test_duplicate_names_rejected(tmp_path):
     one = ckpt.dump_params({"x": np.array(1.0)})
     entry = one[12:]  # everything after magic+count
     forged = b"HFLTNSR1" + struct.pack("<I", 2) + entry + entry
-    for load in both_sources(tmp_path):
+    for load in all_sources(tmp_path):
         with pytest.raises(FormatError):
             load(forged)
 
@@ -255,9 +280,43 @@ def test_forged_huge_dims_rejected_before_allocation(tmp_path):
     # 40 bytes whose one entry claims (2**32 - 1)**2 float64 values
     forged = b"HFLTNSR1" + struct.pack("<IH1sB2I", 1, 1, b"x", 2, 2**32 - 1, 2**32 - 1) + bytes(16)
     assert len(forged) == 40
-    for load in both_sources(tmp_path):
+    for load in all_sources(tmp_path):
         with pytest.raises(FormatError, match="payload truncated"):
             load(forged)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    params=st.dictionaries(st.text(st.characters(codec="utf-8"), max_size=6), tensors(), max_size=5),
+    keep_seed=st.integers(0, 2**32 - 1),
+)
+def test_kept_entries_equal_a_full_load(tmp_path_factory, params, keep_seed):
+    path = tmp_path_factory.mktemp("keep") / "state.hfl"
+    ckpt.write_checkpoint(path, params)
+    full = ckpt.read_checkpoint(path)
+    kept = set(np.random.default_rng(keep_seed).permutation(sorted(full))[: len(full) // 2])
+    part = ckpt.read_checkpoint(path, kept.__contains__)
+    assert list(part) == list(full)
+    for name, arr in full.items():
+        if name in kept:
+            assert part[name].shape == arr.shape and part[name].tobytes() == arr.tobytes()
+        else:  # a record of the shape, which is what a layout check reads
+            assert part[name] == ckpt.Skipped(arr.shape) and np.shape(part[name]) == arr.shape
+
+
+def test_skipped_payloads_are_never_allocated(tmp_path):
+    rng = np.random.default_rng(4)
+    params = {f"t{i}": rng.normal(size=(64, 512)) for i in range(8)}  # 256 KiB each
+    path = tmp_path / "state.hfl"
+    ckpt.write_checkpoint(path, params)
+    tracemalloc.start()
+    try:
+        back = ckpt.read_checkpoint(path, lambda name: name == "t3")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the one kept tensor, and far less than one more beside it
+    assert back["t3"].nbytes <= peak < back["t3"].nbytes + 64 * 1024, peak
 
 
 def test_loaded_arrays_are_writable_copies():

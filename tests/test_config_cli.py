@@ -11,6 +11,7 @@ import json
 import math
 import shutil
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from hyperfl import config as cfgmod
 from hyperfl import datakit as dk
 from hyperfl import fedsim as fs
 from hyperfl import metrics as mx
-from hyperfl.errors import ConfigError
+from hyperfl.errors import CapabilityError, ConfigError
 
 
 def base_config(out_dir: Path, **over) -> dict:
@@ -507,6 +508,15 @@ def test_attack_on_snapshot_without_meta_exits_3(fedavg_run, tmp_path, capsys, k
     assert err.startswith("error:") and key in err and len(err.splitlines()) == 1
 
 
+def cut_inside_first_payload(blob):
+    """``blob`` cut 8 bytes into the payload of its first entry, a client tensor the attack skips."""
+    (name_len,) = struct.unpack_from("<H", blob, 12)
+    name = blob[14 : 14 + name_len].decode()
+    assert not atk.transcript_reads(name), name
+    payload = 14 + name_len + 1 + 4 * blob[14 + name_len]
+    return blob[: payload + 8]
+
+
 @pytest.mark.parametrize(
     "damage",
     [
@@ -514,8 +524,9 @@ def test_attack_on_snapshot_without_meta_exits_3(fedavg_run, tmp_path, capsys, k
         lambda blob: blob + b"\x00",
         # one entry whose dims claim (2**32 - 1)**2 float64 values, in 40 bytes
         lambda blob: b"HFLTNSR1" + struct.pack("<IH1sB2I", 1, 1, b"x", 2, 2**32 - 1, 2**32 - 1) + bytes(16),
+        cut_inside_first_payload,
     ],
-    ids=["truncated", "trailing-byte", "forged-huge-dims"],
+    ids=["truncated", "trailing-byte", "forged-huge-dims", "truncated-in-skipped-payload"],
 )
 def test_attack_on_a_damaged_container_exits_3(fedavg_run, tmp_path, capsys, damage):
     run = tmp_path / "copy"
@@ -583,6 +594,91 @@ def test_attack_on_sharing_free_algorithm_exits_1(tmp_path, capsys):
     assert "nothing to attack" in capsys.readouterr().err
 
 
+QUICK_START = {
+    "seed": 7,
+    "snapshot_every": 0,
+    "dataset": {"kind": "synthetic", "num_classes": 5, "dim": 32, "per_class": 200},
+    "partition": {"clients": 10, "groups": 5, "dominant_classes": 2, "samples_per_client": 80},
+    "model": {"extractor": [32, 16], "classifier": [16, 5]},
+    "rounds": {"local_epochs": 2, "batch_size": 10, "total_rounds": 1},
+}
+
+
+@pytest.fixture(scope="module")
+def quick_start_snapshot(tmp_path_factory):
+    """The README quick start, one round of it, trained once per algorithm and module."""
+    snaps = {}
+
+    def get(algorithm: str) -> Path:
+        if algorithm not in snaps:
+            tmp = tmp_path_factory.mktemp(f"quick-{algorithm}")
+            cfg = {**QUICK_START, "algorithm": algorithm, "output_dir": str(tmp / "run")}
+            if algorithm == "dp_fedavg":
+                cfg["dp"] = {"clip_norm": 1.0, "sigma": 0.01}
+            assert cli.main(["train", str(write_config(tmp / "cfg.json", cfg))]) == 0
+            snaps[algorithm] = tmp / "run" / "snapshots" / "round_0001.hfl"
+        return snaps[algorithm]
+
+    return get
+
+
+def attack_inputs(snap: Path):
+    """The config, bundle and shards ``hyperfl attack`` rebuilds for the run that wrote ``snap``."""
+    cfg = cfgmod.load_config(snap.parents[1] / "config.resolved.json", apply_env=False)
+    return cfg, cfgmod.build_bundle(cfg), cfgmod.build_shards(cfg, cfgmod.build_dataset(cfg))
+
+
+@pytest.mark.parametrize("algorithm", ["hyperfl", "fedavg", "dp_fedavg", "pfedhn"])
+def test_attack_load_gives_the_public_view_of_a_full_load(quick_start_snapshot, algorithm):
+    snap = quick_start_snapshot(algorithm)
+    cfg, bundle, shards = attack_inputs(snap)
+    full = fs.tensors_to_state(ckpt.read_checkpoint(snap), shards, bundle)
+    lean = fs.tensors_to_state(ckpt.read_checkpoint(snap, atk.transcript_reads), shards, bundle)
+    for i in range(4):
+        want, got = (
+            atk.snapshot_transcript(server, clients, bundle, i, cfg.image_shape, cfg.dp_config, cfg.round_config.eta_g, 3)
+            .public()
+            for server, clients in (full, lean)
+        )
+        assert got.label == want.label
+        for tree in ("params", "observed"):
+            a, b = getattr(got, tree), getattr(want, tree)
+            assert a.keys() == b.keys() and all(a[k].tobytes() == b[k].tobytes() for k in a)
+    clients = lean[1]
+    if algorithm == "hyperfl":  # the private hypernetwork copies stay on disk
+        assert all(c.phi_h is None and c.v is not None and c.phi_c is not None for c in clients)
+    else:  # so do the local models
+        assert all(c.model is None for c in clients)
+
+
+def test_attack_on_a_local_snapshot_fails_as_a_full_load_does(quick_start_snapshot, tmp_path, capsys):
+    snap = quick_start_snapshot("local")
+    cfg, bundle, shards = attack_inputs(snap)
+    server, clients = fs.tensors_to_state(ckpt.read_checkpoint(snap), shards, bundle)
+    with pytest.raises(CapabilityError) as full:
+        atk.snapshot_transcript(server, clients, bundle, 0, cfg.image_shape, cfg.dp_config, cfg.round_config.eta_g, 0)
+    att = tmp_path / "att.json"
+    att.write_text('{"iterations": 2, "samples": 1}')
+    capsys.readouterr()
+    assert cli.main(["attack", str(snap), str(att)]) == 1
+    assert capsys.readouterr().err == f"error: {full.value}\n"
+
+
+def test_attack_load_holds_little_beyond_the_kept_tensors(quick_start_snapshot):
+    snap = quick_start_snapshot("hyperfl")
+    _, bundle, shards = attack_inputs(snap)
+    kept = sum(a.nbytes for name, a in ckpt.read_checkpoint(snap).items() if atk.transcript_reads(name))
+    assert kept < snap.stat().st_size / 8  # the client hypernetwork copies are the bulk
+    tracemalloc.start()
+    try:
+        fs.tensors_to_state(ckpt.read_checkpoint(snap, atk.transcript_reads), shards, bundle)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 128 KiB covers the dict, the names, the array headers and the skip records
+    assert peak < kept + 128 * 1024, (peak, kept)
+
+
 @pytest.fixture(scope="module")
 def run_of(tmp_path_factory):
     """Train one small run per algorithm, once per module."""
@@ -622,7 +718,9 @@ def test_attack_reruns_are_byte_identical(run_of, tmp_path, algorithm):
         ("hyperfl", "client/0/v"),
         ("hyperfl", "client/0/phi_c/cls0/W"),
         ("hyperfl", "server/varphi/hyper/trunk/W"),
+        ("hyperfl", "client/1/phi_h/hyper/trunk/W"),  # skipped, but its absence is seen
         ("fedavg", "server/model/fe0/W"),
+        ("fedavg", "client/0/model/fe0/W"),
         ("pfedhn", "server/embedding/0"),
     ],
 )
@@ -646,8 +744,10 @@ def test_attack_on_snapshot_without_a_state_tensor_exits_3(run_of, tmp_path, cap
     [
         ("hyperfl", "client/0/v"),
         ("hyperfl", "server/varphi/hyper/trunk/b"),
+        ("hyperfl", "client/1/phi_h/hyper/trunk/W"),  # skipped, but its shape is checked
         ("fedavg", "server/model/fe0/W"),
         ("pfedhn", "server/embedding/0"),
+        ("pfedhn", "client/0/model/cls0/b"),
     ],
 )
 def test_attack_on_snapshot_with_a_misshapen_tensor_exits_3(run_of, tmp_path, capsys, algorithm, key):

@@ -21,6 +21,7 @@ from hyperfl.errors import (
     ConsistencyError,
     DimensionError,
     FormatError,
+    NumericError,
 )
 
 
@@ -100,6 +101,31 @@ def test_dataset_validation():
         dk.Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
     with pytest.raises(Exception):
         dk.Dataset(np.full((2, 2), np.nan), np.zeros(2, dtype=int), 2)
+
+
+def test_finiteness_check_allocates_no_dataset_sized_mask():
+    rng = np.random.default_rng(0)
+    x, y = rng.uniform(size=(5000, 784)), np.arange(5000) % 10  # 30 MiB of features
+    tracemalloc.start()
+    try:
+        dk.Dataset(x, y, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one boolean per feature would be 3.7 MiB
+    assert peak < 1024 * 1024, peak
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_value_in_the_last_partial_block_is_caught(value):
+    dim = 300
+    rows = dk._FINITE_BLOCK // dim
+    x = np.zeros((2 * rows + 3, dim))  # two whole row blocks and three rows
+    x[-1, -1] = value
+    with pytest.raises(NumericError, match="non-finite"):
+        dk.Dataset(x, np.arange(len(x)) % 2, 2)
+    x[-1, -1] = 0.0
+    dk.Dataset(x, np.arange(len(x)) % 2, 2)
 
 
 def test_subset_copies():
