@@ -642,8 +642,8 @@ def transcript_reads(name: str) -> bool:
 
     It reads the ``meta/`` and ``server/`` tensors, and a HyperFL client's
     embedding ``v`` and classifier ``phi_c``: the private inputs from which its
-    transcript rebuilds the upload the server receives.  Client hypernetwork
-    copies (``phi_h``) and FedAvg-family local models (``model``) are never read.
+    transcript rebuilds the upload the server receives.  HyperFL clients'
+    generated extractors (``theta``) and local models (``model``) are never read.
     """
     return name.startswith(("meta/", "server/")) or _CLIENT_INPUT.fullmatch(name) is not None
 

@@ -165,15 +165,18 @@ class DPConfig:
 class ClientState:
     """One client's private state; algorithm-dependent fields default None.
 
-    HyperFL clients carry (v, phi_h, phi_c); FedAvg-family clients carry the
-    whole model in ``model``.
+    HyperFL clients carry their embedding ``v``, classifier ``phi_c`` and
+    ``theta``, the feature extractor h(v; phi_h) generated from the
+    hypernetwork their last local training ended with (the initial one
+    before any training); the hypernetwork itself is uploaded, not kept.
+    FedAvg-family clients carry the whole model in ``model``.
     """
 
     id: int
     train: Dataset
     test: Dataset
     v: np.ndarray | None = None
-    phi_h: ParamSet | None = None
+    theta: ParamSet | None = None
     phi_c: ParamSet | None = None
     model: ParamSet | None = None
     opt_c: OptimState | None = None
@@ -308,6 +311,9 @@ def local_train_hyperfl(
 ) -> tuple[ClientState, ParamSet, LocalStats]:
     """Two-phase personal update; returns (new state, phi_h upload, stats).
 
+    The upload is the final hypernetwork, and the new state's ``theta`` is
+    the extractor it generates from the final embedding.
+
     Step 1: one epoch on the classifier with the received hypernetwork and
     the embedding frozen (the generated extractor is computed once, since its
     inputs cannot change during this phase).  Step 2: ``local_epochs`` epochs
@@ -341,9 +347,10 @@ def local_train_hyperfl(
             vt, opt_v = sgd_step({"v": v}, {"v": dv}, cfg.eta_v, opt_v)
             v = vt["v"]
 
-    new_client = replace(client, v=v, phi_h=phi_h, phi_c=phi_c, opt_c=opt_c, opt_v=opt_v)
+    theta = hypernet_forward(v, phi_h, bundle.hyper)
+    new_client = replace(client, v=v, theta=theta, phi_c=phi_c, opt_c=opt_c, opt_v=opt_v)
     stats = LocalStats(float(np.mean(losses)), float(np.mean(step_sq_norms)))
-    return new_client, tree_copy(phi_h), stats
+    return new_client, phi_h, stats
 
 
 def local_train_fedavg(
@@ -484,6 +491,7 @@ def init_experiment(
     if algorithm == "hyperfl":
         phi_h0, v0 = init_hypernet(bundle.hyper, seed)
         phi_c0 = init_params(bundle.cls, init_rng)
+        theta0 = hypernet_forward(v0, phi_h0, bundle.hyper)
         for cid, (train, test) in enumerate(shards):
             clients.append(
                 ClientState(
@@ -491,7 +499,7 @@ def init_experiment(
                     train=train,
                     test=test,
                     v=v0.copy(),
-                    phi_h=tree_copy(phi_h0),
+                    theta=tree_copy(theta0),
                     phi_c=tree_copy(phi_c0),
                 )
             )
@@ -524,24 +532,15 @@ def init_experiment(
 # -- evaluation ----------------------------------------------------------------------
 
 
-def _theta(client: ClientState, bundle: ModelBundle) -> ParamSet:
-    """A HyperFL client's generated feature extractor h(v; phi_h)."""
-    return hypernet_forward(client.v, client.phi_h, bundle.hyper)
-
-
-def evaluate_clients(
-    clients: Sequence[ClientState], bundle: ModelBundle, thetas: dict[int, ParamSet] | None = None
-) -> list[float]:
+def evaluate_clients(clients: Sequence[ClientState], bundle: ModelBundle) -> list[float]:
     """Test accuracy per client, each with the parameters it would infer with now.
 
     FedAvg-family clients use ``model``; HyperFL clients use their generated
-    extractor (``thetas`` maps client id to a known ``_theta``) under their
-    own classifier.
+    extractor ``theta`` under their own classifier.
     """
-    thetas = thetas or {}
     return [
         accuracy(
-            c.model if c.model is not None else {**(thetas.get(c.id) or _theta(c, bundle)), **c.phi_c},
+            c.model if c.model is not None else {**c.theta, **c.phi_c},
             bundle.full,
             c.test.x,
             c.test.y,
@@ -593,7 +592,6 @@ def run_round(
     algorithm = server.algorithm
     new_clients = list(clients)
     trained: dict[int, RoundRecord] = {}  # each trained client's row, test_acc still NaN
-    thetas: dict[int, ParamSet] = {}  # hyperfl: each trained client's new extractor
     changes: dict = {}  # server fields this round replaces
 
     if algorithm == "pfedhn":
@@ -614,9 +612,8 @@ def run_round(
             new_c, upload, stats = train(client, received, bundle, cfg, step_rng)
             new_clients[cid] = new_c
             if algorithm == "hyperfl":
-                hdrift = tree_norm(tree_sub(new_c.phi_h, received))
-                thetas[cid] = _theta(new_c, bundle)
-                edrift = tree_norm(tree_sub(thetas[cid], _theta(client, bundle)))
+                hdrift = tree_norm(tree_sub(upload, received))
+                edrift = tree_norm(tree_sub(new_c.theta, client.theta))
             else:  # the unsanitized upload is the model delta
                 hdrift, edrift = math.nan, _extractor_norm(upload, bundle)
             if algorithm == "dp_fedavg":
@@ -642,7 +639,7 @@ def run_round(
             else:
                 changes = {"global_model": tree_add(server.global_model, merged)}
 
-    accs = evaluate_clients(new_clients, bundle, thetas)
+    accs = evaluate_clients(new_clients, bundle)
     return replace(server, round_t=t, **changes), new_clients, _records(t, new_clients, accs, trained)
 
 
@@ -757,7 +754,7 @@ def state_to_tensors(server: ServerState, clients: Sequence[ClientState]) -> Par
         base = f"client/{c.id}"
         if c.v is not None:
             flat[f"{base}/v"] = c.v
-        for group, tree in (("phi_h", c.phi_h), ("phi_c", c.phi_c), ("model", c.model)):
+        for group, tree in (("theta", c.theta), ("phi_c", c.phi_c), ("model", c.model)):
             if tree is not None:
                 for k, a in tree.items():
                     flat[f"{base}/{group}/{k}"] = a
@@ -774,8 +771,10 @@ def tensors_to_state(
     tensor raises :class:`ConsistencyError`.  A :class:`checkpoint.Skipped`
     entry, one the container parser checked but did not load, passes these
     checks by its shape alone; the tree it belongs to (a client's ``v``,
-    ``phi_h``, ``phi_c`` or ``model``, or a server tree) stays None, so any
-    later use fails loudly.  Optimizer state is not restored (snapshots
+    ``theta``, ``phi_c`` or ``model``, or a server tree) stays None, so any
+    later use fails loudly.  A HyperFL snapshot written before clients kept
+    ``theta`` holds a ``client/<id>/phi_h/`` hypernetwork copy in its place,
+    so it raises like any other.  Optimizer state is not restored (snapshots
     capture parameters, not momentum); resuming starts with fresh momentum.
     """
     meta = ("meta/algorithm", "meta/clients", "meta/round")
@@ -826,7 +825,7 @@ def tensors_to_state(
                 train=train,
                 test=test,
                 v=None if v is None or isinstance(v, checkpoint.Skipped) else np.asarray(v),
-                phi_h=subtree(base + "phi_h/"),
+                theta=subtree(base + "theta/"),
                 phi_c=subtree(base + "phi_c/"),
                 model=subtree(base + "model/"),
             )
@@ -868,7 +867,7 @@ def _snapshot_shapes(algorithm: str, bundle: ModelBundle, n_clients: int) -> dic
     for cid in range(n_clients):
         if algorithm == "hyperfl":
             shapes[f"client/{cid}/v"] = embedding
-            trees += [(f"client/{cid}/phi_h/", bundle.hyper), (f"client/{cid}/phi_c/", bundle.cls)]
+            trees += [(f"client/{cid}/theta/", bundle.fe), (f"client/{cid}/phi_c/", bundle.cls)]
         else:
             trees.append((f"client/{cid}/model/", bundle.full))
     for prefix, spec in trees:

@@ -645,8 +645,8 @@ def test_attack_load_gives_the_public_view_of_a_full_load(quick_start_snapshot, 
             a, b = getattr(got, tree), getattr(want, tree)
             assert a.keys() == b.keys() and all(a[k].tobytes() == b[k].tobytes() for k in a)
     clients = lean[1]
-    if algorithm == "hyperfl":  # the private hypernetwork copies stay on disk
-        assert all(c.phi_h is None and c.v is not None and c.phi_c is not None for c in clients)
+    if algorithm == "hyperfl":  # the generated extractors stay on disk
+        assert all(c.theta is None and c.v is not None and c.phi_c is not None for c in clients)
     else:  # so do the local models
         assert all(c.model is None for c in clients)
 
@@ -665,18 +665,20 @@ def test_attack_on_a_local_snapshot_fails_as_a_full_load_does(quick_start_snapsh
 
 
 def test_attack_load_holds_little_beyond_the_kept_tensors(quick_start_snapshot):
-    snap = quick_start_snapshot("hyperfl")
-    _, bundle, shards = attack_inputs(snap)
-    kept = sum(a.nbytes for name, a in ckpt.read_checkpoint(snap).items() if atk.transcript_reads(name))
-    assert kept < snap.stat().st_size / 8  # the client hypernetwork copies are the bulk
-    tracemalloc.start()
-    try:
-        fs.tensors_to_state(ckpt.read_checkpoint(snap, atk.transcript_reads), shards, bundle)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # 128 KiB covers the dict, the names, the array headers and the skip records
-    assert peak < kept + 128 * 1024, (peak, kept)
+    for algorithm in ("hyperfl", "fedavg"):
+        snap = quick_start_snapshot(algorithm)
+        _, bundle, shards = attack_inputs(snap)
+        kept = sum(a.nbytes for name, a in ckpt.read_checkpoint(snap).items() if atk.transcript_reads(name))
+        if algorithm == "fedavg":
+            assert kept < snap.stat().st_size / 8  # the clients' local models are the bulk
+        tracemalloc.start()
+        try:
+            fs.tensors_to_state(ckpt.read_checkpoint(snap, atk.transcript_reads), shards, bundle)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 128 KiB covers the dict, the names, the array headers and the skip records
+        assert peak < kept + 128 * 1024, (algorithm, peak, kept)
 
 
 @pytest.fixture(scope="module")
@@ -718,7 +720,7 @@ def test_attack_reruns_are_byte_identical(run_of, tmp_path, algorithm):
         ("hyperfl", "client/0/v"),
         ("hyperfl", "client/0/phi_c/cls0/W"),
         ("hyperfl", "server/varphi/hyper/trunk/W"),
-        ("hyperfl", "client/1/phi_h/hyper/trunk/W"),  # skipped, but its absence is seen
+        ("hyperfl", "client/1/theta/fe0/W"),  # skipped, but its absence is seen
         ("fedavg", "server/model/fe0/W"),
         ("fedavg", "client/0/model/fe0/W"),
         ("pfedhn", "server/embedding/0"),
@@ -744,7 +746,7 @@ def test_attack_on_snapshot_without_a_state_tensor_exits_3(run_of, tmp_path, cap
     [
         ("hyperfl", "client/0/v"),
         ("hyperfl", "server/varphi/hyper/trunk/b"),
-        ("hyperfl", "client/1/phi_h/hyper/trunk/W"),  # skipped, but its shape is checked
+        ("hyperfl", "client/1/theta/fe0/W"),  # skipped, but its shape is checked
         ("fedavg", "server/model/fe0/W"),
         ("pfedhn", "server/embedding/0"),
         ("pfedhn", "client/0/model/cls0/b"),
@@ -763,6 +765,26 @@ def test_attack_on_snapshot_with_a_misshapen_tensor_exits_3(run_of, tmp_path, ca
     assert cli.main(["attack", str(snap), str(att)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"{key!r} has shape" in err and len(err.splitlines()) == 1
+
+
+def test_attack_on_a_snapshot_with_client_hypernetwork_copies_exits_3(run_of, tmp_path, capsys):
+    # the layout written before HyperFL clients kept their generated extractor
+    run = tmp_path / "copy"
+    shutil.copytree(run_of("hyperfl"), run)
+    snap = run / "snapshots" / "round_0002.hfl"
+    flat = ckpt.read_checkpoint(snap)
+    old = {name: a for name, a in flat.items() if "/theta/" not in name}
+    for cid in range(int(flat["meta/clients"])):
+        old.update({f"client/{cid}/phi_h/{k[len('server/varphi/'):]}": a
+                    for k, a in flat.items() if k.startswith("server/varphi/")})
+    ckpt.write_checkpoint(snap, old)
+    att = tmp_path / "att.json"
+    att.write_text('{"iterations": 2, "samples": 1}')
+    capsys.readouterr()
+    assert cli.main(["attack", str(snap), str(att)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'client/0/theta/" in err and len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 # -- report -------------------------------------------------------------------

@@ -4,6 +4,7 @@ Composition oracles rebuild one local step by hand from loss_and_grad_params +
 sgd_step with an identically seeded batch stream, then demand equality.
 """
 
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -294,9 +295,9 @@ def test_dp_config_validation():
 def test_hyperfl_zero_learning_rates_change_nothing():
     bundle = small_bundle()
     shards = make_shards(1)
-    _, clients = fs.init_experiment("hyperfl", bundle, shards, seed=5)
+    server, clients = fs.init_experiment("hyperfl", bundle, shards, seed=5)
     client = clients[0]
-    varphi = {k: a.copy() for k, a in client.phi_h.items()}
+    varphi = {k: a.copy() for k, a in server.varphi_bar.items()}
     cfg = quick_cfg(
         eta_g=nn.OptimConfig(0.0), eta_h=nn.OptimConfig(0.0), eta_v=nn.OptimConfig(0.0),
         local_epochs=3,
@@ -307,14 +308,16 @@ def test_hyperfl_zero_learning_rates_change_nothing():
     assert new_c.v.tobytes() == client.v.tobytes()
     for k in client.phi_c:
         assert new_c.phi_c[k].tobytes() == client.phi_c[k].tobytes()
+    for k in client.theta:
+        assert new_c.theta[k].tobytes() == client.theta[k].tobytes()
 
 
 def test_hyperfl_step1_matches_hand_composition():
     bundle = small_bundle()
     shards = make_shards(1, n=12)
-    _, clients = fs.init_experiment("hyperfl", bundle, shards, seed=6)
+    server, clients = fs.init_experiment("hyperfl", bundle, shards, seed=6)
     client = clients[0]
-    varphi = client.phi_h
+    varphi = server.varphi_bar
     # batch covers the whole shard; freeze step 2 with zero rates
     cfg = quick_cfg(
         batch_size=client.train.n,
@@ -339,9 +342,9 @@ def test_hyperfl_step1_matches_hand_composition():
 def test_hyperfl_step2_matches_hand_composition():
     bundle = small_bundle()
     shards = make_shards(1, n=10)
-    _, clients = fs.init_experiment("hyperfl", bundle, shards, seed=7)
+    server, clients = fs.init_experiment("hyperfl", bundle, shards, seed=7)
     client = clients[0]
-    varphi = client.phi_h
+    varphi = server.varphi_bar
     cfg = quick_cfg(batch_size=client.train.n, eta_g=nn.OptimConfig(0.0), local_epochs=1)
     new_c, upload, _ = fs.local_train_hyperfl(client, varphi, bundle, cfg, np.random.default_rng(9))
 
@@ -358,6 +361,9 @@ def test_hyperfl_step2_matches_hand_composition():
     for k in want_phi_h:
         np.testing.assert_array_equal(upload[k], want_phi_h[k])
     np.testing.assert_array_equal(new_c.v, want_v)
+    want_theta = hn.hypernet_forward(want_v, want_phi_h, bundle.hyper)
+    for k in want_theta:
+        np.testing.assert_array_equal(new_c.theta[k], want_theta[k])
 
 
 def test_fedavg_zero_lr_uploads_zero_delta():
@@ -398,11 +404,16 @@ def test_single_client_round_aggregate_is_identity():
     shards = make_shards(1)
     server, clients = fs.init_experiment("hyperfl", bundle, shards, seed=3)
     cfg = quick_cfg(total_rounds=5)
+    wire = RecordingWire()
     new_server, new_clients, _ = fs.run_round(
-        server, clients, bundle, cfg, fs.DPConfig(), seed=3
+        server, clients, bundle, cfg, fs.DPConfig(), seed=3, wire=wire
     )
+    (upload,) = [m.tensors() for m in wire.messages if m.kind == "upload"]
     for k in new_server.varphi_bar:
-        assert new_server.varphi_bar[k].tobytes() == new_clients[0].phi_h[k].tobytes()
+        assert new_server.varphi_bar[k].tobytes() == upload[k].tobytes()
+    theta = hn.hypernet_forward(new_clients[0].v, new_server.varphi_bar, bundle.hyper)
+    for k in theta:
+        assert new_clients[0].theta[k].tobytes() == theta[k].tobytes()
 
 
 def test_identical_clients_upload_identically():
@@ -411,8 +422,8 @@ def test_identical_clients_upload_identically():
     bundle = small_bundle()
     one_train, one_test = make_shards(1, n=20)[0]
     shards = [(one_train, one_test), (one_train, one_test)]
-    _, clients = fs.init_experiment("hyperfl", bundle, shards, seed=8)
-    varphi = clients[0].phi_h
+    server, clients = fs.init_experiment("hyperfl", bundle, shards, seed=8)
+    varphi = server.varphi_bar
     cfg = quick_cfg(local_epochs=2, batch_size=7)
     ups = []
     for c in clients:
@@ -598,8 +609,8 @@ def test_round_records_equal_values_recomputed_outside_the_round(algorithm):
     def fe_norm(delta):  # the unsanitized delta, before any DP clipping or noise
         return nn.tree_norm({k: a for k, a in delta.items() if k in bundle.fe.param_shapes()})
 
-    def h(c):
-        return hn.hypernet_forward(c.v, c.phi_h, bundle.hyper)
+    def h(v, phi):
+        return hn.hypernet_forward(v, phi, bundle.hyper)
 
     def decoded(params):  # what the receiving side reads off the wire
         return ckpt.load_params(ckpt.dump_params(params))
@@ -610,9 +621,10 @@ def test_round_records_equal_values_recomputed_outside_the_round(algorithm):
         c, rng = clients[cid], fs.derive_rng(23, fs._TAG_STEP, cid, 1)
         if algorithm == "hyperfl":
             received = decoded(server.varphi_bar)
-            new_c, _, stats = fs.local_train_hyperfl(c, received, bundle, cfg, rng)
-            drifts = (nn.tree_norm(nn.tree_sub(new_c.phi_h, received)),
-                      nn.tree_norm(nn.tree_sub(h(new_c), h(c))))
+            new_c, upload, stats = fs.local_train_hyperfl(c, received, bundle, cfg, rng)
+            # every client starts from the initial hypernetwork
+            drifts = (nn.tree_norm(nn.tree_sub(upload, received)),
+                      nn.tree_norm(nn.tree_sub(h(new_c.v, upload), h(c.v, server.varphi_bar))))
         elif algorithm == "pfedhn":  # the server steps phi after each client in turn
             v = server.embeddings[cid]
             received = decoded(hn.hypernet_forward(v, phi, hyper))
@@ -638,22 +650,79 @@ def test_hyperfl_extractor_drift_is_generated_extractor_change():
     cfg = quick_cfg(total_rounds=3, sampling_rate=0.5, batch_size=6)
     dp = fs.DPConfig()
     server, clients = fs.init_experiment("hyperfl", bundle, shards, seed=19)
+    # the hypernetwork each client's last training ended with: its last upload
+    ended_with = {c.id: server.varphi_bar for c in clients}
 
-    def h(c):
-        return hn.hypernet_forward(c.v, c.phi_h, bundle.hyper)
+    def h(v, phi):
+        return hn.hypernet_forward(v, phi, bundle.hyper)
 
     checked = 0
     for _ in range(cfg.total_rounds):
-        server, new_clients, records = fs.run_round(server, clients, bundle, cfg, dp, seed=19)
+        wire = RecordingWire()
+        server, new_clients, records = fs.run_round(server, clients, bundle, cfg, dp, seed=19, wire=wire)
+        uploads = {int(m.sender.split(":")[1]): m.tensors() for m in wire.messages if m.kind == "upload"}
         for r in records:
             if math.isnan(r.train_loss):
                 continue
             cid = int(r.client_id)
-            assert r.extractor_drift == nn.tree_norm(nn.tree_sub(h(new_clients[cid]), h(clients[cid])))
+            new = h(new_clients[cid].v, uploads[cid])
+            old = h(clients[cid].v, ended_with[cid])
+            assert r.extractor_drift == nn.tree_norm(nn.tree_sub(new, old))
             assert r.extractor_drift > 0
+            ended_with[cid] = uploads[cid]
             checked += 1
         clients = new_clients
     assert checked == 2 + 2 + 3  # two sampled per round, everyone in the last
+
+
+def test_hyperfl_client_keeps_the_extractor_its_upload_generates():
+    bundle = small_bundle()
+    shards = make_shards(4, n=18)
+    cfg = quick_cfg(total_rounds=3, sampling_rate=0.5, batch_size=6)
+    server, clients = fs.init_experiment("hyperfl", bundle, shards, seed=29)
+    wire = RecordingWire()
+    _, new_clients, _ = fs.run_round(server, clients, bundle, cfg, fs.DPConfig(), seed=29, wire=wire)
+    uploads = {int(m.sender.split(":")[1]): m.tensors() for m in wire.messages if m.kind == "upload"}
+    assert len(uploads) == 2
+    for old, new in zip(clients, new_clients):
+        # a trained client keeps h(v; its upload); an untrained one keeps what it had
+        want = hn.hypernet_forward(new.v, uploads[new.id], bundle.hyper) if new.id in uploads else old.theta
+        assert new.theta.keys() == want.keys()
+        for k in want:
+            assert new.theta[k].tobytes() == want[k].tobytes()
+
+
+def test_hyperfl_round_generates_each_extractor_once(monkeypatch):
+    # per trained client: once for Step 1, once per Step 2 step and once for
+    # the extractor it keeps; drift and evaluation reuse the kept one
+    bundle = small_bundle()
+    shards = make_shards(3, n=18)
+    cfg = quick_cfg(local_epochs=2, batch_size=4)
+    server, clients = fs.init_experiment("hyperfl", bundle, shards, seed=31)
+    calls = []
+    forward = fs.hypernet_forward
+    monkeypatch.setattr(fs, "hypernet_forward", lambda *args: calls.append(1) or forward(*args))
+    _, new_clients, _ = fs.run_round(server, clients, bundle, cfg, fs.DPConfig(), seed=31)
+    steps = [cfg.local_epochs * math.ceil(c.train.n / cfg.batch_size) for c in clients]
+    assert len(calls) == sum(2 + s for s in steps)
+    calls.clear()
+    fs.evaluate_clients(new_clients, bundle)
+    assert calls == []
+
+
+def test_hyperfl_clients_hold_no_hypernetwork_copy():
+    bundle = small_bundle()
+    shards = make_shards(2, n=12)
+    server, clients = fs.init_experiment("hyperfl", bundle, shards, seed=37)
+    _, clients, _ = fs.run_round(server, clients, bundle, quick_cfg(), fs.DPConfig(), seed=37)
+    hyper_shapes = bundle.hyper.param_shapes()
+    hyper_size = sum(math.prod(shape) for shape in hyper_shapes.values())
+    for c in clients:
+        held = [getattr(c, f.name) for f in dataclasses.fields(c) if f.name not in ("id", "train", "test")]
+        trees = [x for x in held if isinstance(x, dict)]
+        assert trees and all(tree.keys() != hyper_shapes.keys() for tree in trees)
+        arrays = [x for x in held if isinstance(x, np.ndarray)] + [a for tree in trees for a in tree.values()]
+        assert sum(a.size for a in arrays) < hyper_size
 
 
 def test_last_round_forces_full_participation():
@@ -731,13 +800,15 @@ def test_pfedhn_wire_exposes_full_model():
 def test_init_hyperfl_clients_share_embedding_and_classifier():
     bundle = small_bundle()
     shards = make_shards(3)
-    _, clients = fs.init_experiment("hyperfl", bundle, shards, seed=14)
-    for c in clients[1:]:
+    server, clients = fs.init_experiment("hyperfl", bundle, shards, seed=14)
+    theta = hn.hypernet_forward(clients[0].v, server.varphi_bar, bundle.hyper)
+    for c in clients:
         assert c.v.tobytes() == clients[0].v.tobytes()
         for k in c.phi_c:
             assert c.phi_c[k].tobytes() == clients[0].phi_c[k].tobytes()
-        for k in c.phi_h:
-            assert c.phi_h[k].tobytes() == clients[0].phi_h[k].tobytes()
+        assert c.theta.keys() == theta.keys()
+        for k in theta:
+            assert c.theta[k].tobytes() == theta[k].tobytes()
 
 
 def test_init_validation():
