@@ -29,10 +29,9 @@ so reconstruction code cannot touch ground truth even by accident.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -41,7 +40,7 @@ from . import metrics as mx
 from . import network as nn
 from .checkpoint import write_atomic, write_json
 from .errors import CapabilityError, ConfigError, ConsistencyError, DimensionError, FormatError, NumericError
-from .fedsim import ClientState, DPConfig, ModelBundle, ServerState, dp_sanitize
+from .fedsim import ClientState, DPConfig, LayoutRow, ModelBundle, ServerState, dp_sanitize
 from .hypernet import HypernetSpec
 from .network import NetSpec, OptimConfig, ParamSet
 
@@ -634,18 +633,20 @@ def hyperfl_transcript(
     return _transcript("hyperfl", fe_spec, phi_h, d_phi, x_img, y, hyper_spec=hyper_spec)
 
 
-_CLIENT_INPUT = re.compile(r"client/\d+/(?:v|phi_c/.+)")
+TRANSCRIPT_CLIENT_FIELDS = ("v", "phi_c")
 
 
-def transcript_reads(name: str) -> bool:
-    """Whether :func:`snapshot_transcript` reads the snapshot tensor ``name``.
+def transcript_reads(layout: Sequence[LayoutRow]) -> Callable[[str], bool]:
+    """Whether :func:`snapshot_transcript` reads a tensor of a snapshot laid out as ``layout``.
 
-    It reads the ``meta/`` and ``server/`` tensors, and a HyperFL client's
-    embedding ``v`` and classifier ``phi_c``: the private inputs from which its
-    transcript rebuilds the upload the server receives.  HyperFL clients'
-    generated extractors (``theta``) and local models (``model``) are never read.
+    It reads the ``meta/`` tensors, the server's trees, and a HyperFL
+    client's embedding ``v`` and classifier ``phi_c``: the private inputs from
+    which its transcript rebuilds the upload the server receives.  Generated
+    extractors (``theta``) and local models (``model``) are never read.
     """
-    return name.startswith(("meta/", "server/")) or _CLIENT_INPUT.fullmatch(name) is not None
+    rows = [row for row in layout if row.cid is None or row.field in TRANSCRIPT_CLIENT_FIELDS]
+    names = {name for row in rows for name in row.names()}
+    return lambda name: name.startswith("meta/") or name in names
 
 
 def snapshot_transcript(

@@ -111,6 +111,9 @@ def cmd_train(args) -> int:
     latest: dict = {}
     clock = {"t": time.perf_counter()}
 
+    def write_snapshot(name: str, server, clients) -> None:
+        ckpt.write_checkpoint(out / "snapshots" / name, fs.state_to_tensors(server, clients, bundle))
+
     def on_round(t: int, server, clients) -> None:
         now = time.perf_counter()
         timings.append((t, now - clock["t"]))
@@ -118,7 +121,7 @@ def cmd_train(args) -> int:
         latest["state"] = (server, clients)
         on_cadence = t > 0 and cfg.snapshot_every > 0 and t % cfg.snapshot_every == 0
         if t == rounds.total_rounds or on_cadence:
-            _write_snapshot(out / "snapshots" / f"round_{t:04d}.hfl", server, clients)
+            write_snapshot(f"round_{t:04d}.hfl", server, clients)
 
     try:
         _, _, records = fs.run_experiment(
@@ -132,7 +135,7 @@ def cmd_train(args) -> int:
         )
     except (NumericError, KeyboardInterrupt):
         if "state" in latest:  # keep what progress there was
-            _write_snapshot(out / "snapshots" / "emergency.hfl", *latest["state"])
+            write_snapshot("emergency.hfl", *latest["state"])
         raise
 
     mx.write_metrics_csv(out / "metrics.csv", records)
@@ -140,10 +143,6 @@ def cmd_train(args) -> int:
     ckpt.write_json(out / "final_accuracy.json", mx.final_accuracy(records))
     print(out)
     return 0
-
-
-def _write_snapshot(path: Path, server, clients) -> None:
-    ckpt.write_checkpoint(path, fs.state_to_tensors(server, clients))
 
 
 # -- attack -----------------------------------------------------------------------
@@ -161,7 +160,8 @@ def cmd_attack(args) -> int:
     ds = cfgmod.build_dataset(cfg)
     shards = cfgmod.build_shards(cfg, ds)
     # load what the transcripts read; every other tensor is checked and skipped
-    server, clients = fs.tensors_to_state(ckpt.read_checkpoint(snap_path, atk.transcript_reads), shards, bundle)
+    reads = atk.transcript_reads(fs.state_layout(cfg.algorithm, bundle, len(shards)))
+    server, clients = fs.tensors_to_state(ckpt.read_checkpoint(snap_path, reads), shards, bundle)
     if server.algorithm != cfg.algorithm:
         raise CapabilityError(
             f"snapshot was produced by {server.algorithm!r} but the run config says {cfg.algorithm!r}"

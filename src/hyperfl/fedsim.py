@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -728,36 +728,66 @@ def run_experiment(
 # -- state serialization ---------------------------------------------------------------------
 
 
-def state_to_tensors(server: ServerState, clients: Sequence[ClientState]) -> ParamSet:
+class LayoutRow(NamedTuple):
+    """One tree a snapshot stores: the tree's entry ``key`` is the tensor ``f"{prefix}{key}"``."""
+
+    prefix: str
+    cid: int | None  # the client whose state holds the tree; None for the server's
+    field: str  # the ServerState or ClientState field it fills
+    shapes: dict  # the tree's key -> tensor shape, in the tree's key order
+
+    def names(self) -> list[str]:
+        return [f"{self.prefix}{key}" for key in self.shapes]
+
+
+def state_layout(algorithm: str, bundle: ModelBundle, n_clients: int) -> list[LayoutRow]:
+    """Every tree a snapshot of this protocol and bundle stores, the server's first.
+
+    The one definition of the snapshot layout: :func:`state_to_tensors`
+    writes these rows, :func:`tensors_to_state` checks a snapshot against
+    them and rebuilds from them, and ``hyperfl attack`` picks the tensors it
+    loads from them.  A HyperFL client's embedding ``v`` is a one-tensor
+    tree, and pFedHN's server keys its embeddings by client id.
+    """
+    embedding = (bundle.hyper.embedding_dim,)
+    rows = []
+    if algorithm in ("hyperfl", "pfedhn"):
+        hyper = bundle.hyper if algorithm == "hyperfl" else bundle.pfedhn_hyper()
+        rows.append(LayoutRow("server/varphi/", None, "varphi_bar", hyper.param_shapes()))
+    if algorithm == "pfedhn":
+        embeddings = dict.fromkeys(range(n_clients), embedding)
+        rows.append(LayoutRow("server/embedding/", None, "embeddings", embeddings))
+    elif algorithm in ("fedavg", "dp_fedavg"):
+        rows.append(LayoutRow("server/model/", None, "global_model", bundle.full.param_shapes()))
+    for cid in range(n_clients):
+        base = f"client/{cid}/"
+        if algorithm == "hyperfl":
+            rows += [
+                LayoutRow(base, cid, "v", {"v": embedding}),
+                LayoutRow(base + "theta/", cid, "theta", bundle.fe.param_shapes()),
+                LayoutRow(base + "phi_c/", cid, "phi_c", bundle.cls.param_shapes()),
+            ]
+        else:
+            rows.append(LayoutRow(base + "model/", cid, "model", bundle.full.param_shapes()))
+    return rows
+
+
+def state_to_tensors(server: ServerState, clients: Sequence[ClientState], bundle: ModelBundle) -> ParamSet:
     """Flatten an experiment state into one name -> tensor map.
 
-    Layout: ``meta/round``, ``meta/algorithm`` (code point array),
-    ``server/...`` for global parameters, ``client/<id>/...`` per client.
-    Shards are not serialized: they are reproducible from the experiment
-    config.
+    ``meta/round``, ``meta/algorithm`` (code point array) and
+    ``meta/clients``, then every tree :func:`state_layout` lists.  Shards are
+    not serialized: they are reproducible from the experiment config.
     """
     flat: ParamSet = {
         "meta/round": np.array(float(server.round_t)),
         "meta/algorithm": np.array([float(ord(ch)) for ch in server.algorithm]),
         "meta/clients": np.array(float(len(clients))),
     }
-    if server.varphi_bar is not None:
-        for k, a in server.varphi_bar.items():
-            flat[f"server/varphi/{k}"] = a
-    if server.global_model is not None:
-        for k, a in server.global_model.items():
-            flat[f"server/model/{k}"] = a
-    if server.embeddings is not None:
-        for cid, v in server.embeddings.items():
-            flat[f"server/embedding/{cid}"] = v
-    for c in clients:
-        base = f"client/{c.id}"
-        if c.v is not None:
-            flat[f"{base}/v"] = c.v
-        for group, tree in (("theta", c.theta), ("phi_c", c.phi_c), ("model", c.model)):
-            if tree is not None:
-                for k, a in tree.items():
-                    flat[f"{base}/{group}/{k}"] = a
+    for row in state_layout(server.algorithm, bundle, len(clients)):
+        value = getattr(server if row.cid is None else clients[row.cid], row.field)
+        tree = {"v": value} if row.field == "v" else value
+        flat.update(zip(row.names(), (tree[key] for key in row.shapes)))
     return flat
 
 
@@ -766,16 +796,16 @@ def tensors_to_state(
 ) -> tuple[ServerState, list[ClientState]]:
     """Rebuild (server, clients) from a flattened snapshot plus data shards.
 
-    The tensor names and shapes must be those ``state_to_tensors`` writes
-    for the protocol and ``bundle``; the first misshapen, missing or extra
-    tensor raises :class:`ConsistencyError`.  A :class:`checkpoint.Skipped`
-    entry, one the container parser checked but did not load, passes these
-    checks by its shape alone; the tree it belongs to (a client's ``v``,
-    ``theta``, ``phi_c`` or ``model``, or a server tree) stays None, so any
-    later use fails loudly.  A HyperFL snapshot written before clients kept
-    ``theta`` holds a ``client/<id>/phi_h/`` hypernetwork copy in its place,
-    so it raises like any other.  Optimizer state is not restored (snapshots
-    capture parameters, not momentum); resuming starts with fresh momentum.
+    The snapshot must hold the ``meta/`` tensors and exactly the tensors
+    :func:`state_layout` lists for its protocol, ``bundle`` and the shards'
+    clients; the first misshapen, missing or extra tensor raises
+    :class:`ConsistencyError`.  Trees come back in the layout's key order, a
+    fresh run's.  A :class:`checkpoint.Skipped` entry, one the container
+    parser checked but did not load, passes by its shape alone and leaves
+    its tree None, so any later use fails loudly.  A HyperFL snapshot from
+    before clients kept ``theta`` holds a hypernetwork copy per client in its
+    place, so it raises like any other.  Optimizer state is not restored:
+    resuming starts with fresh momentum.
     """
     meta = ("meta/algorithm", "meta/clients", "meta/round")
     missing = [name for name in meta if name not in flat or isinstance(flat[name], checkpoint.Skipped)]
@@ -787,7 +817,10 @@ def tensors_to_state(
         algorithm = None
     if algorithm not in ALGORITHMS:
         raise ConsistencyError(f"snapshot meta/algorithm does not name one of {ALGORITHMS}")
-    want = _snapshot_shapes(algorithm, bundle, len(shards))
+    layout = state_layout(algorithm, bundle, len(shards))
+    want = {"meta/algorithm": (len(algorithm),), "meta/clients": (), "meta/round": ()}
+    for row in layout:
+        want.update(zip(row.names(), row.shapes.values()))
     for name in sorted(want.keys() & flat.keys()):
         got = np.shape(flat[name])
         if got != want[name]:
@@ -802,48 +835,18 @@ def tensors_to_state(
             raise ConsistencyError(f"{algorithm} snapshot {kind} tensor {min(names)!r}")
     round_t = _meta_count(flat, "meta/round")
 
-    def subtree(prefix: str) -> ParamSet | None:
-        """The tree under ``prefix``; None if it is empty or any entry was skipped."""
-        plen = len(prefix)
-        tree = {k[plen:]: a for k, a in flat.items() if k.startswith(prefix)}
-        if not tree or any(isinstance(a, checkpoint.Skipped) for a in tree.values()):
-            return None
-        return {k: np.asarray(a) for k, a in tree.items()}
-
-    varphi = subtree("server/varphi/")
-    global_model = subtree("server/model/")
-    emb_tree = subtree("server/embedding/")
-    embeddings = None if emb_tree is None else {int(k): v for k, v in emb_tree.items()}
-
-    clients = []
-    for cid, (train, test) in enumerate(shards):
-        base = f"client/{cid}/"
-        v = flat.get(base + "v")
-        clients.append(
-            ClientState(
-                id=cid,
-                train=train,
-                test=test,
-                v=None if v is None or isinstance(v, checkpoint.Skipped) else np.asarray(v),
-                theta=subtree(base + "theta/"),
-                phi_c=subtree(base + "phi_c/"),
-                model=subtree(base + "model/"),
-            )
-        )
-    server = ServerState(
-        algorithm=algorithm,
-        round_t=round_t,
-        varphi_bar=varphi,
-        global_model=global_model,
-        embeddings=embeddings,
-        opt_h=init_optim_state(varphi) if (algorithm == "pfedhn" and varphi) else None,
-        opt_v=(
-            {cid: {"v": np.zeros_like(v)} for cid, v in embeddings.items()}
-            if (algorithm == "pfedhn" and embeddings)
-            else None
-        ),
-    )
-    return server, clients
+    fields = {cid: {} for cid in [None, *range(len(shards))]}
+    for row in layout:
+        tensors = [flat[name] for name in row.names()]
+        if not any(isinstance(a, checkpoint.Skipped) for a in tensors):
+            tree = {key: np.asarray(a) for key, a in zip(row.shapes, tensors)}
+            fields[row.cid][row.field] = tree["v"] if row.field == "v" else tree
+    server = fields.pop(None)
+    if algorithm == "pfedhn" and server.keys() >= {"varphi_bar", "embeddings"}:  # fresh momentum
+        server["opt_h"] = init_optim_state(server["varphi_bar"])
+        server["opt_v"] = {cid: {"v": np.zeros_like(v)} for cid, v in server["embeddings"].items()}
+    clients = [ClientState(cid, train, test, **fields[cid]) for cid, (train, test) in enumerate(shards)]
+    return ServerState(algorithm, round_t, **server), clients
 
 
 def _meta_count(flat: ParamSet, name: str) -> int:
@@ -852,24 +855,3 @@ def _meta_count(flat: ParamSet, name: str) -> int:
     if not (0 <= x < 2.0**53 and x.is_integer()):  # NaN fails every comparison
         raise ConsistencyError(f"snapshot {name} is {x!r}, expected an integer in [0, 2**53)")
     return int(x)
-
-
-def _snapshot_shapes(algorithm: str, bundle: ModelBundle, n_clients: int) -> dict[str, tuple[int, ...]]:
-    """Every tensor ``state_to_tensors`` writes for this protocol and bundle, with its shape."""
-    shapes = {"meta/algorithm": (len(algorithm),), "meta/clients": (), "meta/round": ()}
-    embedding = (bundle.hyper.embedding_dim,)
-    trees = [("server/varphi/", bundle.hyper)] if algorithm == "hyperfl" else []
-    if algorithm == "pfedhn":
-        trees.append(("server/varphi/", bundle.pfedhn_hyper()))
-        shapes.update({f"server/embedding/{cid}": embedding for cid in range(n_clients)})
-    elif algorithm in ("fedavg", "dp_fedavg"):
-        trees.append(("server/model/", bundle.full))
-    for cid in range(n_clients):
-        if algorithm == "hyperfl":
-            shapes[f"client/{cid}/v"] = embedding
-            trees += [(f"client/{cid}/theta/", bundle.fe), (f"client/{cid}/phi_c/", bundle.cls)]
-        else:
-            trees.append((f"client/{cid}/model/", bundle.full))
-    for prefix, spec in trees:
-        shapes.update({prefix + name: shape for name, shape in spec.param_shapes().items()})
-    return shapes

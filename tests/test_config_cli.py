@@ -508,11 +508,11 @@ def test_attack_on_snapshot_without_meta_exits_3(fedavg_run, tmp_path, capsys, k
     assert err.startswith("error:") and key in err and len(err.splitlines()) == 1
 
 
-def cut_inside_first_payload(blob):
+def cut_inside_first_payload(blob, reads):
     """``blob`` cut 8 bytes into the payload of its first entry, a client tensor the attack skips."""
     (name_len,) = struct.unpack_from("<H", blob, 12)
     name = blob[14 : 14 + name_len].decode()
-    assert not atk.transcript_reads(name), name
+    assert not reads(name), name
     payload = 14 + name_len + 1 + 4 * blob[14 + name_len]
     return blob[: payload + 8]
 
@@ -520,10 +520,10 @@ def cut_inside_first_payload(blob):
 @pytest.mark.parametrize(
     "damage",
     [
-        lambda blob: blob[:-1],
-        lambda blob: blob + b"\x00",
+        lambda blob, reads: blob[:-1],
+        lambda blob, reads: blob + b"\x00",
         # one entry whose dims claim (2**32 - 1)**2 float64 values, in 40 bytes
-        lambda blob: b"HFLTNSR1" + struct.pack("<IH1sB2I", 1, 1, b"x", 2, 2**32 - 1, 2**32 - 1) + bytes(16),
+        lambda blob, reads: b"HFLTNSR1" + struct.pack("<IH1sB2I", 1, 1, b"x", 2, 2**32 - 1, 2**32 - 1) + bytes(16),
         cut_inside_first_payload,
     ],
     ids=["truncated", "trailing-byte", "forged-huge-dims", "truncated-in-skipped-payload"],
@@ -532,7 +532,7 @@ def test_attack_on_a_damaged_container_exits_3(fedavg_run, tmp_path, capsys, dam
     run = tmp_path / "copy"
     shutil.copytree(fedavg_run, run)
     snap = run / "snapshots" / "round_0002.hfl"
-    snap.write_bytes(damage(snap.read_bytes()))
+    snap.write_bytes(damage(snap.read_bytes(), attack_reads(snap)))
     att = tmp_path / "att.json"
     att.write_text('{"iterations": 2, "samples": 1}')
     capsys.readouterr()
@@ -628,12 +628,18 @@ def attack_inputs(snap: Path):
     return cfg, cfgmod.build_bundle(cfg), cfgmod.build_shards(cfg, cfgmod.build_dataset(cfg))
 
 
+def attack_reads(snap: Path):
+    """The read filter ``hyperfl attack`` builds for ``snap``: what its transcripts read."""
+    cfg, bundle, shards = attack_inputs(snap)
+    return atk.transcript_reads(fs.state_layout(cfg.algorithm, bundle, len(shards)))
+
+
 @pytest.mark.parametrize("algorithm", ["hyperfl", "fedavg", "dp_fedavg", "pfedhn"])
 def test_attack_load_gives_the_public_view_of_a_full_load(quick_start_snapshot, algorithm):
     snap = quick_start_snapshot(algorithm)
     cfg, bundle, shards = attack_inputs(snap)
     full = fs.tensors_to_state(ckpt.read_checkpoint(snap), shards, bundle)
-    lean = fs.tensors_to_state(ckpt.read_checkpoint(snap, atk.transcript_reads), shards, bundle)
+    lean = fs.tensors_to_state(ckpt.read_checkpoint(snap, attack_reads(snap)), shards, bundle)
     for i in range(4):
         want, got = (
             atk.snapshot_transcript(server, clients, bundle, i, cfg.image_shape, cfg.dp_config, cfg.round_config.eta_g, 3)
@@ -668,12 +674,13 @@ def test_attack_load_holds_little_beyond_the_kept_tensors(quick_start_snapshot):
     for algorithm in ("hyperfl", "fedavg"):
         snap = quick_start_snapshot(algorithm)
         _, bundle, shards = attack_inputs(snap)
-        kept = sum(a.nbytes for name, a in ckpt.read_checkpoint(snap).items() if atk.transcript_reads(name))
+        reads = attack_reads(snap)
+        kept = sum(a.nbytes for name, a in ckpt.read_checkpoint(snap).items() if reads(name))
         if algorithm == "fedavg":
             assert kept < snap.stat().st_size / 8  # the clients' local models are the bulk
         tracemalloc.start()
         try:
-            fs.tensors_to_state(ckpt.read_checkpoint(snap, atk.transcript_reads), shards, bundle)
+            fs.tensors_to_state(ckpt.read_checkpoint(snap, reads), shards, bundle)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
