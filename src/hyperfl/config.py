@@ -36,7 +36,7 @@ from .network import NetSpec, OptimConfig, dense_net
 ENV_SEED = "HYPERFL_SEED"
 
 _DEFAULTS = {
-    "workers": 1,  # accepted and ignored: sampled clients always train one after another
+    "workers": 1,  # accepted only as 1: sampled clients always train one after another
     "snapshot_every": 0,
     "partition": {
         "clients": 20,

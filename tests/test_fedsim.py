@@ -596,13 +596,14 @@ def test_round_records_shape_and_nan_policy(algorithm):
 
 @pytest.mark.parametrize("algorithm", fs.ALGORITHMS)
 def test_round_records_equal_values_recomputed_outside_the_round(algorithm):
-    # replay one half-sampled round client by client on the same step streams
+    # replay one half-sampled round client by client on the same step streams,
+    # then the server's new state from the replayed uploads in the same order
     bundle = small_bundle()
     shards = make_shards(4, n=18)
     cfg = quick_cfg(total_rounds=3, sampling_rate=0.5, batch_size=6, server_lr=0.05)
     dp = fs.DPConfig(clip_norm=1.0, sigma=0.01)
     server, clients = fs.init_experiment(algorithm, bundle, shards, seed=23)
-    _, new_clients, records = fs.run_round(server, clients, bundle, cfg, dp, seed=23)
+    new_server, new_clients, records = fs.run_round(server, clients, bundle, cfg, dp, seed=23)
     sampled = fs.sample_clients(4, 0.5, fs.derive_rng(23, fs._TAG_SAMPLE, 1)).tolist()
     assert len(sampled) == 2
     assert [r.test_acc for r in records] == fs.evaluate_clients(new_clients, bundle)
@@ -616,8 +617,8 @@ def test_round_records_equal_values_recomputed_outside_the_round(algorithm):
     def decoded(params):  # what the receiving side reads off the wire
         return ckpt.load_params(ckpt.dump_params(params))
 
-    phi, opt_h, hyper = server.varphi_bar, server.opt_h, bundle.pfedhn_hyper()
-    want = {}
+    phi, embeddings, hyper = server.varphi_bar, dict(server.embeddings or {}), bundle.pfedhn_hyper()
+    want, uploads = {}, []
     for cid in sampled:
         c, rng = clients[cid], fs.derive_rng(23, fs._TAG_STEP, cid, 1)
         if algorithm == "hyperfl":
@@ -626,23 +627,44 @@ def test_round_records_equal_values_recomputed_outside_the_round(algorithm):
             # every client starts from the initial hypernetwork
             drifts = (nn.tree_norm(nn.tree_sub(upload, received)),
                       nn.tree_norm(nn.tree_sub(h(new_c.v, upload), h(c.v, server.varphi_bar))))
-        elif algorithm == "pfedhn":  # the server steps phi after each client in turn
-            v = server.embeddings[cid]
+            uploads.append(decoded(upload))
+        elif algorithm == "pfedhn":  # the server steps phi and v_cid after each client in turn
+            v = embeddings[cid]
             received = decoded(hn.hypernet_forward(v, phi, hyper))
             _, delta, stats = fs.local_train_fedavg(c, received, bundle, cfg, rng)
             delta = decoded(delta)
-            d_phi, _ = hn.hypernet_backward(nn.tree_scale(delta, -1.0), v, phi, hyper)
-            phi, opt_h = nn.sgd_step(phi, d_phi, nn.OptimConfig(cfg.server_lr), opt_h)
+            d_phi, dv = hn.hypernet_backward(nn.tree_scale(delta, -1.0), v, phi, hyper)
+            phi, _ = nn.sgd_step(phi, d_phi, nn.OptimConfig(cfg.server_lr))
+            embeddings[cid] = v - cfg.server_lr * dv
             drifts = (cfg.server_lr * nn.tree_norm(d_phi), fe_norm(delta))
         else:
             start = c.model if algorithm == "local" else decoded(server.global_model)
             _, delta, stats = fs.local_train_fedavg(c, start, bundle, cfg, rng)
             drifts = (math.nan, fe_norm(delta))
+            if algorithm == "dp_fedavg":
+                delta = fs.dp_sanitize(delta, dp, fs.derive_rng(23, fs._TAG_DPNOISE, cid, 1))
+            uploads.append(decoded(delta))
         want[cid] = (stats.train_loss, stats.grad_sq_norm, *drifts)
     for r in records:
         got = (r.train_loss, r.grad_sq_norm, r.hypernet_drift, r.extractor_drift)
         # exact equality, NaN matching NaN: unsampled rows are NaN but for test_acc
         np.testing.assert_array_equal(got, want.get(int(r.client_id), (math.nan,) * 4))
+
+    sizes = np.array([clients[cid].train.n for cid in sampled], dtype=np.float64)
+    weights = list(sizes / sizes.sum())
+    if algorithm == "pfedhn":
+        fields = {"varphi_bar": phi, "embeddings": embeddings}
+    elif algorithm == "hyperfl":
+        fields = {"varphi_bar": fs.aggregate(uploads, weights)}
+    elif algorithm == "local":
+        fields = {}
+    else:
+        fields = {"global_model": nn.tree_add(server.global_model, fs.aggregate(uploads, weights))}
+    want_server = dataclasses.replace(server, round_t=1, **fields)
+    # bitwise: every stored tree of the new server state, in its stored order
+    assert ckpt.dump_params(fs.state_to_tensors(new_server, new_clients, bundle)) == ckpt.dump_params(
+        fs.state_to_tensors(want_server, new_clients, bundle)
+    )
 
 
 def test_hyperfl_extractor_drift_is_generated_extractor_change():
