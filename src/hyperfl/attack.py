@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -38,8 +37,8 @@ import numpy as np
 from . import hypernet as hn
 from . import metrics as mx
 from . import network as nn
-from .checkpoint import write_atomic, write_json
-from .errors import CapabilityError, ConfigError, ConsistencyError, DimensionError, FormatError, NumericError
+from .checkpoint import read_csv, write_csv, write_json
+from .errors import CapabilityError, ConfigError, ConsistencyError, DimensionError, NumericError
 from .fedsim import ClientState, DPConfig, LayoutRow, ModelBundle, ServerState, dp_sanitize
 from .hypernet import HypernetSpec
 from .network import NetSpec, OptimConfig, ParamSet
@@ -722,34 +721,24 @@ def write_attack_report(path, cfg: AttackConfig, samples: Sequence[Mapping]) -> 
 
 
 _SUMMARY_FIELDS = ("sample", "algorithm", "psnr", "ssim", "analytic_psnr")
-_SUMMARY_HEADER = ",".join(_SUMMARY_FIELDS)
 
 
 def write_attack_summary_csv(path, samples: Sequence[Mapping]) -> None:
     """Per-sample score table, written atomically; the analytic column is the exact-recovery control."""
-    lines = [_SUMMARY_HEADER]
-    for s in samples:
-        lines.append(
-            f"{int(s['sample'])},{s['algorithm']},{repr(float(s['psnr']))},"
-            f"{repr(float(s['ssim']))},{repr(float(s.get('analytic_psnr', math.nan)))}"
-        )
-    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    rows = (
+        [int(s["sample"]), s["algorithm"], float(s["psnr"]), float(s["ssim"]),
+         float(s.get("analytic_psnr", math.nan))]
+        for s in samples
+    )
+    write_csv(path, _SUMMARY_FIELDS, rows)
+
+
+def _parse_summary_row(cells: list[str]) -> dict:
+    scores = {k: float(c) for k, c in zip(_SUMMARY_FIELDS[2:], cells[2:])}
+    return {"sample": int(cells[0]), "algorithm": cells[1], **scores}
 
 
 def read_attack_summary_csv(path) -> list[dict]:
     """Rows of a score table as written above; :class:`FormatError` names the
     line of a wrong header, a wrong field count or a value that is no number."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != _SUMMARY_HEADER:
-        raise FormatError(f"{path} line 1: expected header {_SUMMARY_HEADER!r}")
-    rows = []
-    for n, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(_SUMMARY_FIELDS):
-            raise FormatError(f"{path} line {n}: {len(cells)} fields, expected {len(_SUMMARY_FIELDS)}")
-        try:
-            scores = {k: float(c) for k, c in zip(_SUMMARY_FIELDS[2:], cells[2:])}
-            rows.append({"sample": int(cells[0]), "algorithm": cells[1], **scores})
-        except ValueError as e:
-            raise FormatError(f"{path} line {n}: {e}") from None
-    return rows
+    return read_csv(path, _SUMMARY_FIELDS, _parse_summary_row)

@@ -34,10 +34,16 @@ rejected entry gets every check a kept one gets up to its payload, which is
 then seeked past unread and comes back as a :class:`Skipped` record of its
 shape: a reader that needs a few tensors of a large snapshot, such as the
 attack, never allocates the rest.
+
+The module also owns the table format of every CSV artifact: a header row,
+then comma-separated rows with ``\n`` line ends.  :func:`write_csv` writes
+one atomically; :func:`read_csv` reads one back, raising one
+:class:`FormatError` that names the line of any fault.
 """
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import math
@@ -46,7 +52,7 @@ import struct
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -170,6 +176,35 @@ def write_atomic(path: str | Path, data: bytes | Iterable[bytes | np.ndarray]) -
 def write_json(path: str | Path, obj) -> None:
     """``obj`` as indented, key-sorted JSON plus a newline, written atomically."""
     write_atomic(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """``header`` then ``rows``, written atomically; a float cell is its exact ``repr``, so pass ``float(x)``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_atomic(path, buf.getvalue().encode("utf-8"))
+
+
+def read_csv(path: str | Path, header: Sequence[str], parse: Callable[[list[str]], object]) -> list:
+    """``parse`` of each row after ``header``; a wrong header, a row of the wrong width or a
+    :class:`ValueError` from ``parse`` raises one :class:`FormatError` naming the file and line."""
+    with open(path, "rb") as fh:
+        reader = csv.reader(line.decode("utf-8") for line in fh)
+        try:
+            if tuple(next(reader, ())) != tuple(header):
+                raise ValueError(f"expected header {','.join(header)!r}")
+            out = []
+            for row in reader:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields, expected {len(header)}")
+                out.append(parse(row))
+        except UnicodeDecodeError as e:  # raised before the reader counts the line
+            raise FormatError(f"{path} line {reader.line_num + 1}: {e.reason}") from None
+        except (ValueError, csv.Error) as e:
+            raise FormatError(f"{path} line {max(reader.line_num, 1)}: {e}") from None
+    return out
 
 
 def write_checkpoint(path: str | Path, params: Mapping[str, np.ndarray]) -> None:

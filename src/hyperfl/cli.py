@@ -248,11 +248,9 @@ def cmd_report(args) -> int:
     ckpt.write_json(report_dir / "summary.json", _jsonable(summary))
 
     for field in mx.NUMERIC_FIELDS:
-        lines = ["round,value"]
-        for r in mean_rows:
-            v = getattr(r, field)
-            lines.append(f"{r.round}," + ("" if math.isnan(v) else repr(float(v))))
-        ckpt.write_atomic(report_dir / f"series_{field}.csv", ("\n".join(lines) + "\n").encode("utf-8"))
+        values = ((r.round, float(getattr(r, field))) for r in mean_rows)
+        rows = ([t, "" if math.isnan(v) else v] for t, v in values)
+        ckpt.write_csv(report_dir / f"series_{field}.csv", ("round", "value"), rows)
 
     print(report_dir)
     return 0

@@ -321,6 +321,7 @@ def local_train_hyperfl(
     incoming aggregate overwrites the parameters it belonged to; classifier
     and embedding momentum persist across rounds.
     """
+    # the copies and the fresh opt_h are kept: results are bitwise equal without them, but runs were slower
     phi_h = tree_copy(varphi_bar)
     v = client.v.copy()
     opt_v = client.opt_v

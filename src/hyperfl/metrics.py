@@ -9,6 +9,7 @@ one row per (round, client) plus a ``_mean`` aggregate row per round.  The
 wall-clock time is inherently nondeterministic, and the metrics file must be
 byte-identical across reruns of the same seeded experiment.  Timings go to a
 separate ``timings.csv`` (schema ``round,seconds``) next to the metrics file.
+Both share the table format :mod:`hyperfl.checkpoint` writes and reads.
 
 Fields that were not measured (e.g. step metrics of clients not sampled in a
 round) serialize as ``nan``.  :func:`final_accuracy` reads each client's
@@ -18,8 +19,6 @@ the report summary.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .checkpoint import write_atomic
+from .checkpoint import read_csv, write_csv
 from .errors import ConfigError, ConsistencyError, DimensionError
 from .network import NetSpec, ParamSet, forward_logits
 
@@ -117,11 +116,6 @@ class RoundRecord:
     extractor_drift: float = math.nan
 
 
-def _fmt(x: float) -> str:
-    # repr() is the shortest exact round-trip form in CPython; 'nan' for NaN
-    return repr(float(x))
-
-
 def mean_record(records: Sequence[RoundRecord]) -> RoundRecord:
     """Aggregate row: NaN-ignoring mean of every numeric column."""
     if not records:
@@ -163,47 +157,28 @@ def write_metrics_csv(path: str | Path, records: Sequence[RoundRecord]) -> None:
     """
     if any(r.client_id == "_mean" for r in records):
         raise ConsistencyError("aggregate rows are derived at write time, not passed in")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for group in _by_round(records).values():
-        for r in group + [mean_record(group)]:
-            writer.writerow(
-                [r.round, r.client_id]
-                + [_fmt(getattr(r, name)) for name in NUMERIC_FIELDS]
-                + [""]  # seconds: always empty
-            )
-    write_atomic(path, buf.getvalue().encode("utf-8"))
+    rows = (
+        [r.round, r.client_id, *(float(getattr(r, name)) for name in NUMERIC_FIELDS), ""]
+        for group in _by_round(records).values()
+        for r in group + [mean_record(group)]
+    )
+    write_csv(path, CSV_HEADER, rows)  # the seconds column stays empty
+
+
+def _parse_record(row: list[str]) -> RoundRecord:
+    nums = [math.nan if cell == "" else float(cell) for cell in row[2:]]
+    if not (row[1] == "_mean" or row[1].isdecimal()):
+        raise ValueError(f"client id {row[1]!r} is neither an integer nor _mean")
+    return RoundRecord(int(row[0]), row[1], *nums[: len(NUMERIC_FIELDS)])
 
 
 def read_metrics_csv(path: str | Path) -> list[RoundRecord]:
     """Read every row back, aggregate rows included; empty cells become NaN, bad cells raise."""
-    out: list[RoundRecord] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != CSV_HEADER:
-            raise ConsistencyError(f"unexpected metrics header {header}")
-        for row in reader:
-            if len(row) != len(CSV_HEADER):
-                raise ConsistencyError(f"row has {len(row)} fields, expected {len(CSV_HEADER)}")
-            try:
-                nums = [math.nan if cell == "" else float(cell) for cell in row[2:]]
-                if not (row[1] == "_mean" or row[1].isdecimal()):
-                    raise ValueError(f"client id {row[1]!r} is neither an integer nor _mean")
-                out.append(RoundRecord(int(row[0]), row[1], *nums[: len(NUMERIC_FIELDS)]))
-            except ValueError as e:
-                raise ConsistencyError(f"{path} line {reader.line_num}: {e}") from None
-    return out
+    return read_csv(path, CSV_HEADER, _parse_record)
 
 
 def write_timings_csv(path: str | Path, seconds_by_round: Sequence[tuple[int, float]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["round", "seconds"])
-    for t, sec in seconds_by_round:
-        writer.writerow([t, f"{sec:.6f}"])
-    write_atomic(path, buf.getvalue().encode("utf-8"))
+    write_csv(path, ("round", "seconds"), ([t, f"{sec:.6f}"] for t, sec in seconds_by_round))
 
 
 # -- convergence summary ---------------------------------------------------------------

@@ -791,6 +791,18 @@ def test_attack_summary_empty_has_header_only(tmp_path):
     assert path.read_text() == "sample,algorithm,psnr,ssim,analytic_psnr\n"
 
 
+def test_attack_summary_round_trip_keeps_nan_analytic_psnr(tmp_path):
+    scores = [{"psnr": 0.1 + 0.2, "ssim": math.nan, "analytic_psnr": math.nan}, {"psnr": 12.5, "ssim": -0.25}]
+    recs = [atk.sample_record(i, "hyperfl", np.zeros((2, 2)), s, []) for i, s in enumerate(scores)]
+    path = tmp_path / "summary.csv"
+    atk.write_attack_summary_csv(path, recs)
+    back = atk.read_attack_summary_csv(path)
+    assert [(r["sample"], r["algorithm"]) for r in back] == [(0, "hyperfl"), (1, "hyperfl")]
+    assert [r["psnr"] for r in back] == [0.1 + 0.2, 12.5]  # repr cells read back exactly
+    assert math.isnan(back[0]["ssim"]) and back[1]["ssim"] == -0.25
+    assert all(math.isnan(r["analytic_psnr"]) for r in back)  # given as NaN, and missing
+
+
 def test_score_reconstruction_small_image_has_nan_ssim():
     img, tr = fedavg_tr()
     scores = atk.score_reconstruction(tr, tr.x_true)

@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 import struct
 import tracemalloc
 
@@ -182,6 +183,32 @@ def test_failed_result_write_keeps_previous_file_and_leaves_no_temp(tmp_path, mo
         RESULT_WRITERS[name](path)
     assert path.read_bytes() == b"previous run\n"
     assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+def test_csv_table_is_written_as_documented_and_read_back(tmp_path):
+    path = tmp_path / "t.csv"
+    ckpt.write_csv(path, ("n", "x"), [[1, 0.1 + 0.2], [2, math.nan], [3, "a,b"]])
+    assert path.read_bytes() == b'n,x\n1,0.30000000000000004\n2,nan\n3,"a,b"\n'
+    assert ckpt.read_csv(path, ("n", "x"), tuple) == [("1", "0.30000000000000004"), ("2", "nan"), ("3", "a,b")]
+
+
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        (b"", 1),
+        (b"n,y\n1,2\n", 1),  # wrong header
+        (b"n,x\n1,2\n3\n", 3),  # short row
+        (b"n,x\n1,2\n3,4,5\n", 3),  # long row
+        (b"n,x\n1,2\n3,abc\n", 3),  # rejected by the parser
+        (b"n,x\n1,2\n3,\xff\n", 3),  # not UTF-8
+    ],
+    ids=["empty", "wrong-header", "short-row", "long-row", "not-a-number", "not-utf8"],
+)
+def test_read_csv_names_the_file_and_line_of_a_fault(tmp_path, data, line):
+    path = tmp_path / "t.csv"
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))} line {line}: "):
+        ckpt.read_csv(path, ("n", "x"), lambda row: (int(row[0]), float(row[1])))
 
 
 def test_rewrite_replaces_file_and_leaves_no_temp(tmp_path):

@@ -920,6 +920,24 @@ def test_report_on_malformed_attack_summary_exits_3(attacked_run, tmp_path, caps
     assert err.startswith("error:") and f"line {line}:" in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "line, edit",
+    [
+        (3, lambda cells: cells[:5]),  # short row
+        (1, lambda cells: cells[:7]),  # header without the seconds column
+    ],
+    ids=["short-row", "wrong-header"],
+)
+def test_report_on_malformed_metrics_exits_3(fedavg_run, tmp_path, capsys, line, edit):
+    lines = (fedavg_run / "metrics.csv").read_text().splitlines()
+    lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))
+    (tmp_path / "metrics.csv").write_text("\n".join(lines) + "\n")
+    assert cli.main(["report", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"line {line}:" in err and len(err.splitlines()) == 1
+    assert str(tmp_path / "metrics.csv") in err
+
+
 # -- partition ----------------------------------------------------------------
 
 

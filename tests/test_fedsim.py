@@ -36,10 +36,13 @@ def small_bundle():
 
 
 def make_shards(m, n=24, seed=0):
-    ds = dk.synth_dataset(num_classes=3, dim=8, per_class=m * n, separation=2.0, seed=seed)
+    """``m`` client shards of ``n`` rows each, or of ``n[c]`` rows for client ``c``."""
+    sizes = [n] * m if isinstance(n, int) else list(n)
+    starts = np.cumsum([0] + sizes)
+    ds = dk.synth_dataset(num_classes=3, dim=8, per_class=int(starts[-1]), separation=2.0, seed=seed)
     shards = []
     for c in range(m):
-        shard = ds.subset(np.arange(c * n, (c + 1) * n))
+        shard = ds.subset(np.arange(starts[c], starts[c + 1]))
         shards.append(dk.train_test_split(shard, seed=seed + c))
     return shards
 
@@ -598,9 +601,13 @@ def test_round_records_shape_and_nan_policy(algorithm):
 def test_round_records_equal_values_recomputed_outside_the_round(algorithm):
     # replay one half-sampled round client by client on the same step streams,
     # then the server's new state from the replayed uploads in the same order
+    # uneven shards and long steps, so the fold order shows: two equal
+    # weights fold to the same bits either way, and small deltas vanish
+    # into the global model they are added to
     bundle = small_bundle()
-    shards = make_shards(4, n=18)
-    cfg = quick_cfg(total_rounds=3, sampling_rate=0.5, batch_size=6, server_lr=0.05)
+    shards = make_shards(4, n=(18, 24, 30, 36))
+    cfg = quick_cfg(total_rounds=3, sampling_rate=0.5, batch_size=6, server_lr=0.05,
+                    eta_g=nn.OptimConfig(0.3), eta_h=nn.OptimConfig(0.1))
     dp = fs.DPConfig(clip_norm=1.0, sigma=0.01)
     server, clients = fs.init_experiment(algorithm, bundle, shards, seed=23)
     new_server, new_clients, records = fs.run_round(server, clients, bundle, cfg, dp, seed=23)
