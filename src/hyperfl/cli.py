@@ -15,6 +15,9 @@ Every artifact lands under the config's output directory:
     attack_summary.csv     per-sample PSNR/SSIM table
     report/                summary.json plus plot-ready per-metric series
 
+A rerun of train into a run directory first deletes what the previous run
+derived (`DERIVED`); `partition.json` stays.
+
 Exit codes: 0 success, 1 bad configuration, 2 numeric failure mid-run, 3
 file or format problems.  A numeric failure or an interrupt (Ctrl-C) mid-run
 first writes a best-effort emergency snapshot of the last intact state.
@@ -51,6 +54,10 @@ from .errors import (
 
 _CONFIG_ERRORS = (ConfigError, CapacityError, CapabilityError, DimensionError)
 _IO_ERRORS = (FormatError, ConsistencyError, PrivacyError, OSError)
+# what the commands derive from a training run; partition.json depends on the config alone
+DERIVED = ("metrics.csv", "timings.csv", "final_accuracy.json", "snapshots/round_*.hfl")
+DERIVED += ("snapshots/emergency.hfl", "attack_report.json", "attack_summary.csv")
+DERIVED += ("report/summary.json", "report/series_*.csv")
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -100,12 +107,13 @@ def cmd_train(args) -> int:
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     (out / "snapshots").mkdir(exist_ok=True)
-    ckpt.write_atomic(out / "config.resolved.json", cfg.to_json().encode("utf-8"))
+    if (out / "config.resolved.json").exists():  # a previous run's results must not outlive its config
+        for path in [p for pattern in DERIVED for p in out.glob(pattern)]:
+            path.unlink()
+    ckpt.write_json(out / "config.resolved.json", cfg.data)
 
-    ds = cfgmod.build_dataset(cfg)
-    shards = cfgmod.build_shards(cfg, ds)
-    bundle = cfgmod.build_bundle(cfg)
-    rounds = cfg.round_config
+    shards = cfgmod.build_shards(cfg, cfgmod.build_dataset(cfg))
+    bundle, rounds = cfg.bundle, cfg.round_config
 
     timings: list[tuple[int, float]] = []
     latest: dict = {}
@@ -156,7 +164,7 @@ def cmd_attack(args) -> int:
     cfg = cfgmod.load_config(run_dir / "config.resolved.json", apply_env=False)
     acfg, samples = cfgmod.load_attack_overrides(args.config)
 
-    bundle = cfgmod.build_bundle(cfg)
+    bundle = cfg.bundle
     ds = cfgmod.build_dataset(cfg)
     shards = cfgmod.build_shards(cfg, ds)
     # load what the transcripts read; every other tensor is checked and skipped
@@ -168,12 +176,11 @@ def cmd_attack(args) -> int:
         )
 
     shape = cfg.image_shape or tuple(cfgmod.default_image_shape(ds.dim))
+    dp, eta_g = cfg.dp_config, cfg.round_config.eta_g
     records = []
     for i in range(samples):
         start = time.perf_counter()
-        transcript = atk.snapshot_transcript(
-            server, clients, bundle, i, shape, cfg.dp_config, cfg.round_config.eta_g, acfg.seed
-        )
+        transcript = atk.snapshot_transcript(server, clients, bundle, i, shape, dp, eta_g, acfg.seed)
         x_hat, trace = atk.attack_transcript(transcript.public(), acfg)
         scores = atk.score_reconstruction(transcript, x_hat)
         records.append(atk.sample_record(i, transcript.view.algorithm, x_hat, scores, trace))
@@ -205,7 +212,8 @@ def cmd_partition(args) -> int:
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     ds = cfgmod.build_dataset(cfg)
-    indices = dk.partition_indices(ds, cfg.partition_spec_for(ds.num_classes), cfg.clients, cfg.seed)
+    clients = int(cfg.data["partition"]["clients"])
+    indices = dk.partition_indices(ds, cfg.partition_spec_for(ds.num_classes), clients, cfg.seed)
     dk.write_manifest(out / "partition.json", indices)
     print(out / "partition.json")
     return 0

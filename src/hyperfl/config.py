@@ -6,11 +6,16 @@ hypernetwork architecture, the training recipe, and an output directory.
 rejected), fills in defaults, and returns a resolved view whose dict form
 round-trips through JSON byte-for-byte.  The package checks the schema
 itself: `_errors` implements the draft-7 keywords the schema file uses, so
-numpy stays the only runtime dependency.  Builders then materialize the
-dataset, shards, and model bundle deterministically from the resolved
-values, so a stored `config.resolved.json` is enough to rebuild a run.
+numpy stays the only runtime dependency.  Constructing an
+`ExperimentConfig` builds its model bundle, round recipe and DP settings
+once, so a config that cannot run fails there and every command reads the
+same objects.  Builders then materialize the dataset and shards
+deterministically from the resolved values, so a stored
+`config.resolved.json` is enough to rebuild a run.
 
-The environment variable ``HYPERFL_SEED`` overrides the config seed.
+The environment variable ``HYPERFL_SEED`` overrides the config seed for
+`hyperfl train` and `hyperfl partition`; `hyperfl attack` re-reads the
+recorded seed, and `hyperfl report` reads no config.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import json
 import math
 import operator
 import os
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -166,9 +171,25 @@ def resolve(raw: dict) -> dict:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved configuration; ``data`` is the JSON-ready resolved dict."""
+    """Resolved configuration; ``data`` is the JSON-ready resolved dict.
+
+    Construction builds the typed objects once and raises ConfigError for a
+    config that cannot run, so a bad value fails here, not mid-run.
+    """
 
     data: dict
+    bundle: ModelBundle = field(init=False, compare=False, repr=False)
+    round_config: RoundConfig = field(init=False, compare=False, repr=False)
+    dp_config: DPConfig = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        r = self.data["rounds"]  # exactly RoundConfig's fields: the defaults merge and the schema see to it
+        etas = {k: OptimConfig(**r[k]) for k in ("eta_g", "eta_h", "eta_v")}
+        d = self.data["dp"]
+        clip = math.inf if d["clip_norm"] is None else float(d["clip_norm"])
+        object.__setattr__(self, "round_config", RoundConfig(**{**r, **etas}))
+        object.__setattr__(self, "dp_config", DPConfig(clip_norm=clip, sigma=float(d["sigma"])))
+        object.__setattr__(self, "bundle", build_bundle(self))
 
     @property
     def algorithm(self) -> str:
@@ -186,14 +207,6 @@ class ExperimentConfig:
     def snapshot_every(self) -> int:
         return int(self.data["snapshot_every"])
 
-    @property
-    def clients(self) -> int:
-        return int(self.data["partition"]["clients"])
-
-    @property
-    def test_fraction(self) -> float:
-        return float(self.data["partition"]["test_fraction"])
-
     def partition_spec_for(self, num_classes: int) -> PartitionSpec:
         """Concrete shard recipe once the dataset's class count is known."""
         p = self.data["partition"]
@@ -204,32 +217,20 @@ class ExperimentConfig:
         )
 
     @property
-    def round_config(self) -> RoundConfig:
-        r = self.data["rounds"]
-        return RoundConfig(
-            local_epochs=r["local_epochs"],
-            eta_g=OptimConfig(**r["eta_g"]),
-            eta_h=OptimConfig(**r["eta_h"]),
-            eta_v=OptimConfig(**r["eta_v"]),
-            batch_size=r["batch_size"],
-            sampling_rate=r["sampling_rate"],
-            total_rounds=r["total_rounds"],
-            server_lr=r["server_lr"],
-        )
-
-    @property
-    def dp_config(self) -> DPConfig:
-        d = self.data["dp"]
-        clip = math.inf if d["clip_norm"] is None else float(d["clip_norm"])
-        return DPConfig(clip_norm=clip, sigma=float(d["sigma"]))
-
-    @property
     def image_shape(self) -> Optional[tuple[int, int]]:
         shape = self.data["dataset"]["image_shape"]
         return None if shape is None else (int(shape[0]), int(shape[1]))
 
-    def to_json(self) -> str:
-        return json.dumps(self.data, indent=2, sort_keys=True) + "\n"
+
+def _read_json(path: str | Path, what: str) -> dict:
+    """Parse a JSON object from ``path``; ConfigError names the line and column of a syntax fault."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{what} is not valid JSON at line {e.lineno}, column {e.colno}: {e.msg}")
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    return raw
 
 
 def load_config(path: str | Path, apply_env: bool = True) -> ExperimentConfig:
@@ -238,33 +239,18 @@ def load_config(path: str | Path, apply_env: bool = True) -> ExperimentConfig:
     ``apply_env`` lets ``HYPERFL_SEED`` override the seed; pass False when
     re-reading a stored resolved config whose seed must stay as recorded.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config is not valid JSON at line {e.lineno}, column {e.colno}: {e.msg}")
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    resolved = resolve(raw)
+    resolved = resolve(_read_json(path, "config"))
     if apply_env and os.environ.get(ENV_SEED):
         try:
             resolved["seed"] = int(os.environ[ENV_SEED])
         except ValueError:
             raise ConfigError(f"{ENV_SEED} must be an integer, got {os.environ[ENV_SEED]!r}")
-    cfg = ExperimentConfig(resolved)
-    # constructing the typed views validates every numeric field now, not mid-run
-    _ = (cfg.round_config, cfg.dp_config)
-    build_bundle(cfg)
-    return cfg
+    return ExperimentConfig(resolved)
 
 
 def load_attack_overrides(path: str | Path) -> tuple[AttackConfig, int]:
     """Read a standalone attack-settings file; returns (config, sample count)."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"attack config is not valid JSON at line {e.lineno}: {e.msg}")
+    raw = _read_json(path, "attack config")
     definitions = _schema()["definitions"]
     _validate(raw, {**definitions["attack"], "definitions": definitions}, "attack config")
     merged = _merge(ATTACK_DEFAULTS, raw)  # the single-valued "init" and "optimizer" are not fields
@@ -293,8 +279,9 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
 
 def build_shards(cfg: ExperimentConfig, ds: Dataset) -> list[tuple[Dataset, Dataset]]:
     """Partition, then split each client's shard into train and test."""
-    parts = dk.partition(ds, cfg.partition_spec_for(ds.num_classes), cfg.clients, cfg.seed)
-    return [dk.train_test_split(p, cfg.seed + c, cfg.test_fraction) for c, p in enumerate(parts)]
+    p = cfg.data["partition"]
+    parts = dk.partition(ds, cfg.partition_spec_for(ds.num_classes), int(p["clients"]), cfg.seed)
+    return [dk.train_test_split(part, cfg.seed + c, p["test_fraction"]) for c, part in enumerate(parts)]
 
 
 def build_bundle(cfg: ExperimentConfig) -> ModelBundle:

@@ -25,6 +25,7 @@ from hyperfl import datakit as dk
 from hyperfl import fedsim as fs
 from hyperfl import metrics as mx
 from hyperfl.errors import CapabilityError, ConfigError
+from hyperfl.network import OptimConfig
 
 
 def base_config(out_dir: Path, **over) -> dict:
@@ -76,7 +77,7 @@ def test_defaults_materialized(tmp_path):
     assert (r["batch_size"], r["total_rounds"], r["local_epochs"]) == (50, 200, 5)
     assert r["eta_g"] == {"learning_rate": 0.1, "momentum": 0.5, "weight_decay": 5e-4}
     assert r["eta_h"]["learning_rate"] == r["eta_v"]["learning_rate"] == 0.01
-    assert cfg.clients == 20
+    assert cfg.data["partition"]["clients"] == 20
     assert cfg.data["partition"]["samples_per_client"] == 600
     assert cfg.data["partition"]["uniform_percent"] == 20.0
     assert cfg.data["hypernet"] == {"embedding_dim": 64, "hidden_dim": 100, "hidden_bias": True}
@@ -85,13 +86,25 @@ def test_defaults_materialized(tmp_path):
     assert cfg.data["workers"] == 1 and cfg.data["snapshot_every"] == 0
 
 
-def test_resolved_config_round_trips(tmp_path):
-    cfg_path = write_config(tmp_path / "e.json", base_config(tmp_path / "run"))
-    cfg = cfgmod.load_config(cfg_path, apply_env=False)
-    text = cfg.to_json()
-    again = cfgmod.resolve(json.loads(text))
-    assert again == cfg.data
-    assert cfgmod.ExperimentConfig(again).to_json() == text
+def test_resolved_config_round_trips(tmp_path, monkeypatch):
+    monkeypatch.delenv(cfgmod.ENV_SEED, raising=False)
+    written = (train_run(tmp_path) / "config.resolved.json").read_bytes()
+    again = cfgmod.resolve(json.loads(written))
+    assert again == cfgmod.load_config(tmp_path / "run.json", apply_env=False).data
+    ckpt.write_json(tmp_path / "again.json", again)
+    assert (tmp_path / "again.json").read_bytes() == written
+
+
+def test_constructing_a_config_builds_and_validates_it(tmp_path):
+    resolved = cfgmod.resolve(base_config(tmp_path, dp={"sigma": 0.5, "clip_norm": None}))
+    with pytest.raises(ConfigError, match="finite clip_norm"):
+        cfgmod.ExperimentConfig(resolved)
+
+    cfg = cfgmod.ExperimentConfig(cfgmod.resolve(base_config(tmp_path, rounds={"eta_h": {"momentum": 0.0}})))
+    assert cfg.bundle == cfgmod.build_bundle(cfg)
+    eta_h = OptimConfig(learning_rate=0.01, momentum=0.0, weight_decay=5e-4)
+    assert cfg.round_config == fs.RoundConfig(local_epochs=1, eta_h=eta_h, batch_size=8, total_rounds=2)
+    assert cfg.dp_config == fs.DPConfig()
 
 
 def test_unknown_key_rejected_names_the_path(tmp_path):
@@ -383,6 +396,47 @@ def test_interrupt_mid_run_leaves_emergency_snapshot(tmp_path, monkeypatch):
     assert server.round_t == 2 and len(clients) == 3
 
 
+def test_train_and_attack_build_the_bundle_once(tmp_path, monkeypatch):
+    calls = []
+    build = cfgmod.build_bundle
+
+    def spy(cfg):
+        calls.append(cfg.algorithm)
+        return build(cfg)
+
+    monkeypatch.setattr(cfgmod, "build_bundle", spy)
+    out = train_run(tmp_path, rounds={"total_rounds": 0})
+    assert calls == ["fedavg"]
+    att = write_config(tmp_path / "att.json", {"iterations": 1, "samples": 1})
+    assert cli.main(["attack", str(out / "snapshots" / "round_0000.hfl"), str(att)]) == 0
+    assert calls == ["fedavg"] * 2
+
+
+def test_rerun_removes_what_the_previous_run_derived(tmp_path, monkeypatch):
+    monkeypatch.delenv(cfgmod.ENV_SEED, raising=False)
+    out = tmp_path / "run"
+    first = write_config(tmp_path / "seed7.json", base_config(out, seed=7, snapshot_every=1))
+    second = write_config(tmp_path / "seed8.json", base_config(out, seed=8, snapshot_every=0))
+    att = write_config(tmp_path / "att.json", {"iterations": 2, "samples": 1})
+    snap = out / "snapshots" / "round_0001.hfl"
+    assert cli.main(["train", str(first)]) == 0
+    for argv in (["attack", str(snap), str(att)], ["report", str(out)], ["partition", str(first)]):
+        assert cli.main(argv) == 0
+    (out / "snapshots" / "emergency.hfl").write_bytes(b"from a crashed run")
+    (out / "notes.txt").write_text("not the package's")
+    partition = (out / "partition.json").read_bytes()
+
+    assert cli.main(["train", str(second)]) == 0
+    assert json.loads((out / "config.resolved.json").read_text())["seed"] == 8
+    kept = {"config.resolved.json", "metrics.csv", "timings.csv", "final_accuracy.json", "partition.json"}
+    assert {p.name for p in out.iterdir()} == kept | {"snapshots", "report", "notes.txt"}
+    assert [p.name for p in (out / "snapshots").iterdir()] == ["round_0002.hfl"]
+    assert list((out / "report").iterdir()) == []
+    assert (out / "partition.json").read_bytes() == partition
+    # the seed-7 snapshot is gone, so it cannot be attacked with the seed-8 shards
+    assert cli.main(["attack", str(snap), str(att)]) == 3
+
+
 def test_cli_leaves_working_directory_clean(tmp_path, monkeypatch):
     cwd = tmp_path / "cwd"
     cwd.mkdir()
@@ -468,6 +522,31 @@ def test_attack_with_zero_samples_writes_header_only(fedavg_run, tmp_path):
     att.write_text('{"samples": 0}')
     assert cli.main(["attack", str(run / "snapshots" / "round_0002.hfl"), str(att)]) == 0
     assert (run / "attack_summary.csv").read_text() == "sample,algorithm,psnr,ssim,analytic_psnr\n"
+
+
+def test_malformed_attack_settings_exit_1_naming_line_and_column(fedavg_run, tmp_path, capsys):
+    att = tmp_path / "att.json"
+    att.write_text('{\n  "iterations": 5,\n  "samples": x\n}')
+    capsys.readouterr()
+    assert cli.main(["attack", str(fedavg_run / "snapshots" / "round_0002.hfl"), str(att)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 3, column 14" in err and len(err.splitlines()) == 1
+
+
+def test_env_seed_leaves_an_attack_unchanged(fedavg_run, tmp_path, monkeypatch):
+    # attack re-reads the seed the run recorded; HYPERFL_SEED applies to train and partition
+    att = write_config(tmp_path / "att.json", {"iterations": 5, "samples": 2, "seed": 0})
+    summaries = []
+    for env_seed in (None, "99"):
+        run = tmp_path / f"copy-{env_seed}"
+        shutil.copytree(fedavg_run, run)
+        if env_seed is None:
+            monkeypatch.delenv(cfgmod.ENV_SEED, raising=False)
+        else:
+            monkeypatch.setenv(cfgmod.ENV_SEED, env_seed)
+        assert cli.main(["attack", str(run / "snapshots" / "round_0002.hfl"), str(att)]) == 0
+        summaries.append((run / "attack_summary.csv").read_bytes())
+    assert summaries[0] == summaries[1]
 
 
 def test_attack_rejects_mismatched_run_config(fedavg_run, tmp_path, capsys):
