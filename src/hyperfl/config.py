@@ -189,6 +189,8 @@ class ExperimentConfig:
         clip = math.inf if d["clip_norm"] is None else float(d["clip_norm"])
         object.__setattr__(self, "round_config", RoundConfig(**{**r, **etas}))
         object.__setattr__(self, "dp_config", DPConfig(clip_norm=clip, sigma=float(d["sigma"])))
+        if self.algorithm != "dp_fedavg" and self.dp_config != DPConfig():
+            raise ConfigError(f"dp: {self.algorithm} does not sanitize its uploads; only dp_fedavg does")
         object.__setattr__(self, "bundle", build_bundle(self))
 
     @property

@@ -46,7 +46,8 @@ import numpy as np
 from . import checkpoint
 from .datakit import Dataset
 from .errors import ConfigError, ConsistencyError, DimensionError, PrivacyError
-from .hypernet import HypernetSpec, hypernet_forward, hypernet_backward, init_hypernet, target_from_netspec
+from .hypernet import HypernetSpec, LowRankHead, hypernet_forward, hypernet_backward
+from .hypernet import init_hypernet, target_from_netspec
 from .metrics import RoundRecord, accuracy
 from .network import (
     NetSpec,
@@ -301,6 +302,49 @@ def _sgd_epochs(
     return params, opt, losses, sq_norms
 
 
+def _hyper_epochs(
+    client: ClientState,
+    varphi_bar: ParamSet,
+    phi_c: ParamSet,
+    bundle: ModelBundle,
+    cfg: RoundConfig,
+    rng: np.random.Generator,
+) -> tuple[ParamSet, np.ndarray, OptimState, list[float], list[float]]:
+    """HyperFL Step 2: ``cfg.local_epochs`` passes moving φ_h and the client's v, ``phi_c`` frozen.
+
+    φ_h starts from ``varphi_bar`` with a fresh optimizer.  Each head weight
+    is a :class:`~hyperfl.hypernet.LowRankHead` over the received tensor,
+    stepped on its rank-1 gradient pair; the trunk and the head biases are
+    copied and go through ``sgd_step``.  Returns (dense φ_h, v, embedding
+    optimizer state, per-step losses, per-step gradient squared norms).
+    """
+    data, v, opt_v = client.train, client.v, client.opt_v
+    steps = cfg.local_epochs * math.ceil(data.n / cfg.batch_size)
+    names = [f"hyper/head/{t}/W" for t, _ in bundle.hyper.target]
+    heads = {n: LowRankHead(n, varphi_bar[n], steps) for n in names}
+    # sgd_step never writes its inputs, but without these copies peak RSS rose (allocator layout)
+    dense = {n: w.copy() for n, w in varphi_bar.items() if n not in heads}
+    opt_h = init_optim_state(dense)
+    full_spec = bundle.full
+    losses: list[float] = []
+    sq_norms: list[float] = []
+    for _ in range(cfg.local_epochs):
+        for idx in minibatches(data.n, cfg.batch_size, rng):
+            phi_h = {**dense, **heads}
+            theta = hypernet_forward(v, phi_h, bundle.hyper)
+            loss, d_theta = loss_and_grad_params(theta, full_spec, data.x[idx], data.y[idx], phi_c)
+            d_phi, dv = hypernet_backward(d_theta, v, phi_h, bundle.hyper)
+            losses.append(loss)
+            sq_norms.append(tree_sq_norm(d_phi) + tree_sq_norm({"v": dv}))
+            dense, opt_h = sgd_step(dense, {n: d_phi[n] for n in dense}, cfg.eta_h, opt_h)
+            for name, head in heads.items():
+                head.step(*d_phi[name], cfg.eta_h)
+            vt, opt_v = sgd_step({"v": v}, {"v": dv}, cfg.eta_v, opt_v)
+            v = vt["v"]
+    phi_h = {n: heads[n].dense() if n in heads else dense[n] for n in varphi_bar}
+    return phi_h, v, opt_v, losses, sq_norms
+
+
 def local_train_hyperfl(
     client: ClientState,
     varphi_bar: ParamSet,
@@ -315,41 +359,28 @@ def local_train_hyperfl(
 
     Step 1: one epoch on the classifier with the received hypernetwork and
     the embedding frozen (the generated extractor is computed once, since its
-    inputs cannot change during this phase).  Step 2: ``local_epochs`` epochs
-    moving the hypernetwork and the embedding jointly, classifier frozen.
-    Hypernetwork optimizer state starts fresh each round because the
-    incoming aggregate overwrites the parameters it belonged to; classifier
-    and embedding momentum persist across rounds.
+    inputs cannot change during this phase).  Step 2 (:func:`_hyper_epochs`):
+    ``local_epochs`` epochs moving the hypernetwork and the embedding
+    jointly, classifier frozen.  Its head weights stay factored as the
+    received weight plus one rank-1 term per step, and the dense
+    hypernetwork is formed once, for the upload; the per-step gradients it
+    was built from never leave the client.  Hypernetwork optimizer state
+    starts fresh each round because the incoming aggregate overwrites the
+    parameters it belonged to; classifier and embedding momentum persist
+    across rounds.
     """
-    # the copies and the fresh opt_h are kept: results are bitwise equal without them, but runs were slower
-    phi_h = tree_copy(varphi_bar)
-    v = client.v.copy()
-    opt_v = client.opt_v
-    opt_h = init_optim_state(phi_h)
-    x, y = client.train.x, client.train.y
-    full_spec = bundle.full
-
     # Step 1: classifier only
-    theta = hypernet_forward(v, phi_h, bundle.hyper)
+    theta = hypernet_forward(client.v, varphi_bar, bundle.hyper)
     phi_c, opt_c, losses, step_sq_norms = _sgd_epochs(
-        client.phi_c, theta, client.opt_c, client.train, full_spec, cfg, 1, rng
+        client.phi_c, theta, client.opt_c, client.train, bundle.full, cfg, 1, rng
     )
 
     # Step 2: hypernetwork + embedding, classifier frozen
-    for _ in range(cfg.local_epochs):
-        for idx in minibatches(client.train.n, cfg.batch_size, rng):
-            theta = hypernet_forward(v, phi_h, bundle.hyper)
-            loss, d_theta = loss_and_grad_params(theta, full_spec, x[idx], y[idx], phi_c)
-            d_phi, dv = hypernet_backward(d_theta, v, phi_h, bundle.hyper)
-            losses.append(loss)
-            step_sq_norms.append(tree_sq_norm(d_phi) + tree_sq_norm({"v": dv}))
-            phi_h, opt_h = sgd_step(phi_h, d_phi, cfg.eta_h, opt_h)
-            vt, opt_v = sgd_step({"v": v}, {"v": dv}, cfg.eta_v, opt_v)
-            v = vt["v"]
+    phi_h, v, opt_v, losses2, sq_norms2 = _hyper_epochs(client, varphi_bar, phi_c, bundle, cfg, rng)
 
     theta = hypernet_forward(v, phi_h, bundle.hyper)
     new_client = replace(client, v=v, theta=theta, phi_c=phi_c, opt_c=opt_c, opt_v=opt_v)
-    stats = LocalStats(float(np.mean(losses)), float(np.mean(step_sq_norms)))
+    stats = LocalStats(float(np.mean(losses + losses2)), float(np.mean(step_sq_norms + sq_norms2)))
     return new_client, phi_h, stats
 
 

@@ -10,9 +10,15 @@ per target tensor.  Given an embedding ``v`` of dimension ``d``:
 :func:`hypernet_forward` and :func:`hypernet_backward` are closed-form numpy:
 the backward pass returns the exact vector-Jacobian products into both
 ``phi_h`` and ``v``, so a task loss can be trained end to end while only
-``phi_h`` ever leaves the client.  Both repeat, operation for operation, the
-forward pass built from ``hyperfl.autodiff`` primitives; the tests keep that
-traced form as the oracle and check both functions bitwise against it.
+``phi_h`` ever leaves the client.  On dense heads both repeat, operation for
+operation, the forward pass built from ``hyperfl.autodiff`` primitives; the
+tests keep that traced form as the oracle and check both functions bitwise
+against it.
+
+A head weight may also be a :class:`LowRankHead`, the factored form local
+training keeps it in.  Both functions then apply it without forming the
+dense matrix, and the backward pass returns its gradient as the rank-1 pair
+``(g, a)``; these results agree with the dense ones to rounding, not bitwise.
 """
 
 from __future__ import annotations
@@ -24,8 +30,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DimensionError
-from .network import NetSpec, ParamSet
+from .errors import DimensionError, NumericError
+from .network import NetSpec, OptimConfig, ParamSet
 
 TargetSpec = tuple[tuple[str, tuple[int, ...]], ...]
 
@@ -84,7 +90,7 @@ def check_phi(phi_h, spec: HypernetSpec) -> None:
         )
     for name, shape in shapes.items():
         val = phi_h[name]
-        got = val.shape if isinstance(val, np.ndarray) else np.shape(val)
+        got = val.shape if isinstance(val, (np.ndarray, LowRankHead)) else np.shape(val)
         if got != shape:
             raise DimensionError(f"{name}: expected shape {shape}, got {got}")
 
@@ -101,7 +107,7 @@ def _trunk(v, phi_h, spec: HypernetSpec) -> tuple[np.ndarray, np.ndarray, dict[s
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (spec.embedding_dim,):
         raise DimensionError(f"embedding must have shape ({spec.embedding_dim},), got {v.shape}")
-    phi = {name: np.asarray(val, dtype=np.float64) for name, val in phi_h.items()}
+    phi = {n: w if isinstance(w, LowRankHead) else np.asarray(w, dtype=np.float64) for n, w in phi_h.items()}
     # the traced forward pass's operations, in its order
     row = v.reshape(1, spec.embedding_dim)
     hidden = row @ phi["hyper/trunk/W"].T.copy() + phi["hyper/trunk/b"].reshape(1, spec.hidden_dim)
@@ -109,13 +115,72 @@ def _trunk(v, phi_h, spec: HypernetSpec) -> tuple[np.ndarray, np.ndarray, dict[s
     return row, hidden, phi
 
 
+class LowRankHead:
+    """A head weight held as s·W̄ + Σᵢ cᵢ gᵢaᵢᵀ through one round of local SGD.
+
+    Every head-weight gradient is the outer product g aᵀ of the head's
+    cotangent and the hidden layer, and φ_h's optimizer starts from zero
+    each round.  So from the received W̄, the weight and its momentum stay
+    W = s·W̄ + Σ cᵢ gᵢaᵢᵀ and M = σ·W̄ + Σ dᵢ gᵢaᵢᵀ, and each :meth:`step`
+    appends one pair.  W̄ is kept read-only and not copied; the pairs live
+    in buffers sized for ``steps`` steps.  The dense matrix is formed only
+    by :meth:`dense`.
+    """
+
+    def __init__(self, name: str, w_bar: np.ndarray, steps: int):
+        self.name = name
+        self.shape = w_bar.shape
+        self._w_bar = w_bar.view()
+        self._w_bar.flags.writeable = False
+        self._g, self._a = np.empty((steps, self.shape[0])), np.empty((steps, self.shape[1]))
+        self._c, self._d = np.zeros(steps), np.zeros(steps)
+        self._s, self._sigma, self._n = 1.0, 0.0, 0
+
+    def apply(self, hidden: np.ndarray) -> np.ndarray:
+        """hidden @ Wᵀ for a [1, in] row: s·(hidden W̄ᵀ) + (c ∘ (A hidden)) U."""
+        n = self._n
+        return self._s * (hidden @ self._w_bar.T) + ((hidden @ self._a[:n].T) * self._c[:n]) @ self._g[:n]
+
+    def pullback(self, g: np.ndarray) -> np.ndarray:
+        """g @ W for a [1, out] row: s·(g W̄) + (c ∘ (U g)) A."""
+        n = self._n
+        return self._s * (g @ self._w_bar) + ((g @ self._g[:n].T) * self._c[:n]) @ self._a[:n]
+
+    def step(self, g: np.ndarray, a: np.ndarray, cfg: OptimConfig) -> None:
+        """``sgd_step``'s update for the gradient g aᵀ, on the coefficients.
+
+        m' = μm + (g aᵀ + wd·W) and W' = W − lr·m' become σ' = μσ + wd·s,
+        d' = μd + wd·c (and 1 for the new pair), s' = s − lr·σ', c' = c − lr·d'.
+        """
+        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(a))):
+            raise NumericError(f"non-finite gradient for {self.name}; step refused")
+        k = self._n
+        self._g[k], self._a[k] = g, a
+        c, d = self._c[: k + 1], self._d[: k + 1]
+        self._sigma = cfg.momentum * self._sigma + cfg.weight_decay * self._s
+        d *= cfg.momentum
+        d += cfg.weight_decay * c
+        d[k] += 1.0
+        self._s -= cfg.learning_rate * self._sigma
+        c -= cfg.learning_rate * d
+        self._n = k + 1
+
+    def dense(self) -> np.ndarray:
+        """The weight as one fresh [out, in] array."""
+        n = self._n
+        w = self._s * self._w_bar
+        w += (self._g[:n].T * self._c[:n]) @ self._a[:n]  # in place: one [out, in] temporary fewer
+        return w
+
+
 def hypernet_forward(v: np.ndarray, phi_h: ParamSet, spec: HypernetSpec) -> ParamSet:
-    """θ = h(v; φ_h), bitwise equal to the traced forward pass's data."""
+    """θ = h(v; φ_h); with dense heads, bitwise equal to the traced forward pass's data."""
     _, hidden, phi = _trunk(v, phi_h, spec)
     theta: ParamSet = {}
     for name, shape in spec.target:
         w, b = phi[f"hyper/head/{name}/W"], phi[f"hyper/head/{name}/b"]
-        theta[name] = (hidden @ w.T.copy() + b.reshape(1, -1)).reshape(shape)
+        flat = w.apply(hidden) if isinstance(w, LowRankHead) else hidden @ w.T.copy()
+        theta[name] = (flat + b.reshape(1, -1)).reshape(shape)
     return theta
 
 
@@ -124,11 +189,13 @@ def hypernet_backward(
 ) -> tuple[ParamSet, np.ndarray]:
     """Pull a cotangent on θ back to (φ_h, v): exact VJPs, in closed form.
 
-    Returns ``(d_phi, dv)`` with ``d_phi`` in sorted name order.  Every
-    tensor is bitwise equal to ``autodiff.grad`` of ⟨d_theta, θ⟩ through the
-    traced forward pass: the trunk is recomputed with the same operations,
-    and per-head contributions to the hidden layer are summed in
-    ``spec.target`` order, as the tape sums them.
+    Returns ``(d_phi, dv)`` with ``d_phi`` in sorted name order.  With dense
+    heads every tensor is bitwise equal to ``autodiff.grad`` of ⟨d_theta, θ⟩
+    through the traced forward pass: the trunk is recomputed with the same
+    operations, and per-head contributions to the hidden layer are summed
+    in ``spec.target`` order, as the tape sums them.  A :class:`LowRankHead`
+    weight's gradient g aᵀ comes back as the pair ``(g, a)`` of flat
+    arrays, and its pullback agrees with the dense one to rounding.
     """
     target_names = {name for name, _ in spec.target}
     if d_theta.keys() != target_names:
@@ -143,10 +210,14 @@ def hypernet_backward(
         cot = np.asarray(d_theta[name], dtype=np.float64)
         if cot.shape != shape:
             raise DimensionError(f"cotangent {name}: expected shape {shape}, got {cot.shape}")
-        g = cot.reshape(1, -1)
-        d_phi[f"hyper/head/{name}/W"] = g.T @ hidden
+        g, w = cot.reshape(1, -1), phi[f"hyper/head/{name}/W"]
+        if isinstance(w, LowRankHead):
+            d_phi[f"hyper/head/{name}/W"] = (cot.flatten(), hidden.reshape(-1))
+            contrib = w.pullback(g)
+        else:
+            d_phi[f"hyper/head/{name}/W"] = g.T @ hidden
+            contrib = g @ np.ascontiguousarray(w)
         d_phi[f"hyper/head/{name}/b"] = cot.flatten()
-        contrib = g @ np.ascontiguousarray(phi[f"hyper/head/{name}/W"])
         d_hidden = contrib if d_hidden is None else d_hidden + contrib
 
     d_pre = d_hidden * (hidden > 0.0)

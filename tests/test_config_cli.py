@@ -258,9 +258,24 @@ def test_dp_clip_null_is_unbounded(tmp_path):
     )
     assert cfg.dp_config.clip_norm == math.inf
     cfg = cfgmod.ExperimentConfig(
-        cfgmod.resolve(base_config(tmp_path, dp={"clip_norm": 1.5, "sigma": 0.5}))
+        cfgmod.resolve(base_config(tmp_path, algorithm="dp_fedavg", dp={"clip_norm": 1.5, "sigma": 0.5}))
     )
     assert cfg.dp_config.clip_norm == 1.5 and cfg.dp_config.sigma == 0.5
+
+
+@pytest.mark.parametrize("algorithm", ["hyperfl", "fedavg", "pfedhn", "local"])
+@pytest.mark.parametrize("dp", [{"clip_norm": 0.01, "sigma": 5.0}, {"clip_norm": 1.0}])
+def test_dp_block_on_a_protocol_without_dp_exits_1(tmp_path, capsys, algorithm, dp):
+    # only dp_fedavg sanitizes its uploads: elsewhere a dp block would do nothing
+    out = tmp_path / "run"
+    cfg_path = write_config(tmp_path / "cfg.json", base_config(out, algorithm=algorithm, dp=dp))
+    assert cli.main(["train", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: dp:") and len(err.splitlines()) == 1
+    assert not out.exists()
+    # the default block, spelled out as config.resolved.json records it, still loads
+    over = {"algorithm": algorithm, "dp": {"clip_norm": None, "sigma": 0.0}}
+    assert cfgmod.ExperimentConfig(cfgmod.resolve(base_config(out, **over))).dp_config == fs.DPConfig()
 
 
 def test_image_shape_defaults(tmp_path):

@@ -10,6 +10,7 @@ import itertools
 import math
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from hyperfl import fedsim as fs
 from hyperfl import hypernet as hn
 from hyperfl import metrics as mx
 from hyperfl import network as nn
-from hyperfl.errors import ConfigError, ConsistencyError, DimensionError, PrivacyError
+from hyperfl.errors import ConfigError, ConsistencyError, DimensionError, NumericError, PrivacyError
 
 RNG = np.random.default_rng(20240815)
 
@@ -362,12 +363,119 @@ def test_hyperfl_step2_matches_hand_composition():
     d_phi, dv = hn.hypernet_backward(d_theta, client.v, varphi, bundle.hyper)
     want_phi_h, _ = nn.sgd_step(varphi, d_phi, cfg.eta_h)
     want_v = client.v - cfg.eta_v.learning_rate * dv
+    # Step 2 keeps each head weight factored as s·W̄ + c·g aᵀ, which rounds
+    # differently from the dense update; every other tensor stays bitwise
+    heads = {f"hyper/head/{name}/W" for name, _ in bundle.hyper.target}
     for k in want_phi_h:
-        np.testing.assert_array_equal(upload[k], want_phi_h[k])
+        if k in heads:
+            np.testing.assert_allclose(upload[k], want_phi_h[k], rtol=1e-12, atol=0)
+        else:
+            np.testing.assert_array_equal(upload[k], want_phi_h[k])
     np.testing.assert_array_equal(new_c.v, want_v)
     want_theta = hn.hypernet_forward(want_v, want_phi_h, bundle.hyper)
     for k in want_theta:
-        np.testing.assert_array_equal(new_c.theta[k], want_theta[k])
+        np.testing.assert_allclose(new_c.theta[k], want_theta[k], rtol=1e-12, atol=0)
+
+
+def dense_hyper_epochs(client, varphi_bar, phi_c, bundle, cfg, rng):
+    """HyperFL Step 2 with every hypernetwork tensor dense and stepped by ``sgd_step``.
+
+    The reference :func:`fedsim._hyper_epochs` is checked against: same
+    arguments, same returns, head weights formed in full at every step.
+    """
+    data, v, opt_v = client.train, client.v, client.opt_v
+    phi_h, opt_h = nn.tree_copy(varphi_bar), None
+    losses, sq_norms = [], []
+    for _ in range(cfg.local_epochs):
+        for idx in fs.minibatches(data.n, cfg.batch_size, rng):
+            theta = hn.hypernet_forward(v, phi_h, bundle.hyper)
+            loss, d_theta = nn.loss_and_grad_params(theta, bundle.full, data.x[idx], data.y[idx], phi_c)
+            d_phi, dv = hn.hypernet_backward(d_theta, v, phi_h, bundle.hyper)
+            losses.append(loss)
+            sq_norms.append(nn.tree_sq_norm(d_phi) + nn.tree_sq_norm({"v": dv}))
+            phi_h, opt_h = nn.sgd_step(phi_h, d_phi, cfg.eta_h, opt_h)
+            vt, opt_v = nn.sgd_step({"v": v}, {"v": dv}, cfg.eta_v, opt_v)
+            v = vt["v"]
+    return phi_h, v, opt_v, losses, sq_norms
+
+
+def assert_rel_close(got, want, rel=1e-12):
+    """Largest deviation within ``rel`` of the reference's largest magnitude."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    widths=st.lists(st.integers(2, 5), min_size=1, max_size=3),
+    batch_size=st.integers(2, 5),
+    full_batches=st.integers(0, 3),
+    short=st.integers(1, 4),
+    epochs=st.integers(1, 3),
+    lr=st.floats(1e-3, 0.2),
+    mu=st.just(0.0) | st.floats(0.0, 0.9),
+    wd=st.just(0.0) | st.floats(0.0, 0.05),
+    seed=st.integers(0, 2**16),
+)
+def test_factored_step2_matches_dense_step2(widths, batch_size, full_batches, short, epochs, lr, mu, wd, seed):
+    # one client-round both ways; every minibatch pass ends in a short batch
+    n = full_batches * batch_size + min(short, batch_size - 1)
+    fe = nn.dense_net("fe", [6, *widths])  # 1-3 layers: one head weight per tensor
+    cls = nn.dense_net("cls", [widths[-1], 3])
+    hyper = hn.HypernetSpec(target=hn.target_from_netspec(fe), embedding_dim=4, hidden_dim=7)
+    bundle = fs.ModelBundle(fe=fe, cls=cls, hyper=hyper)
+    ds = dk.synth_dataset(num_classes=3, dim=6, per_class=8, separation=2.0, seed=seed)
+    rows = np.random.default_rng(seed).permutation(ds.n)
+    server, clients = fs.init_experiment("hyperfl", bundle, [(ds.subset(rows[:n]), ds.subset(rows[n:]))], seed=seed)
+    step = nn.OptimConfig(lr, mu, wd)
+    cfg = quick_cfg(batch_size=batch_size, local_epochs=epochs, eta_h=step, eta_v=step)
+
+    def client_round(step2):
+        seen = []
+        def spy(*args):
+            seen.append(step2(*args))
+            return seen[-1]
+        with mock.patch.object(fs, "_hyper_epochs", spy):
+            out = fs.local_train_hyperfl(clients[0], server.varphi_bar, bundle, cfg, np.random.default_rng(seed))
+        return (*out, *seen)
+
+    new_c, upload, stats, (_, _, opt_v, losses, sq_norms) = client_round(fs._hyper_epochs)
+    want_c, want_upload, want_stats, (_, _, want_opt_v, want_losses, want_sq_norms) = client_round(dense_hyper_epochs)
+    assert len(losses) == epochs * (full_batches + 1)
+    for k in want_upload:
+        assert_rel_close(upload[k], want_upload[k])
+    for k in want_c.theta:
+        assert_rel_close(new_c.theta[k], want_c.theta[k])
+    assert_rel_close(new_c.v, want_c.v)
+    assert_rel_close(opt_v["v"], want_opt_v["v"])
+    np.testing.assert_allclose(losses, want_losses, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(sq_norms, want_sq_norms, rtol=1e-12, atol=0)
+    assert stats.train_loss == pytest.approx(want_stats.train_loss, rel=1e-12)
+    assert stats.grad_sq_norm == pytest.approx(want_stats.grad_sq_norm, rel=1e-12)
+    for k in want_c.phi_c:  # Step 1 does not touch the hypernetwork
+        np.testing.assert_array_equal(new_c.phi_c[k], want_c.phi_c[k])
+
+
+def test_factored_head_refuses_a_non_finite_gradient():
+    head = hn.LowRankHead("hyper/head/fe0/W/W", RNG.standard_normal((6, 4)), steps=3)
+    cfg = nn.OptimConfig(0.1, 0.5, 1e-3)
+    head.step(RNG.standard_normal(6), RNG.standard_normal(4), cfg)
+    before = head.dense()
+    for g, a in ((np.full(6, np.nan), np.ones(4)), (np.ones(6), np.array([1.0, np.inf, 0.0, 0.0]))):
+        with pytest.raises(NumericError, match="hyper/head/fe0/W/W"):
+            head.step(g, a, cfg)
+        np.testing.assert_array_equal(head.dense(), before)  # refused before anything changed
+    # the same refusal on the pair hypernet_backward returns for a factored head
+    bundle = small_bundle()
+    phi_h, v = hn.init_hypernet(bundle.hyper, seed=1)
+    name = "hyper/head/fe0/W/W"
+    phi_h[name] = hn.LowRankHead(name, phi_h[name], steps=1)
+    d_theta = {k: np.full(shape, np.inf) for k, shape in bundle.hyper.target}
+    with np.errstate(invalid="ignore"):  # inf - inf in the pullback, as in a real blow-up
+        d_phi, _ = hn.hypernet_backward(d_theta, v, phi_h, bundle.hyper)
+    with pytest.raises(NumericError, match=name):
+        phi_h[name].step(*d_phi[name], cfg)
 
 
 def test_fedavg_zero_lr_uploads_zero_delta():

@@ -263,6 +263,36 @@ def test_closed_form_is_bitwise_the_tape(widths, embedding_dim, hidden_dim, v_sc
     assert dv.tobytes() == want_v.tobytes()
 
 
+@settings(max_examples=30, deadline=None)
+@given(steps=st.integers(0, 4), seed=st.integers(min_value=0, max_value=2**31 - 1))
+def test_low_rank_heads_agree_with_their_dense_form(steps, seed):
+    # factored heads after a few arbitrary steps against the same weights made dense
+    rng = np.random.default_rng(seed)
+    phi, heads = random_phi(seed), {f"hyper/head/{name}/W" for name, _ in SPEC.target}
+    factored = {k: hn.LowRankHead(k, w, steps) if k in heads else w for k, w in phi.items()}
+    cfg = nn.OptimConfig(0.3, 0.5, 0.01)
+    for _ in range(steps):
+        for k in heads:
+            factored[k].step(rng.normal(size=factored[k].shape[0]), rng.normal(size=SPEC.hidden_dim), cfg)
+    dense = {k: w.dense() if k in heads else w for k, w in factored.items()}
+    for k in heads:  # W̄ is read, never written
+        assert phi[k].tobytes() == random_phi(seed)[k].tobytes() and not np.shares_memory(dense[k], phi[k])
+    v = RNG.normal(size=SPEC.embedding_dim)
+    d_theta = {name: rng.normal(size=shape) for name, shape in SPEC.target}
+
+    theta, want_theta = hn.hypernet_forward(v, factored, SPEC), hn.hypernet_forward(v, dense, SPEC)
+    for name in want_theta:
+        np.testing.assert_allclose(theta[name], want_theta[name], rtol=1e-12, atol=1e-12)
+    d_phi, dv = hn.hypernet_backward(d_theta, v, factored, SPEC)
+    want_phi, want_v = hn.hypernet_backward(d_theta, v, dense, SPEC)
+    assert list(d_phi) == list(want_phi)
+    for name, want in want_phi.items():
+        got = np.outer(*d_phi[name]) if name in heads else d_phi[name]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    assert nn.tree_sq_norm(d_phi) == pytest.approx(nn.tree_sq_norm(want_phi), rel=1e-12)
+    np.testing.assert_allclose(dv, want_v, rtol=1e-12, atol=1e-12)
+
+
 def test_backward_returns_fresh_arrays():
     # the head-bias VJP equals the cotangent; it must not alias it
     phi = random_phi(4)

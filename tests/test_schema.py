@@ -27,8 +27,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = cfgmod._schema()
 ATTACK_SCHEMA = {**SCHEMA["definitions"]["attack"], "definitions": SCHEMA["definitions"]}
 OPTIM = {"learning_rate": 0.1, "momentum": 0.5, "weight_decay": 0.0}
-COMMON = {
-    "algorithm": "hyperfl",
+COMMON = {  # a config the runtime accepts too: its dp block needs dp_fedavg
+    "algorithm": "dp_fedavg",
     "seed": 3,
     "output_dir": "runs/x",
     "workers": 1,
