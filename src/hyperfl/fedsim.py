@@ -314,16 +314,16 @@ def _hyper_epochs(
 
     φ_h starts from ``varphi_bar`` with a fresh optimizer.  Each head weight
     is a :class:`~hyperfl.hypernet.LowRankHead` over the received tensor,
-    stepped on its rank-1 gradient pair; the trunk and the head biases are
-    copied and go through ``sgd_step``.  Returns (dense φ_h, v, embedding
-    optimizer state, per-step losses, per-step gradient squared norms).
+    stepped on its rank-1 gradient pair (g, a), which adds ‖g‖²‖a‖² to the
+    step's gradient squared norm; the trunk and the head biases go through
+    ``sgd_step``.  Returns (dense φ_h, v, embedding optimizer state,
+    per-step losses, per-step gradient squared norms).
     """
     data, v, opt_v = client.train, client.v, client.opt_v
     steps = cfg.local_epochs * math.ceil(data.n / cfg.batch_size)
     names = [f"hyper/head/{t}/W" for t, _ in bundle.hyper.target]
     heads = {n: LowRankHead(n, varphi_bar[n], steps) for n in names}
-    # sgd_step never writes its inputs, but without these copies peak RSS rose (allocator layout)
-    dense = {n: w.copy() for n, w in varphi_bar.items() if n not in heads}
+    dense = {n: w for n, w in varphi_bar.items() if n not in heads}
     opt_h = init_optim_state(dense)
     full_spec = bundle.full
     losses: list[float] = []
@@ -334,9 +334,11 @@ def _hyper_epochs(
             theta = hypernet_forward(v, phi_h, bundle.hyper)
             loss, d_theta = loss_and_grad_params(theta, full_spec, data.x[idx], data.y[idx], phi_c)
             d_phi, dv = hypernet_backward(d_theta, v, phi_h, bundle.hyper)
+            d_dense = {n: d_phi[n] for n in dense}
+            head_sq = sum(tree_sq_norm({"g": g}) * tree_sq_norm({"a": a}) for g, a in (d_phi[n] for n in heads))
             losses.append(loss)
-            sq_norms.append(tree_sq_norm(d_phi) + tree_sq_norm({"v": dv}))
-            dense, opt_h = sgd_step(dense, {n: d_phi[n] for n in dense}, cfg.eta_h, opt_h)
+            sq_norms.append(tree_sq_norm(d_dense) + head_sq + tree_sq_norm({"v": dv}))
+            dense, opt_h = sgd_step(dense, d_dense, cfg.eta_h, opt_h)
             for name, head in heads.items():
                 head.step(*d_phi[name], cfg.eta_h)
             vt, opt_v = sgd_step({"v": v}, {"v": dv}, cfg.eta_v, opt_v)
@@ -362,7 +364,8 @@ def local_train_hyperfl(
     inputs cannot change during this phase).  Step 2 (:func:`_hyper_epochs`):
     ``local_epochs`` epochs moving the hypernetwork and the embedding
     jointly, classifier frozen.  Its head weights stay factored as the
-    received weight plus one rank-1 term per step, and the dense
+    received weight plus one rank-1 term per step (folded into dense form
+    whenever ``hidden_dim`` terms are held), and the dense
     hypernetwork is formed once, for the upload; the per-step gradients it
     was built from never leave the client.  Hypernetwork optimizer state
     starts fresh each round because the incoming aggregate overwrites the

@@ -116,15 +116,18 @@ def _trunk(v, phi_h, spec: HypernetSpec) -> tuple[np.ndarray, np.ndarray, dict[s
 
 
 class LowRankHead:
-    """A head weight held as s·W̄ + Σᵢ cᵢ gᵢaᵢᵀ through one round of local SGD.
+    """A head weight held as s·W̄ + t·M̄ + Σᵢ cᵢ gᵢaᵢᵀ through one round of local SGD.
 
     Every head-weight gradient is the outer product g aᵀ of the head's
     cotangent and the hidden layer, and φ_h's optimizer starts from zero
     each round.  So from the received W̄, the weight and its momentum stay
     W = s·W̄ + Σ cᵢ gᵢaᵢᵀ and M = σ·W̄ + Σ dᵢ gᵢaᵢᵀ, and each :meth:`step`
-    appends one pair.  W̄ is kept read-only and not copied; the pairs live
-    in buffers sized for ``steps`` steps.  The dense matrix is formed only
-    by :meth:`dense`.
+    appends one pair.  W̄ is kept read-only and not copied.  A held pair
+    costs O(out + in) in every later pass, so at most ``in`` (the hidden
+    width) are held: a step that finds the buffers full first folds them
+    into dense W̄ := W and M̄ := M, after which W = s·W̄ + t·M̄ + Σ cᵢ gᵢaᵢᵀ
+    and M = σ·W̄ + τ·M̄ + Σ dᵢ gᵢaᵢᵀ.  The dense matrix is otherwise formed
+    only by :meth:`dense`.
     """
 
     def __init__(self, name: str, w_bar: np.ndarray, steps: int):
@@ -132,45 +135,73 @@ class LowRankHead:
         self.shape = w_bar.shape
         self._w_bar = w_bar.view()
         self._w_bar.flags.writeable = False
-        self._g, self._a = np.empty((steps, self.shape[0])), np.empty((steps, self.shape[1]))
-        self._c, self._d = np.zeros(steps), np.zeros(steps)
-        self._s, self._sigma, self._n = 1.0, 0.0, 0
+        self._m_bar: np.ndarray | None = None  # M̄, once pairs have been folded
+        rank = min(steps, self.shape[1])
+        self._g, self._a = np.empty((rank, self.shape[0])), np.empty((rank, self.shape[1]))
+        self._c, self._d = np.zeros(rank), np.zeros(rank)
+        self._s, self._t, self._sigma, self._tau, self._n = 1.0, 0.0, 0.0, 0.0, 0
 
     def apply(self, hidden: np.ndarray) -> np.ndarray:
-        """hidden @ Wᵀ for a [1, in] row: s·(hidden W̄ᵀ) + (c ∘ (A hidden)) U."""
+        """hidden @ Wᵀ for a [1, in] row: s·(hidden W̄ᵀ) [+ t·(hidden M̄ᵀ)] + (c ∘ (A hidden)) U."""
         n = self._n
-        return self._s * (hidden @ self._w_bar.T) + ((hidden @ self._a[:n].T) * self._c[:n]) @ self._g[:n]
+        out = self._s * (hidden @ self._w_bar.T) + ((hidden @ self._a[:n].T) * self._c[:n]) @ self._g[:n]
+        if self._m_bar is not None:
+            out += self._t * (hidden @ self._m_bar.T)
+        return out
 
     def pullback(self, g: np.ndarray) -> np.ndarray:
-        """g @ W for a [1, out] row: s·(g W̄) + (c ∘ (U g)) A."""
+        """g @ W for a [1, out] row: s·(g W̄) [+ t·(g M̄)] + (c ∘ (U g)) A."""
         n = self._n
-        return self._s * (g @ self._w_bar) + ((g @ self._g[:n].T) * self._c[:n]) @ self._a[:n]
+        out = self._s * (g @ self._w_bar) + ((g @ self._g[:n].T) * self._c[:n]) @ self._a[:n]
+        if self._m_bar is not None:
+            out += self._t * (g @ self._m_bar)
+        return out
 
     def step(self, g: np.ndarray, a: np.ndarray, cfg: OptimConfig) -> None:
         """``sgd_step``'s update for the gradient g aᵀ, on the coefficients.
 
         m' = μm + (g aᵀ + wd·W) and W' = W − lr·m' become σ' = μσ + wd·s,
-        d' = μd + wd·c (and 1 for the new pair), s' = s − lr·σ', c' = c − lr·d'.
+        τ' = μτ + wd·t, d' = μd + wd·c (and 1 for the new pair),
+        s' = s − lr·σ', t' = t − lr·τ', c' = c − lr·d'.
         """
         if not (np.all(np.isfinite(g)) and np.all(np.isfinite(a))):
             raise NumericError(f"non-finite gradient for {self.name}; step refused")
+        if self._n == len(self._c):
+            self._fold()
         k = self._n
         self._g[k], self._a[k] = g, a
         c, d = self._c[: k + 1], self._d[: k + 1]
-        self._sigma = cfg.momentum * self._sigma + cfg.weight_decay * self._s
-        d *= cfg.momentum
-        d += cfg.weight_decay * c
+        mu, wd, lr = cfg.momentum, cfg.weight_decay, cfg.learning_rate
+        self._sigma, self._tau = mu * self._sigma + wd * self._s, mu * self._tau + wd * self._t
+        d *= mu
+        d += wd * c
         d[k] += 1.0
-        self._s -= cfg.learning_rate * self._sigma
-        c -= cfg.learning_rate * d
+        self._s, self._t = self._s - lr * self._sigma, self._t - lr * self._tau
+        c -= lr * d
         self._n = k + 1
+
+    def _combine(self, s: float, t: float, c: np.ndarray) -> np.ndarray:
+        """s·W̄ + t·M̄ + Σ cᵢ gᵢaᵢᵀ as one fresh [out, in] array."""
+        n = self._n
+        w = s * self._w_bar
+        w += (self._g[:n].T * c[:n]) @ self._a[:n]  # in place: one [out, in] temporary fewer
+        if self._m_bar is not None:
+            w += t * self._m_bar
+        return w
+
+    def _fold(self) -> None:
+        """Make W and M the dense W̄ and M̄, and empty the pair buffers."""
+        self._w_bar, self._m_bar = (
+            self._combine(self._s, self._t, self._c),
+            self._combine(self._sigma, self._tau, self._d),
+        )
+        self._s, self._t, self._sigma, self._tau, self._n = 1.0, 0.0, 0.0, 1.0, 0
+        self._c[:] = 0.0
+        self._d[:] = 0.0
 
     def dense(self) -> np.ndarray:
         """The weight as one fresh [out, in] array."""
-        n = self._n
-        w = self._s * self._w_bar
-        w += (self._g[:n].T * self._c[:n]) @ self._a[:n]  # in place: one [out, in] temporary fewer
-        return w
+        return self._combine(self._s, self._t, self._c)
 
 
 def hypernet_forward(v: np.ndarray, phi_h: ParamSet, spec: HypernetSpec) -> ParamSet:

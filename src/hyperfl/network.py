@@ -159,12 +159,8 @@ def _dot(a, b) -> float:
 
 
 def tree_sq_norm(a) -> float:
-    """Sum of squares over every tensor, accumulated in the tree's key order.
-
-    A ``(g, a)`` pair stands for the rank-1 matrix g aᵀ and adds ‖g‖²‖a‖².
-    """
-    sq = (_dot(v[0], v[0]) * _dot(v[1], v[1]) if isinstance(v, tuple) else _dot(v, v) for v in a.values())
-    return float(sum(sq))
+    """Sum of squares over every tensor, accumulated in the tree's key order."""
+    return float(sum(_dot(v, v) for v in a.values()))
 
 
 def tree_norm(a) -> float:

@@ -264,9 +264,9 @@ def test_closed_form_is_bitwise_the_tape(widths, embedding_dim, hidden_dim, v_sc
 
 
 @settings(max_examples=30, deadline=None)
-@given(steps=st.integers(0, 4), seed=st.integers(min_value=0, max_value=2**31 - 1))
+@given(steps=st.integers(0, 30), seed=st.integers(min_value=0, max_value=2**31 - 1))
 def test_low_rank_heads_agree_with_their_dense_form(steps, seed):
-    # factored heads after a few arbitrary steps against the same weights made dense
+    # factored heads after arbitrary steps (folded past 13, the hidden width) against the same weights made dense
     rng = np.random.default_rng(seed)
     phi, heads = random_phi(seed), {f"hyper/head/{name}/W" for name, _ in SPEC.target}
     factored = {k: hn.LowRankHead(k, w, steps) if k in heads else w for k, w in phi.items()}
@@ -289,8 +289,34 @@ def test_low_rank_heads_agree_with_their_dense_form(steps, seed):
     for name, want in want_phi.items():
         got = np.outer(*d_phi[name]) if name in heads else d_phi[name]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-    assert nn.tree_sq_norm(d_phi) == pytest.approx(nn.tree_sq_norm(want_phi), rel=1e-12)
     np.testing.assert_allclose(dv, want_v, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    width=st.integers(1, 6),
+    steps=st.integers(1, 40),
+    lr=st.floats(1e-3, 0.3),
+    mu=st.just(0.0) | st.floats(0.0, 0.9),
+    wd=st.just(0.0) | st.floats(0.0, 0.05),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_low_rank_head_steps_like_sgd_step(width, steps, lr, mu, wd, seed):
+    # the coefficient recursions, folds included, against sgd_step on the dense outer products
+    rng = np.random.default_rng(seed)
+    w_bar = rng.normal(size=(9, width))
+    head, cfg = hn.LowRankHead("w", w_bar, steps), nn.OptimConfig(lr, mu, wd)
+    want, opt = {"w": w_bar}, None
+    for _ in range(steps):
+        g, a = rng.normal(size=9), rng.normal(size=width)
+        head.step(g, a, cfg)
+        want, opt = nn.sgd_step(want, {"w": np.outer(g, a)}, cfg, opt)
+    scale = np.max(np.abs(want["w"]))
+    assert np.max(np.abs(head.dense() - want["w"])) <= 1e-12 * scale
+    h, g = rng.normal(size=(1, width)), rng.normal(size=(1, 9))
+    np.testing.assert_allclose(head.apply(h), h @ want["w"].T, rtol=1e-11, atol=1e-12 * scale)
+    np.testing.assert_allclose(head.pullback(g), g @ want["w"], rtol=1e-11, atol=1e-12 * scale)
+    assert w_bar.flags.writeable and not np.shares_memory(head.dense(), w_bar)
 
 
 def test_backward_returns_fresh_arrays():
