@@ -171,27 +171,40 @@ def _decay_milestones(n: int) -> set[int]:
 
 
 def _optimize(value_and_grads, init: Mapping[str, np.ndarray], cfg: AttackConfig):
-    """Minimize a scalar objective over a dict of arrays with Adam.
+    """Minimize a scalar objective over named arrays with Adam.
 
-    ``value_and_grads(xs)`` returns the loss at ``xs`` and a dict of its
-    gradients, one per key of ``xs``.  Returns (best iterate, best loss,
-    trace).  The trace records loss and best-so-far every 100 iterations
-    and once at the end.  A non-finite objective or gradient stops the
-    search early; the best finite iterate found so far is returned rather
-    than raising, because attack failure is a result to report.
+    The search holds its iterate x, gradient, moments m and u and best
+    iterate as one contiguous float64 vector each, all updated in place.
+    ``value_and_grads(xs)`` gets ``xs`` as named views into x, shaped like
+    ``init``, and returns the loss there and a dict of its gradients, one
+    per key; they are gathered into the flat gradient.  Adam's operations
+    are elementwise, so a flat step is bitwise the per-tensor one.
+
+    Returns (best iterate as named arrays, best loss, trace).  The trace
+    records loss and best-so-far every 100 iterations and once at the end.
+    A non-finite loss or gradient at iteration t stops the search early: the
+    last trace row is then iteration t with the loss found there, which
+    still becomes the best if it is finite and lower.  The best finite
+    iterate is returned rather than raising, because attack failure is a
+    result to report.
     """
-    xs = {k: np.array(v, dtype=np.float64, copy=True) for k, v in init.items()}
-    best = {k: v.copy() for k, v in xs.items()}
-    best_loss = math.inf
-    trace: list[TraceRow] = []
+    shapes = {k: np.shape(v) for k, v in init.items()}
+    x = np.concatenate([np.asarray(v, dtype=np.float64).ravel() for v in init.values()])
+    bounds = np.cumsum([0, *(math.prod(s) for s in shapes.values())])
 
+    def named(flat: np.ndarray) -> dict[str, np.ndarray]:
+        return {k: flat[a:b].reshape(s) for (k, s), a, b in zip(shapes.items(), bounds, bounds[1:])}
+
+    xs = named(x)
     if cfg.iterations == 0:
         loss, _ = value_and_grads(xs)
-        trace.append(TraceRow(0, loss, loss))
-        return xs, loss, trace
+        return xs, loss, [TraceRow(0, loss, loss)]
 
-    m = {k: np.zeros_like(v) for k, v in xs.items()}
-    u = {k: np.zeros_like(v) for k, v in xs.items()}
+    g, m, u, best = np.empty_like(x), np.zeros_like(x), np.zeros_like(x), x.copy()
+    m_hat, denom = np.empty_like(x), np.empty_like(x)
+    g_views = named(g)
+    best_loss = math.inf
+    trace: list[TraceRow] = []
     lr = cfg.step_size
     milestones = _decay_milestones(cfg.iterations)
 
@@ -199,27 +212,38 @@ def _optimize(value_and_grads, init: Mapping[str, np.ndarray], cfg: AttackConfig
         if t > 0 and t in milestones:
             lr *= 0.1
         loss, grads = value_and_grads(xs)
-        if not math.isfinite(loss) or any(not np.all(np.isfinite(g)) for g in grads.values()):
+        for k, view in g_views.items():
+            view[...] = grads[k]
+        if not (math.isfinite(loss) and np.isfinite(g).all()):
             break
         if loss < best_loss:
             best_loss = loss
-            best = {k: v.copy() for k, v in xs.items()}
+            np.copyto(best, x)
         if t % 100 == 0:
             trace.append(TraceRow(t, loss, best_loss))
         step = t + 1
-        for k, g in grads.items():
-            m[k] = _ADAM_BETA1 * m[k] + (1.0 - _ADAM_BETA1) * g
-            u[k] = _ADAM_BETA2 * u[k] + (1.0 - _ADAM_BETA2) * np.square(g)
-            m_hat = m[k] / (1.0 - _ADAM_BETA1**step)
-            u_hat = u[k] / (1.0 - _ADAM_BETA2**step)
-            xs[k] = xs[k] - lr * m_hat / (np.sqrt(u_hat) + _ADAM_EPS)
+        # m = β1·m + (1 − β1)·g and u = β2·u + (1 − β2)·g², then
+        # x = x − lr·m̂ / (√û + ε), each product in the order written
+        m *= _ADAM_BETA1
+        m += np.multiply(g, 1.0 - _ADAM_BETA1, out=m_hat)
+        u *= _ADAM_BETA2
+        u += np.multiply(np.square(g, out=denom), 1.0 - _ADAM_BETA2, out=denom)
+        np.divide(m, 1.0 - _ADAM_BETA1**step, out=m_hat)
+        np.divide(u, 1.0 - _ADAM_BETA2**step, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += _ADAM_EPS
+        m_hat *= lr
+        m_hat /= denom
+        x -= m_hat
+    else:
+        t = cfg.iterations
+        loss, _ = value_and_grads(xs)
 
-    final_loss, _ = value_and_grads(xs)
-    if math.isfinite(final_loss) and final_loss < best_loss:
-        best_loss = final_loss
-        best = {k: v.copy() for k, v in xs.items()}
-    trace.append(TraceRow(cfg.iterations, final_loss, best_loss))
-    return best, best_loss, trace
+    if math.isfinite(loss) and loss < best_loss:
+        best_loss = loss
+        np.copyto(best, x)
+    trace.append(TraceRow(t, loss, best_loss))
+    return named(best), best_loss, trace
 
 
 def _init_image(shape: tuple[int, int], cfg: AttackConfig) -> np.ndarray:
@@ -368,17 +392,24 @@ def _embedding_objective(phi: Mapping[str, np.ndarray], obs: Mapping[str, np.nda
     s[head b] = r, s[trunk W] = d vᵀ and s[trunk b] = d (hypernet_backward's
     math).  The mask is piecewise constant, so the outer derivatives are the
     matmuls and outer products below.  Everything that depends on φ alone is
-    prepared here, once per attack.
+    prepared here, once per attack, with the buffers every evaluation fills.
     """
-    names = sorted(obs)
     trunk_w = np.ascontiguousarray(phi["hyper/trunk/W"], dtype=np.float64)
     trunk_wt = trunk_w.T.copy()
     trunk_b = np.asarray(phi["hyper/trunk/b"], dtype=np.float64).reshape(1, spec.hidden_dim)
+    # err_k = s_k − obs_k, and err_k² in one shared buffer; the loss sums in sorted name order
+    err = {k: np.empty(np.shape(o)) for k, o in obs.items()}
+    sq = np.empty(max(e.size for e in err.values()))
+    terms = [(err[k], sq[: err[k].size].reshape(err[k].shape)) for k in sorted(err)]
     heads = []
     for name, shape in spec.target:
         w = np.ascontiguousarray(phi[f"hyper/head/{name}/W"], dtype=np.float64)
         b = np.asarray(phi[f"hyper/head/{name}/b"], dtype=np.float64).reshape(1, -1)
-        heads.append((name, shape, w, w.T.copy(), b, np.empty(w.shape)))
+        w_key, b_key = f"hyper/head/{name}/W", f"hyper/head/{name}/b"
+        heads.append((f"theta/{name}", shape, w, w.T.copy(), b, np.empty((1, w.shape[0])),
+                      err[w_key], obs[w_key], err[b_key], obs[b_key]))
+    e_tw, obs_tw = err["hyper/trunk/W"], obs["hyper/trunk/W"]
+    e_tb, obs_tb = err["hyper/trunk/b"], obs["hyper/trunk/b"]
 
     def value_and_grads(xs: Mapping[str, np.ndarray]):
         v = xs["v"]
@@ -387,36 +418,46 @@ def _embedding_objective(phi: Mapping[str, np.ndarray], obs: Mapping[str, np.nda
         mask = (pre > 0.0).astype(np.float64)
         hidden = pre * mask
 
-        # err[k] = s_k - obs_k; the head-W error is built in a buffer kept per attack
-        err: dict[str, np.ndarray] = {}
-        residuals = []
         d_hidden = None
-        for name, shape, w, wt, b, e_w in heads:
+        for key, _, w, wt, b, r, e_w, o_w, e_b, o_b in heads:
             # the tape's cotangent is 0.5·r + 0.5·r, which is r for any normal r
-            r = ((hidden @ wt + b).reshape(shape) - xs[f"theta/{name}"]).reshape(1, -1)
-            residuals.append(r)
-            np.multiply(r.T, hidden, out=e_w)
-            err[f"hyper/head/{name}/W"] = np.subtract(e_w, obs[f"hyper/head/{name}/W"], out=e_w)
-            err[f"hyper/head/{name}/b"] = r.reshape(-1) - obs[f"hyper/head/{name}/b"]
+            np.matmul(hidden, wt, out=r)
+            r += b
+            r -= xs[key].reshape(1, -1)
+            _outer_minus(r, hidden, o_w, out=e_w)
+            np.subtract(r[0], o_b, out=e_b)
             contrib = r @ w
             d_hidden = contrib if d_hidden is None else d_hidden + contrib
         d_pre = d_hidden * mask
-        err["hyper/trunk/W"] = d_pre.T * row - obs["hyper/trunk/W"]
-        err["hyper/trunk/b"] = d_pre.reshape(-1) - obs["hyper/trunk/b"]
-        loss = sum(np.sum(err[k] * err[k]) for k in names)
+        _outer_minus(d_pre, row, obs_tw, out=e_tw)
+        np.subtract(d_pre[0], obs_tb, out=e_tb)
+        # np.add.reduce is np.sum without its Python wrapper
+        loss = sum(np.add.reduce(np.multiply(e, e, out=e_sq), axis=None) for e, e_sq in terms)
 
         # dL/ds_k = 2 err_k; the factor 2 is applied once at the end
-        g_pre = (err["hyper/trunk/W"] @ v + err["hyper/trunk/b"]) * mask[0]
+        g_pre = (e_tw @ v + e_tb) * mask[0]
         grads: dict[str, np.ndarray] = {}
         g_hidden = np.zeros(spec.hidden_dim)
-        for (name, shape, w, _, _, e_w), r in zip(heads, residuals):
-            g_r = e_w @ hidden[0] + err[f"hyper/head/{name}/b"] + w @ g_pre
-            grads[f"theta/{name}"] = (-2.0 * g_r).reshape(shape)
+        for key, shape, w, _, _, r, e_w, _, e_b, _ in heads:
+            g_r = e_w @ hidden[0] + e_b + w @ g_pre
+            grads[key] = (-2.0 * g_r).reshape(shape)
             g_hidden += r[0] @ e_w + g_r @ w
-        grads["v"] = 2.0 * (d_pre[0] @ err["hyper/trunk/W"] + (g_hidden * mask[0]) @ trunk_w)
+        grads["v"] = 2.0 * (d_pre[0] @ e_tw + (g_hidden * mask[0]) @ trunk_w)
         return float(loss), grads
 
     return value_and_grads
+
+
+def _outer_minus(col: np.ndarray, row: np.ndarray, sub: np.ndarray, out: np.ndarray) -> None:
+    """``out = col.T * row − sub`` for [1, m] ``col`` and [1, n] ``row``, in place.
+
+    A broadcast row copy and an in-place column multiply are bitwise the
+    broadcast product and faster; ``einsum`` is not bitwise, since it turns
+    r·0 with r < 0 into +0.0.
+    """
+    out[...] = row
+    out *= col.T
+    out -= sub
 
 
 def _inversion_objective(theta: ParamSet, spec: NetSpec, target_row: np.ndarray, tv_coeff: float):

@@ -1,13 +1,16 @@
 """Traced reference implementations that the closed-form code is checked against.
 
 The library computes these in closed-form numpy; the tests keep the traced
-forms, built from ``hyperfl.autodiff`` primitives, as oracles.
+forms, built from ``hyperfl.autodiff`` primitives, as oracles.  The attacks'
+Adam loop steps one flat vector per search; the per-key loop it replaced is
+kept here as its oracle.
 """
 
 import math
 
 import numpy as np
 
+from hyperfl import attack as atk
 from hyperfl import autodiff as ad
 from hyperfl import network as nn
 from hyperfl.errors import ConsistencyError, DimensionError, NumericError
@@ -105,3 +108,52 @@ def matching_objective_sym(params, spec, obs, label, grad_loss, tv_coeff):
         return out
 
     return objective
+
+
+def per_key_adam(value_and_grads, init, cfg):
+    """``attack._optimize`` as a loop over a dict of arrays, one Adam update per key.
+
+    It differs from the flat loop in one row only: after an early stop on a
+    non-finite loss or gradient, it evaluates the same iterate once more and
+    labels the last trace row ``cfg.iterations``.
+    """
+    xs = {k: np.array(v, dtype=np.float64, copy=True) for k, v in init.items()}
+    best = {k: v.copy() for k, v in xs.items()}
+    best_loss = math.inf
+    trace = []
+
+    if cfg.iterations == 0:
+        loss, _ = value_and_grads(xs)
+        trace.append(atk.TraceRow(0, loss, loss))
+        return xs, loss, trace
+
+    m = {k: np.zeros_like(v) for k, v in xs.items()}
+    u = {k: np.zeros_like(v) for k, v in xs.items()}
+    lr = cfg.step_size
+    milestones = atk._decay_milestones(cfg.iterations)
+
+    for t in range(cfg.iterations):
+        if t > 0 and t in milestones:
+            lr *= 0.1
+        loss, grads = value_and_grads(xs)
+        if not math.isfinite(loss) or any(not np.all(np.isfinite(g)) for g in grads.values()):
+            break
+        if loss < best_loss:
+            best_loss = loss
+            best = {k: v.copy() for k, v in xs.items()}
+        if t % 100 == 0:
+            trace.append(atk.TraceRow(t, loss, best_loss))
+        step = t + 1
+        for k, g in grads.items():
+            m[k] = atk._ADAM_BETA1 * m[k] + (1.0 - atk._ADAM_BETA1) * g
+            u[k] = atk._ADAM_BETA2 * u[k] + (1.0 - atk._ADAM_BETA2) * np.square(g)
+            m_hat = m[k] / (1.0 - atk._ADAM_BETA1**step)
+            u_hat = u[k] / (1.0 - atk._ADAM_BETA2**step)
+            xs[k] = xs[k] - lr * m_hat / (np.sqrt(u_hat) + atk._ADAM_EPS)
+
+    final_loss, _ = value_and_grads(xs)
+    if math.isfinite(final_loss) and final_loss < best_loss:
+        best_loss = final_loss
+        best = {k: v.copy() for k, v in xs.items()}
+    trace.append(atk.TraceRow(cfg.iterations, final_loss, best_loss))
+    return best, best_loss, trace

@@ -33,6 +33,7 @@ from tape_oracles import (
     gradient_loss_sym,
     hypernet_forward_sym,
     matching_objective_sym,
+    per_key_adam,
     total_variation_sym,
     value_and_grads,
 )
@@ -283,6 +284,93 @@ def test_ig_attack_deterministic():
     x2, t2 = atk.ig_attack(tr.public(), cfg)
     assert x1.tobytes() == x2.tobytes()
     assert t1 == t2
+
+
+# -- the Adam loop -------------------------------------------------------------------
+
+
+def random_objective(shapes, nan_from=None, seed=0):
+    """A nonconvex objective over named arrays, with matmuls on the arrays it is
+    handed; its loss is NaN from its ``nan_from``-th evaluation on.  Returns the
+    objective and its evaluation count, a one-item list."""
+    rng = np.random.default_rng(seed)
+    mats = {k: rng.normal(size=(3, math.prod(s))) for k, s in shapes.items()}
+    targets = {k: rng.normal(size=3) for k in shapes}
+    calls = [0]
+
+    def value_and_grads(xs):
+        calls[0] += 1
+        loss, grads = 0.0, {}
+        for k, x in xs.items():
+            flat = x.reshape(-1)
+            r = mats[k] @ flat - targets[k]
+            loss += float(r @ r) + 0.1 * float(np.sum(flat**4))
+            grads[k] = (2.0 * (r @ mats[k]) + 0.4 * flat**3).reshape(x.shape)
+        return (math.nan if nan_from is not None and calls[0] >= nan_from else loss), grads
+
+    return value_and_grads, calls
+
+
+def bits(trace):
+    return [(r.iteration, np.float64(r.loss).tobytes(), np.float64(r.best_loss).tobytes()) for r in trace]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    shapes=st.lists(st.lists(st.integers(min_value=1, max_value=4), max_size=2), min_size=1, max_size=4),
+    iterations=st.sampled_from([0, 1, 8, 100, 101, 300]),
+    step_size=st.sampled_from([0.01, 0.1, 1.0]),
+    nan_from=st.one_of(st.none(), st.integers(min_value=1, max_value=120)),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_flat_adam_is_bitwise_the_per_key_loop(shapes, iterations, step_size, nan_from, seed):
+    # across the decay milestones, 0-d to 2-d arrays, and NaN turning up
+    # before, at or after the last iteration
+    shapes = {f"k{i}": tuple(s) for i, s in enumerate(shapes)}
+    rng = np.random.default_rng(seed)
+    init = {k: rng.normal(size=s) for k, s in shapes.items()}
+    cfg = atk.AttackConfig(iterations=iterations, step_size=step_size)
+    best, loss, trace = atk._optimize(random_objective(shapes, nan_from, seed)[0], init, cfg)
+    want_best, want_loss, want_trace = per_key_adam(random_objective(shapes, nan_from, seed)[0], init, cfg)
+    assert best.keys() == want_best.keys()
+    for k, w in want_best.items():
+        assert best[k].shape == w.shape and best[k].tobytes() == w.tobytes(), k
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    if nan_from is not None and nan_from <= iterations:
+        # the one exception: the early-stop row names the iteration that stopped
+        assert bits(trace[:-1]) == bits(want_trace[:-1])
+        assert trace[-1].iteration == nan_from - 1 and want_trace[-1].iteration == iterations
+        assert math.isnan(trace[-1].loss) and math.isnan(want_trace[-1].loss)
+        assert np.float64(trace[-1].best_loss).tobytes() == np.float64(want_trace[-1].best_loss).tobytes()
+    else:
+        assert bits(trace) == bits(want_trace)
+
+
+def test_optimize_early_stop_reports_the_iteration_it_stopped_at():
+    # the 6th evaluation, at iteration 5, is NaN: the search stops there and
+    # evaluates nothing more
+    f, calls = random_objective({"x": (3,)}, nan_from=6)
+    _, best_loss, trace = atk._optimize(f, {"x": np.ones(3)}, atk.AttackConfig(iterations=50))
+    assert calls[0] == 6
+    assert trace[-1].iteration == 5 and math.isnan(trace[-1].loss)
+    assert trace[-1].best_loss == best_loss and math.isfinite(best_loss)
+
+
+def test_optimize_early_stop_keeps_a_finite_lower_loss_as_best():
+    # from the 4th evaluation on the gradient is infinite while the loss is
+    # finite and lower than before: that iterate is the best
+    seen, losses = [], []
+
+    def f(xs):
+        x = xs["x"]
+        seen.append(x.copy())
+        losses.append(float(np.sum(x * x)))
+        return losses[-1], {"x": 2.0 * x if len(losses) < 4 else np.full_like(x, np.inf)}
+
+    best, best_loss, trace = atk._optimize(f, {"x": np.array([1.0, -2.0])}, atk.AttackConfig(iterations=50))
+    assert len(losses) == 4 and losses[3] < min(losses[:3])
+    assert best_loss == losses[3] and np.array_equal(best["x"], seen[3])
+    assert trace[-1] == atk.TraceRow(3, losses[3], losses[3])
 
 
 # -- closed-form objectives against the tape ------------------------------------------
