@@ -174,19 +174,17 @@ def _optimize(value_and_grads, init: Mapping[str, np.ndarray], cfg: AttackConfig
     """Minimize a scalar objective over named arrays with Adam.
 
     The search holds its iterate x, gradient, moments m and u and best
-    iterate as one contiguous float64 vector each, all updated in place.
+    iterate as one contiguous float64 vector each, updated in place; Adam
+    is elementwise, so this is bitwise a per-tensor loop.
     ``value_and_grads(xs)`` gets ``xs`` as named views into x, shaped like
-    ``init``, and returns the loss there and a dict of its gradients, one
-    per key; they are gathered into the flat gradient.  Adam's operations
-    are elementwise, so a flat step is bitwise the per-tensor one.
+    ``init``, and returns the loss and a dict of gradients, one per key.
 
-    Returns (best iterate as named arrays, best loss, trace).  The trace
-    records loss and best-so-far every 100 iterations and once at the end.
-    A non-finite loss or gradient at iteration t stops the search early: the
-    last trace row is then iteration t with the loss found there, which
-    still becomes the best if it is finite and lower.  The best finite
-    iterate is returned rather than raising, because attack failure is a
-    result to report.
+    Returns (best iterate, best loss, trace).  The trace records loss and
+    best-so-far every 100 iterations and once at the end.  A non-finite
+    loss or gradient at iteration t stops the search early, and the last
+    row is then iteration t with the loss found there, which still becomes
+    the best if it is finite and lower.  The best finite iterate is returned
+    rather than raising, because attack failure is a result to report.
     """
     shapes = {k: np.shape(v) for k, v in init.items()}
     x = np.concatenate([np.asarray(v, dtype=np.float64).ravel() for v in init.values()])
@@ -398,7 +396,7 @@ def _embedding_objective(phi: Mapping[str, np.ndarray], obs: Mapping[str, np.nda
     trunk_wt = trunk_w.T.copy()
     trunk_b = np.asarray(phi["hyper/trunk/b"], dtype=np.float64).reshape(1, spec.hidden_dim)
     # err_k = s_k − obs_k, and err_k² in one shared buffer; the loss sums in sorted name order
-    err = {k: np.empty(np.shape(o)) for k, o in obs.items()}
+    err = {k: np.empty(shape) for k, shape in spec.param_shapes().items()}
     sq = np.empty(max(e.size for e in err.values()))
     terms = [(err[k], sq[: err[k].size].reshape(err[k].shape)) for k in sorted(err)]
     heads = []
