@@ -6,7 +6,7 @@ Library layout:
 - ``network``     dense feature extractor + classifier, losses, optimizers
 - ``hypernet``    client hypernetworks that generate extractor weights
 - ``datakit``     synthetic data, IDX files, non-IID partitioning
-- ``fedsim``      federated protocols (local / fedavg / dp / hyperfl / pfedhn)
+- ``fedsim``      federated protocols (local / fedavg / dp_fedavg / hyperfl / pfedhn)
 - ``attack``      gradient-inversion harness and analytic baselines
 - ``metrics``     psnr / ssim / accuracy / convergence summaries
 - ``checkpoint``  byte-exact tensor container

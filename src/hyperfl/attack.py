@@ -39,7 +39,7 @@ from . import metrics as mx
 from . import network as nn
 from .checkpoint import read_csv, write_csv, write_json
 from .errors import CapabilityError, ConfigError, ConsistencyError, DimensionError, NumericError
-from .fedsim import ClientState, DPConfig, LayoutRow, ModelBundle, ServerState, dp_sanitize
+from .fedsim import PROTOCOLS, ClientState, DPConfig, LayoutRow, ModelBundle, ServerState, dp_sanitize
 from .hypernet import HypernetSpec
 from .network import NetSpec, OptimConfig, ParamSet
 
@@ -323,9 +323,9 @@ def ig_attack(view: TranscriptView, cfg: AttackConfig):
     by loss and the loss trace.
     """
     view = _require_view(view)
-    if view.algorithm == "hyperfl":
+    if view.hyper_spec is not None:
         raise CapabilityError(
-            "full-model gradients are not observable for hyperfl transcripts "
+            "full-model gradients are not observable in a hypernetwork-gradient transcript "
             "(the classifier never leaves the client); use hyperfl_bilevel_attack"
         )
     spec = view.model_spec
@@ -494,11 +494,9 @@ def recover_embedding(
     failure to reach a small residual is an outcome, not an error.
     """
     view = _require_view(view)
-    if view.algorithm != "hyperfl":
-        raise CapabilityError("embedding recovery applies to hyperfl transcripts only")
     spec = view.hyper_spec
     if spec is None:
-        raise ConsistencyError("hyperfl transcript lacks its hypernetwork description")
+        raise CapabilityError("embedding recovery applies to hypernetwork-gradient transcripts only")
     if set(view.observed) != set(spec.param_shapes()):
         raise ConsistencyError("observed gradients do not cover the hypernetwork's tensors")
     hn.check_phi(view.params, spec)
@@ -541,8 +539,8 @@ def hyperfl_bilevel_attack(view: TranscriptView, cfg: AttackConfig):
     stage gets the full configured iteration budget.
     """
     view = _require_view(view)
-    if view.algorithm != "hyperfl":
-        raise CapabilityError("the bi-level attack applies to hyperfl transcripts only")
+    if view.hyper_spec is None:
+        raise CapabilityError("the bi-level attack applies to hypernetwork-gradient transcripts only")
     fe_spec = view.model_spec
     h_px, w_px = view.image_shape
     if h_px * w_px != fe_spec.in_dim:
@@ -578,8 +576,8 @@ def analytic_hyperfl_recovery(view: TranscriptView) -> np.ndarray:
     :func:`analytic_input_recovery` reads the input off them.
     """
     view = _require_view(view)
-    if view.algorithm != "hyperfl":
-        raise CapabilityError("head-bias recovery applies to hyperfl transcripts only")
+    if view.hyper_spec is None:
+        raise CapabilityError("head-bias recovery applies to hypernetwork-gradient transcripts only")
     first = view.model_spec.layers[0]
     keys = (f"hyper/head/{first.name}/W/b", f"hyper/head/{first.name}/b/b")
     if any(k not in view.observed for k in keys):
@@ -595,7 +593,7 @@ def analytic_hyperfl_recovery(view: TranscriptView) -> np.ndarray:
 def attack_transcript(view: TranscriptView, cfg: AttackConfig):
     """Route a transcript to the applicable attack; returns (x_hat, trace)."""
     view = _require_view(view)
-    if view.algorithm == "hyperfl":
+    if view.hyper_spec is not None:
         x_hat, report = hyperfl_bilevel_attack(view, cfg)
         return x_hat, report["trace"]
     return ig_attack(view, cfg)
@@ -699,19 +697,19 @@ def snapshot_transcript(
     if j >= train.n:
         raise ConfigError(f"sample {i} needs item {j} of client {cid}, which holds only {train.n} samples")
     img, y = train.x[j].reshape(shape), int(train.y[j])
-    algo = server.algorithm
-    if algo == "fedavg":
-        return fedavg_transcript(server.global_model, bundle.full, img, y)
-    if algo == "dp_fedavg":
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, _TAG_DP, i)))
-        return dp_fedavg_transcript(server.global_model, bundle.full, img, y, dp, rng)
-    if algo == "pfedhn":
-        model = hn.hypernet_forward(server.embeddings[cid], server.varphi_bar, bundle.pfedhn_hyper())
-        return pfedhn_transcript(model, bundle.full, img, y, opt=opt)
-    if algo == "hyperfl":
+    proto = PROTOCOLS[server.algorithm]
+    if proto.hyper:
         c = clients[cid]
         return hyperfl_transcript(c.v, server.varphi_bar, c.phi_c, bundle.hyper, bundle.fe, bundle.cls, img, y)
-    raise CapabilityError(f"algorithm {algo!r} shares no model parameters; nothing to attack")
+    if proto.server_steps:
+        model = hn.hypernet_forward(server.embeddings[cid], server.varphi_bar, bundle.pfedhn_hyper())
+        return pfedhn_transcript(model, bundle.full, img, y, opt=opt)
+    if proto.sanitizes:
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, _TAG_DP, i)))
+        return dp_fedavg_transcript(server.global_model, bundle.full, img, y, dp, rng)
+    if proto.tree is not None:
+        return fedavg_transcript(server.global_model, bundle.full, img, y)
+    raise CapabilityError(f"algorithm {server.algorithm!r} shares no model parameters; nothing to attack")
 
 
 # -- scoring and reports ---------------------------------------------------------
@@ -729,7 +727,7 @@ def score_reconstruction(transcript: Transcript, x_hat: np.ndarray) -> dict[str,
         s = math.nan
     view = transcript.public()
     try:
-        if view.algorithm == "hyperfl":
+        if view.hyper_spec is not None:
             x = analytic_hyperfl_recovery(view)
         else:
             first = view.model_spec.layers[0].name

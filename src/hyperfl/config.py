@@ -34,7 +34,7 @@ from . import datakit as dk
 from .attack import AttackConfig
 from .datakit import Dataset, PartitionSpec
 from .errors import ConfigError
-from .fedsim import DPConfig, ModelBundle, RoundConfig
+from .fedsim import PROTOCOLS, DPConfig, ModelBundle, RoundConfig
 from .hypernet import HypernetSpec, target_from_netspec
 from .network import NetSpec, OptimConfig, dense_net
 
@@ -189,7 +189,7 @@ class ExperimentConfig:
         clip = math.inf if d["clip_norm"] is None else float(d["clip_norm"])
         object.__setattr__(self, "round_config", RoundConfig(**{**r, **etas}))
         object.__setattr__(self, "dp_config", DPConfig(clip_norm=clip, sigma=float(d["sigma"])))
-        if self.algorithm != "dp_fedavg" and self.dp_config != DPConfig():
+        if not PROTOCOLS[self.algorithm].sanitizes and self.dp_config != DPConfig():
             raise ConfigError(f"dp: {self.algorithm} does not sanitize its uploads; only dp_fedavg does")
         object.__setattr__(self, "bundle", build_bundle(self))
 

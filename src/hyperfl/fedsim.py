@@ -29,9 +29,6 @@ A trained client's :class:`~hyperfl.metrics.RoundRecord` is built in one
 place, :func:`run_round`'s client loop, where its loss, gradient norm and
 drift are computed, for every protocol.  :func:`evaluate_clients` is the only
 evaluation path; it fills in ``test_acc`` for every client, round 0 included.
-
-Algorithm tags: ``hyperfl``, ``fedavg``, ``dp_fedavg``, ``local``,
-``pfedhn``.
 """
 
 from __future__ import annotations
@@ -67,7 +64,24 @@ from .network import (
     tree_sub,
 )
 
-ALGORITHMS = ("hyperfl", "fedavg", "dp_fedavg", "local", "pfedhn")
+
+class Protocol(NamedTuple):
+    """What one protocol does, each behaviour named once; plain data, no functions."""
+
+    tree: str | None  # the ServerState field broadcast and folded into; None: nothing crosses the wire
+    hyper: bool = False  # clients keep v, theta and phi_c, run HyperFL's two steps and upload phi_h
+    sanitizes: bool = False  # each upload is clipped and noised by dp_sanitize before it is sent
+    server_steps: bool = False  # the server generates each client's model and steps on each upload
+
+
+PROTOCOLS = {
+    "hyperfl": Protocol("varphi_bar", hyper=True),
+    "fedavg": Protocol("global_model"),
+    "dp_fedavg": Protocol("global_model", sanitizes=True),
+    "local": Protocol(None),
+    "pfedhn": Protocol("varphi_bar", server_steps=True),
+}
+ALGORITHMS = tuple(PROTOCOLS)
 
 # rng purpose tags; never reuse one for a second purpose
 _TAG_INIT = 0x494E4954
@@ -248,14 +262,6 @@ class Wire:
             payload=checkpoint.dump_params(payload),
             names=tuple(sorted(payload.keys())),
         )
-
-
-def _allowed_upload_names(algorithm: str, bundle: ModelBundle) -> set[str]:
-    if algorithm == "hyperfl":
-        return set(bundle.hyper.param_shapes())
-    if algorithm in ("fedavg", "dp_fedavg", "pfedhn"):
-        return set(bundle.full.param_shapes())
-    return set()
 
 
 # -- batching ----------------------------------------------------------------------
@@ -520,9 +526,10 @@ def init_experiment(
     if not shards:
         raise ConfigError("need at least one client shard")
     init_rng = derive_rng(seed, _TAG_INIT)
+    proto = PROTOCOLS[algorithm]
 
     clients: list[ClientState] = []
-    if algorithm == "hyperfl":
+    if proto.hyper:
         phi_h0, v0 = init_hypernet(bundle.hyper, seed)
         phi_c0 = init_params(bundle.cls, init_rng)
         theta0 = hypernet_forward(v0, phi_h0, bundle.hyper)
@@ -537,24 +544,18 @@ def init_experiment(
                     phi_c=tree_copy(phi_c0),
                 )
             )
-        server = ServerState(algorithm=algorithm, varphi_bar=tree_copy(phi_h0))
-    elif algorithm == "pfedhn":
+        return ServerState(algorithm=algorithm, varphi_bar=tree_copy(phi_h0)), clients
+    if proto.server_steps:
         hyper = bundle.pfedhn_hyper()
         phi_h0, v0 = init_hypernet(hyper, seed)
-        embeddings = {cid: v0.copy() for cid in range(len(shards))}
         model0 = hypernet_forward(v0, phi_h0, hyper)
-        for cid, (train, test) in enumerate(shards):
-            clients.append(ClientState(id=cid, train=train, test=test, model=tree_copy(model0)))
-        server = ServerState(algorithm=algorithm, varphi_bar=phi_h0, embeddings=embeddings)
-    else:  # fedavg / dp_fedavg / local
+        trees = {proto.tree: phi_h0, "embeddings": {cid: v0.copy() for cid in range(len(shards))}}
+    else:  # the FedAvg family, local included
         model0 = init_params(bundle.full, init_rng)
-        for cid, (train, test) in enumerate(shards):
-            clients.append(ClientState(id=cid, train=train, test=test, model=tree_copy(model0)))
-        server = ServerState(
-            algorithm=algorithm,
-            global_model=None if algorithm == "local" else model0,
-        )
-    return server, clients
+        trees = {} if proto.tree is None else {proto.tree: model0}
+    for cid, (train, test) in enumerate(shards):
+        clients.append(ClientState(id=cid, train=train, test=test, model=tree_copy(model0)))
+    return ServerState(algorithm=algorithm, **trees), clients
 
 
 # -- evaluation ----------------------------------------------------------------------
@@ -619,40 +620,40 @@ def run_round(
     sample_rng = derive_rng(seed, _TAG_SAMPLE, t)
     last_round = t == cfg.total_rounds  # everyone takes part in the last round
     sampled = sample_clients(len(clients), cfg.sampling_rate, sample_rng, last_round).tolist()
-    algorithm = server.algorithm
+    proto = PROTOCOLS[server.algorithm]
     new_clients = list(clients)
     trained: dict[int, RoundRecord] = {}  # each trained client's row, test_acc still NaN
     changes: dict = {}  # server fields this round replaces
-    upload_names = _allowed_upload_names(algorithm, bundle)
-    train = local_train_hyperfl if algorithm == "hyperfl" else local_train_fedavg
-    if algorithm == "pfedhn":  # stepped after each upload, before the next client trains
+    upload_names = set((bundle.hyper if proto.hyper else bundle.full).param_shapes())
+    train = local_train_hyperfl if proto.hyper else local_train_fedavg
+    if proto.server_steps:  # stepped after each upload, before the next client trains
         hyper, server_cfg = bundle.pfedhn_hyper(), OptimConfig(learning_rate=cfg.server_lr)
         changes = {"varphi_bar": server.varphi_bar, "embeddings": dict(server.embeddings)}
 
-    def train_client(cid: int) -> ParamSet | None:
+    def train_client(cid: int) -> ParamSet:
         """Train one sampled client and record its row; its upload as the server decodes it."""
         client = clients[cid]
-        if algorithm == "local":  # no broadcast, train from own model
+        if proto.tree is None:  # no broadcast, train from own model
             received = client.model
         else:  # decoded from wire bytes on the "client side"
-            if algorithm == "pfedhn":  # h(v_cid; phi) from the server's current hypernetwork
+            if proto.server_steps:  # h(v_cid; phi) from the server's current hypernetwork
                 sent = hypernet_forward(changes["embeddings"][cid], changes["varphi_bar"], hyper)
             else:
-                sent = server.varphi_bar if algorithm == "hyperfl" else server.global_model
+                sent = getattr(server, proto.tree)
             received = wire.send("server", f"client:{cid}", "broadcast", t, sent, upload_names).tensors()
         step_rng = derive_rng(seed, _TAG_STEP, cid, t)
         new_c, upload, stats = train(client, received, bundle, cfg, step_rng)
         new_clients[cid] = new_c
-        if algorithm == "hyperfl":
+        if proto.hyper:
             hdrift = tree_norm(tree_sub(upload, received))
             edrift = tree_norm(tree_sub(new_c.theta, client.theta))
         else:  # the unsanitized upload is the model delta
             hdrift, edrift = math.nan, _extractor_norm(upload, bundle)
-        if algorithm == "dp_fedavg":
+        if proto.sanitizes:
             upload = dp_sanitize(upload, dp, derive_rng(seed, _TAG_DPNOISE, cid, t))
-        if algorithm != "local":
+        if proto.tree is not None:
             upload = wire.send(f"client:{cid}", "server", "upload", t, upload, upload_names).tensors()
-        if algorithm == "pfedhn":
+        if proto.server_steps:
             # one descent step on 1/2 ||h(v; phi) - model_trained||^2 in phi and v_cid
             v, phi = changes["embeddings"][cid], changes["varphi_bar"]
             d_phi, dv = hypernet_backward(tree_scale(upload, -1.0), v, phi, hyper)
@@ -663,20 +664,18 @@ def run_round(
             t, str(cid), train_loss=stats.train_loss, grad_sq_norm=stats.grad_sq_norm,
             hypernet_drift=hdrift, extractor_drift=edrift,
         )
-        return None if algorithm == "local" else upload
+        return upload
 
-    if algorithm in ("local", "pfedhn"):
+    if proto.tree is None or proto.server_steps:
         for cid in sampled:
             train_client(cid)
     else:
         # each upload folds into the aggregate as it arrives, in ascending
-        # client id, weights n_i over the sampled subset
+        # client id, weights n_i over the sampled subset; a HyperFL upload is
+        # the hypernetwork itself, a FedAvg-family one the model delta
         sizes = np.array([clients[cid].train.n for cid in sampled], dtype=np.float64)
         merged = aggregate((train_client(cid) for cid in sampled), list(sizes / sizes.sum()))
-        if algorithm == "hyperfl":
-            changes = {"varphi_bar": merged}
-        else:
-            changes = {"global_model": tree_add(server.global_model, merged)}
+        changes = {proto.tree: merged if proto.hyper else tree_add(getattr(server, proto.tree), merged)}
 
     accs = evaluate_clients(new_clients, bundle)
     return replace(server, round_t=t, **changes), new_clients, _records(t, new_clients, accs, trained)
@@ -737,19 +736,20 @@ def state_layout(algorithm: str, bundle: ModelBundle, n_clients: int) -> list[La
     loads from them.  A HyperFL client's embedding ``v`` is a one-tensor
     tree, and pFedHN's server keys its embeddings by client id.
     """
+    proto = PROTOCOLS[algorithm]
     embedding = (bundle.hyper.embedding_dim,)
     rows = []
-    if algorithm in ("hyperfl", "pfedhn"):
-        hyper = bundle.hyper if algorithm == "hyperfl" else bundle.pfedhn_hyper()
+    if proto.tree == "varphi_bar":
+        hyper = bundle.hyper if proto.hyper else bundle.pfedhn_hyper()
         rows.append(LayoutRow("server/varphi/", None, "varphi_bar", hyper.param_shapes()))
-    if algorithm == "pfedhn":
+    elif proto.tree == "global_model":
+        rows.append(LayoutRow("server/model/", None, "global_model", bundle.full.param_shapes()))
+    if proto.server_steps:
         embeddings = dict.fromkeys(range(n_clients), embedding)
         rows.append(LayoutRow("server/embedding/", None, "embeddings", embeddings))
-    elif algorithm in ("fedavg", "dp_fedavg"):
-        rows.append(LayoutRow("server/model/", None, "global_model", bundle.full.param_shapes()))
     for cid in range(n_clients):
         base = f"client/{cid}/"
-        if algorithm == "hyperfl":
+        if proto.hyper:
             rows += [
                 LayoutRow(base, cid, "v", {"v": embedding}),
                 LayoutRow(base + "theta/", cid, "theta", bundle.fe.param_shapes()),

@@ -9,6 +9,7 @@ kept here as oracles, and against finite differences.
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -640,6 +641,12 @@ def test_recover_embedding_refuses_wrong_algorithm():
     _, tr = fedavg_tr()
     with pytest.raises(CapabilityError):
         atk.recover_embedding(tr.public(), atk.AttackConfig(iterations=1))
+    # the refusal keys on what the view holds, not on its "hyperfl" label
+    _, tr = hyperfl_tr()
+    no_spec = dataclasses.replace(tr.public(), hyper_spec=None)
+    assert no_spec.algorithm == "hyperfl"
+    with pytest.raises(CapabilityError):
+        atk.recover_embedding(no_spec, atk.AttackConfig(iterations=1))
 
 
 # -- bi-level attack ----------------------------------------------------------------
@@ -826,6 +833,67 @@ def test_snapshot_transcript_refuses_a_sample_past_the_shard():
     server, clients, bundle = snapshot_state("fedavg")
     with pytest.raises(ConfigError, match="holds only 6 samples"):
         atk.snapshot_transcript(server, clients, bundle, 12, (H, W), DP, OPT, seed=0)
+
+
+# the functions the benchmark's tracer times by rebinding module attributes
+TRACED = {
+    fs: ("local_train_hyperfl", "local_train_fedavg", "dp_sanitize"),
+    atk: ("hyperfl_transcript", "hyperfl_bilevel_attack"),
+}
+# calls per round of snapshot_state (two trained clients), then per attacked sample
+ROUND_CALLS = {
+    "hyperfl": {"local_train_hyperfl": 2},
+    "fedavg": {"local_train_fedavg": 2},
+    "dp_fedavg": {"local_train_fedavg": 2, "dp_sanitize": 2},
+    "local": {"local_train_fedavg": 2},
+    "pfedhn": {"local_train_fedavg": 2},
+}
+ATTACK_CALLS = {
+    "hyperfl": {"hyperfl_transcript": 1, "hyperfl_bilevel_attack": 1},
+    "fedavg": {},
+    "dp_fedavg": {"dp_sanitize": 1},
+    "pfedhn": {},
+}
+
+
+def count_traced_calls(monkeypatch) -> dict[str, int]:
+    """Rebind every package binding of the traced functions to a counting wrapper, as the tracer does."""
+    calls = {}
+    modules = [m for name, m in sys.modules.items() if name == "hyperfl" or name.startswith("hyperfl.")]
+    for owner, names in TRACED.items():
+        for name in names:
+            fn, calls[name] = getattr(owner, name), 0
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            for mod in modules:
+                for attr, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("algorithm", fs.ALGORITHMS)
+def test_each_protocol_reaches_the_traced_functions_through_module_attributes(algorithm, monkeypatch):
+    """A protocol calls each function the benchmark times through a module attribute.
+
+    The tracer times a function by rebinding the module attributes that hold
+    it; a function held anywhere else (a table row, a default argument) would
+    run untimed, and its span would report no calls.
+    """
+    calls = count_traced_calls(monkeypatch)
+    server, clients, bundle = snapshot_state(algorithm)
+    assert calls == {name: ROUND_CALLS[algorithm].get(name, 0) for name in calls}
+    calls.update(dict.fromkeys(calls, 0))
+    if algorithm not in ATTACK_CALLS:
+        with pytest.raises(CapabilityError, match="nothing to attack"):
+            atk.snapshot_transcript(server, clients, bundle, 0, (H, W), DP, OPT, seed=0)
+    else:
+        transcript = atk.snapshot_transcript(server, clients, bundle, 0, (H, W), DP, OPT, seed=0)
+        atk.attack_transcript(transcript.public(), atk.AttackConfig(iterations=0))
+    assert calls == {name: ATTACK_CALLS.get(algorithm, {}).get(name, 0) for name in calls}
 
 
 def test_analytic_psnr_is_exact_on_noiseless_batch1_transcripts():

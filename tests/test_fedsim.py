@@ -4,12 +4,15 @@ Composition oracles rebuild one local step by hand from loss_and_grad_params +
 sgd_step with an identically seeded batch stream, then demand equality.
 """
 
+import ast
 import dataclasses
 import gc
 import itertools
 import math
+import re
 import tracemalloc
 import weakref
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -1058,3 +1061,46 @@ def test_round_config_validation():
         quick_cfg(sampling_rate=0.0)
     with pytest.raises(ConfigError):
         quick_cfg(sampling_rate=1.5)
+
+
+# -- the protocol table --------------------------------------------------------------
+
+NAME_COMPARISON = re.compile(r"algorithm (==|!=|in|not in) |algo (==|!=|in) |view.algorithm (==|!=)")
+# the checks that a name is known, and the attack's check that snapshot and config agree
+ALLOWED_COMPARISONS = {
+    ("fedsim.py", "ServerState.__post_init__"),
+    ("fedsim.py", "init_experiment"),
+    ("fedsim.py", "tensors_to_state"),
+    ("cli.py", "cmd_attack"),
+}
+
+
+def function_spans(tree: ast.Module) -> list[tuple[int, int, str]]:
+    """(first line, last line, qualified name) of every function, each before those nested in it."""
+    spans = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                if isinstance(child, ast.FunctionDef):
+                    spans.append((child.lineno, child.end_lineno, prefix + child.name))
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return spans
+
+
+def test_no_module_compares_algorithm_names():
+    """What a protocol does is read off fs.PROTOCOLS, never branched on by its name."""
+    hits = []
+    for path in sorted(Path(fs.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        spans = function_spans(ast.parse(text))
+        for n, line in enumerate(text.splitlines(), start=1):
+            if NAME_COMPARISON.search(line):
+                inside = [name for first, last, name in spans if first <= n <= last]
+                hits.append((path.name, inside[-1] if inside else "<module>"))
+    assert len(hits) == len(set(hits)), hits
+    assert set(hits) <= ALLOWED_COMPARISONS, set(hits) - ALLOWED_COMPARISONS

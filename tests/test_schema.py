@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperfl import config as cfgmod
+from hyperfl import fedsim as fs
 from hyperfl.errors import ConfigError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -203,6 +204,12 @@ def test_schema_uses_only_keywords_the_walker_implements():
     assert all(node.get("additionalProperties", False) is False for node in nodes)
     assert all(isinstance(node.get("items", {}), dict) for node in nodes)
     assert all(ref.startswith("#/definitions/") for ref in (n["$ref"] for n in nodes if "$ref" in n))
+
+
+def test_schema_algorithm_enum_matches_the_protocol_table():
+    """Every spelling the schema accepts names a protocol, and every protocol has one."""
+    spellings = SCHEMA["properties"]["algorithm"]["enum"]
+    assert {name.replace("-", "_") for name in spellings} == set(fs.PROTOCOLS)
 
 
 def test_runtime_never_imports_jsonschema(tmp_path):
