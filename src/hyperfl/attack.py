@@ -39,7 +39,7 @@ from . import metrics as mx
 from . import network as nn
 from .checkpoint import read_csv, write_csv, write_json
 from .errors import CapabilityError, ConfigError, ConsistencyError, DimensionError, NumericError
-from .fedsim import PROTOCOLS, ClientState, DPConfig, LayoutRow, ModelBundle, ServerState, dp_sanitize
+from .fedsim import PROTOCOLS, ClientState, DPConfig, LayoutRow, ModelBundle, ServerState, derive_rng, dp_sanitize
 from .hypernet import HypernetSpec
 from .network import NetSpec, OptimConfig, ParamSet
 
@@ -48,11 +48,10 @@ _TAG_EMBED = 0x52454D42
 _TAG_PROBE = 0x50524F42
 _TAG_DP = 0x4450414B
 
-GRAD_LOSSES = ("cosine", "l2")
-
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
+_DEGENERATE_BIAS = 1e-10  # analytic_input_recovery's smallest usable bias gradient
 
 
 @dataclass(frozen=True)
@@ -63,12 +62,11 @@ class AttackConfig:
     "Inverting Gradients" (arXiv:2003.14053): 10,000 iterations of
     adaptive-moment updates at step 0.1 (decayed by 0.1 at 3/8, 5/8 and 7/8
     of the budget), cosine gradient loss, total-variation weight 1e-6.  The
-    update rule (Adam) and the seeded uniform init are fixed, not settings.
+    update rule (Adam), the loss and the seeded uniform init are fixed.
     """
 
     iterations: int = 10_000
     step_size: float = 0.1
-    grad_loss: str = "cosine"
     tv_coeff: float = 1e-6
     seed: int = 0
 
@@ -79,8 +77,6 @@ class AttackConfig:
             raise ConfigError(f"step_size must be positive, got {self.step_size}")
         if self.tv_coeff < 0:
             raise ConfigError(f"tv_coeff must be nonnegative, got {self.tv_coeff}")
-        if self.grad_loss not in GRAD_LOSSES:
-            raise ConfigError(f"grad_loss must be one of {GRAD_LOSSES}, got {self.grad_loss!r}")
 
 
 @dataclass(frozen=True)
@@ -151,16 +147,18 @@ def total_variation(x) -> float:
 
 
 def _tv_value_and_grad(x: np.ndarray):
-    """Total variation of an image and its gradient, sign(0) taken as 0."""
+    """Total variation of an image and its gradient, sign(0) taken as 0; the
+    differences turn into their signs in place once the value is summed."""
     dv = x[1:, :] - x[:-1, :]
     dh = x[:, 1:] - x[:, :-1]
-    sv, sh = np.sign(dv), np.sign(dh)
+    value = np.add.reduce(np.abs(dv), axis=None) + np.add.reduce(np.abs(dh), axis=None)
+    sv, sh = np.sign(dv, out=dv), np.sign(dh, out=dh)
     g = np.zeros_like(x)
     g[1:, :] += sv
     g[:-1, :] -= sv
     g[:, 1:] += sh
     g[:, :-1] -= sh
-    return np.sum(np.abs(dv)) + np.sum(np.abs(dh)), g
+    return value, g
 
 
 # -- optimizer loop ---------------------------------------------------------
@@ -245,28 +243,27 @@ def _optimize(value_and_grads, init: Mapping[str, np.ndarray], cfg: AttackConfig
 
 
 def _init_image(shape: tuple[int, int], cfg: AttackConfig) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, _TAG_INIT)))
+    rng = derive_rng(cfg.seed, _TAG_INIT)
     return rng.uniform(0.0, 1.0, size=shape)
 
 
 # -- closed-form objectives over an image ---------------------------------------
 
 
-def _matching_objective(params: ParamSet, spec: NetSpec, obs, label: int, grad_loss: str, tv_coeff: float):
+def _matching_objective(params: ParamSet, spec: NetSpec, obs, label: int, tv_coeff: float):
     """ig_attack's objective D(s(x), obs) + tv_coeff · TV(x) as ``value_and_grads``.
 
-    D is the cosine or squared-l2 distance; s is the batch-1 gradient, backprop
-    from softmax − onehot: s[W_i] = δ_iᵀ h_i, s[b_i] = δ_i.  The reverse pass
+    D is the cosine distance; s is the batch-1 gradient, backprop from
+    softmax − onehot: s[W_i] = δ_iᵀ h_i, s[b_i] = δ_i.  The reverse pass
     takes D's adjoints to the δs and layer inputs h_i, then to x.
     """
     layers = nn.dense_layers(params, spec)
     onehot = nn.one_hot(np.array([label]), spec.out_dim)
     names = sorted(obs)
-    if grad_loss == "cosine":
-        # summed like sim_sq below (not tree_sq_norm's einsum): cos(o, o) stays within 1 eps
-        obs_norm = math.sqrt(float(sum(np.sum(np.square(o)) for o in obs.values())))
-        if obs_norm == 0.0:
-            raise ConsistencyError("observed gradient is identically zero; cosine loss undefined")
+    # summed like sim_sq below (not tree_sq_norm's einsum): cos(o, o) stays within 1 eps
+    obs_norm = math.sqrt(float(sum(np.sum(np.square(o)) for o in obs.values())))
+    if obs_norm == 0.0:
+        raise ConsistencyError("observed gradient is identically zero; cosine loss undefined")
 
     def value_and_grads(xs: Mapping[str, np.ndarray]):
         x = xs["x"]
@@ -277,16 +274,11 @@ def _matching_objective(params: ParamSet, spec: NetSpec, obs, label: int, grad_l
         sim = {}
         for layer, d, h in zip(spec.layers, deltas, inputs):
             sim[f"{layer.name}/W"], sim[f"{layer.name}/b"] = d.T * h, d.reshape(-1)
-        if grad_loss == "l2":
-            diff = {k: sim[k] - obs[k] for k in names}
-            loss = sum(np.sum(diff[k] * diff[k]) for k in names)
-            adj = {k: 2.0 * diff[k] for k in names}
-        else:
-            num = sum(np.sum(sim[k] * obs[k]) for k in names)
-            sim_sq = sum(np.sum(sim[k] * sim[k]) for k in names)
-            denom = np.sqrt(sim_sq) * obs_norm
-            loss = 1.0 - num / denom
-            adj = {k: (num / sim_sq * sim[k] - obs[k]) / denom for k in names}
+        num = sum(np.sum(sim[k] * obs[k]) for k in names)
+        sim_sq = sum(np.sum(sim[k] * sim[k]) for k in names)
+        denom = np.sqrt(sim_sq) * obs_norm
+        loss = 1.0 - num / denom
+        adj = {k: (num / sim_sq * sim[k] - obs[k]) / denom for k in names}
 
         # reverse over the backprop: δ_0 was computed last, so it comes first
         h_adj, carry = [], 0.0
@@ -338,18 +330,18 @@ def ig_attack(view: TranscriptView, cfg: AttackConfig):
             f"image shape {view.image_shape} does not match model input dim {spec.in_dim}"
         )
     obs = {k: np.asarray(v, dtype=np.float64) for k, v in view.observed.items()}
-    objective = _matching_objective(view.params, spec, obs, view.label, cfg.grad_loss, cfg.tv_coeff)
+    objective = _matching_objective(view.params, spec, obs, view.label, cfg.tv_coeff)
     best, _, trace = _optimize(objective, {"x": _init_image(view.image_shape, cfg)}, cfg)
     return best["x"], trace
 
 
-def analytic_input_recovery(d_weight: np.ndarray, d_bias: np.ndarray, threshold: float = 1e-10) -> np.ndarray:
+def analytic_input_recovery(d_weight: np.ndarray, d_bias: np.ndarray) -> np.ndarray:
     """Exact batch-1 input from the first dense layer's gradients.
 
     With one sample, the weight gradient is the outer product of the bias
     gradient and the input, so any row with a usable bias entry yields x
     by division.  Raises a degenerate-gradient error when every bias
-    entry is below ``threshold`` in magnitude.
+    entry is below ``_DEGENERATE_BIAS`` in magnitude.
     """
     d_weight = np.asarray(d_weight, dtype=np.float64)
     d_bias = np.asarray(d_bias, dtype=np.float64)
@@ -358,7 +350,7 @@ def analytic_input_recovery(d_weight: np.ndarray, d_bias: np.ndarray, threshold:
             f"need matching [out, in] weight and [out] bias gradients, got {d_weight.shape} and {d_bias.shape}"
         )
     i = int(np.argmax(np.abs(d_bias)))
-    if not abs(d_bias[i]) > threshold:
+    if not abs(d_bias[i]) > _DEGENERATE_BIAS:
         raise NumericError("degenerate gradient: all bias entries below threshold, input unrecoverable")
     return d_weight[i] / d_bias[i]
 
@@ -504,7 +496,7 @@ def recover_embedding(
     obs = {k: np.asarray(v, dtype=np.float64) for k, v in view.observed.items()}
 
     if init_v is None:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, _TAG_EMBED)))
+        rng = derive_rng(cfg.seed, _TAG_EMBED)
         init_v = rng.standard_normal(spec.embedding_dim)
     if init_theta is None:
         init_theta = {name: np.zeros(shape) for name, shape in spec.target}
@@ -551,7 +543,7 @@ def hyperfl_bilevel_attack(view: TranscriptView, cfg: AttackConfig):
     v_hat, _, residual = recover_embedding(view, cfg)
     theta_gen = hn.hypernet_forward(v_hat, dict(view.params), view.hyper_spec)
 
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, _TAG_PROBE)))
+    rng = derive_rng(cfg.seed, _TAG_PROBE)
     probes = rng.uniform(0.0, 1.0, size=(16, fe_spec.in_dim))
     target = nn.forward_logits(theta_gen, fe_spec, probes).mean(axis=0)
 
@@ -705,7 +697,7 @@ def snapshot_transcript(
         model = hn.hypernet_forward(server.embeddings[cid], server.varphi_bar, bundle.pfedhn_hyper())
         return pfedhn_transcript(model, bundle.full, img, y, opt=opt)
     if proto.sanitizes:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, _TAG_DP, i)))
+        rng = derive_rng(seed, _TAG_DP, i)
         return dp_fedavg_transcript(server.global_model, bundle.full, img, y, dp, rng)
     if proto.tree is not None:
         return fedavg_transcript(server.global_model, bundle.full, img, y)

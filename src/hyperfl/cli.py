@@ -18,9 +18,11 @@ Every artifact lands under the config's output directory:
 A rerun of train into a run directory first deletes what the previous run
 derived (`DERIVED`); `partition.json` stays.
 
-Exit codes: 0 success, 1 bad configuration, 2 numeric failure mid-run, 3
-file or format problems.  A numeric failure or an interrupt (Ctrl-C) mid-run
-first writes a best-effort emergency snapshot of the last intact state.
+Exit codes: 0 success, else the ``exit_code`` its error class declares in
+:mod:`hyperfl.errors` (1 bad configuration, 2 numeric failure mid-run, 3
+file or format problems; an ``OSError`` exits 3).  A numeric failure or an
+interrupt (Ctrl-C) mid-run first writes a best-effort emergency snapshot of
+the last intact state.
 """
 
 from __future__ import annotations
@@ -41,19 +43,8 @@ from . import config as cfgmod
 from . import datakit as dk
 from . import fedsim as fs
 from . import metrics as mx
-from .errors import (
-    CapabilityError,
-    CapacityError,
-    ConfigError,
-    ConsistencyError,
-    DimensionError,
-    FormatError,
-    NumericError,
-    PrivacyError,
-)
+from .errors import CapabilityError, ConfigError, FormatError, HyperflError, NumericError
 
-_CONFIG_ERRORS = (ConfigError, CapacityError, CapabilityError, DimensionError)
-_IO_ERRORS = (FormatError, ConsistencyError, PrivacyError, OSError)
 # what the commands derive from a training run; partition.json depends on the config alone
 DERIVED = ("metrics.csv", "timings.csv", "final_accuracy.json", "snapshots/round_*.hfl")
 DERIVED += ("snapshots/emergency.hfl", "attack_report.json", "attack_summary.csv")
@@ -65,13 +56,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CONFIG_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except NumericError as e:
-        print(f"numeric error: {e}", file=sys.stderr)
-        return 2
-    except _IO_ERRORS as e:
+    except HyperflError as e:
+        print(f"{'numeric error' if isinstance(e, NumericError) else 'error'}: {e}", file=sys.stderr)
+        return e.exit_code
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

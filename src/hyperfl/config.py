@@ -255,7 +255,7 @@ def load_attack_overrides(path: str | Path) -> tuple[AttackConfig, int]:
     raw = _read_json(path, "attack config")
     definitions = _schema()["definitions"]
     _validate(raw, {**definitions["attack"], "definitions": definitions}, "attack config")
-    merged = _merge(ATTACK_DEFAULTS, raw)  # the single-valued "init" and "optimizer" are not fields
+    merged = _merge(ATTACK_DEFAULTS, raw)  # the single-valued "grad_loss", "init" and "optimizer" are not fields
     return AttackConfig(**{f.name: merged[f.name] for f in fields(AttackConfig)}), int(merged["samples"])
 
 

@@ -194,25 +194,6 @@ def load_idx(images_path: str | Path, labels_path: str | Path, num_classes: int 
     return Dataset(x, y, max(k, 2))
 
 
-def write_idx(
-    images_path: str | Path, labels_path: str | Path, ds: Dataset, rows: int, cols: int
-) -> None:
-    """Inverse of load_idx for [0,1]-valued features; pixels rounded to bytes."""
-    if rows * cols != ds.dim:
-        raise DimensionError(f"rows*cols = {rows * cols} does not match feature dim {ds.dim}")
-    if ds.x.min() < 0.0 or ds.x.max() > 1.0:
-        raise FormatError("features must lie in [0, 1] to serialize as bytes")
-    if ds.num_classes > 256 or ds.y.max() > 255:
-        raise FormatError("labels above 255 do not fit the unsigned-byte format")
-    pixels = np.rint(ds.x * 255.0).astype(np.uint8)
-    Path(images_path).write_bytes(
-        struct.pack(">IIII", IDX_IMAGES_MAGIC, ds.n, rows, cols) + pixels.tobytes()
-    )
-    Path(labels_path).write_bytes(
-        struct.pack(">II", IDX_LABELS_MAGIC, ds.n) + ds.y.astype(np.uint8).tobytes()
-    )
-
-
 # -- partitioning -----------------------------------------------------------------
 
 

@@ -341,7 +341,8 @@ def _hyper_epochs(
             loss, d_theta = loss_and_grad_params(theta, full_spec, data.x[idx], data.y[idx], phi_c)
             d_phi, dv = hypernet_backward(d_theta, v, phi_h, bundle.hyper)
             d_dense = {n: d_phi[n] for n in dense}
-            head_sq = sum(tree_sq_norm({"g": g}) * tree_sq_norm({"a": a}) for g, a in (d_phi[n] for n in heads))
+            a_sq = tree_sq_norm({"a": d_phi[names[0]][1]})  # every head's a is the same hidden row
+            head_sq = sum(tree_sq_norm({"g": d_phi[n][0]}) * a_sq for n in heads)
             losses.append(loss)
             sq_norms.append(tree_sq_norm(d_dense) + head_sq + tree_sq_norm({"v": dv}))
             dense, opt_h = sgd_step(dense, d_dense, cfg.eta_h, opt_h)

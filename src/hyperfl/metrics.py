@@ -39,8 +39,8 @@ CSV_HEADER = ("round", "client_id", *NUMERIC_FIELDS, "seconds")
 # -- image metrics ---------------------------------------------------------------
 
 
-def psnr(a: np.ndarray, b: np.ndarray, max_val: float = 1.0) -> float:
-    """10*log10(max_val^2 / MSE), capped at 100 dB so the value serializes."""
+def psnr(a: np.ndarray, b: np.ndarray) -> float:
+    """10*log10(1 / MSE) for images in [0, 1], capped at 100 dB so the value serializes."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
@@ -48,7 +48,7 @@ def psnr(a: np.ndarray, b: np.ndarray, max_val: float = 1.0) -> float:
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return PSNR_CAP_DB
-    return min(10.0 * math.log10(max_val**2 / mse), PSNR_CAP_DB)
+    return min(10.0 * math.log10(1.0 / mse), PSNR_CAP_DB)
 
 
 def _gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
@@ -64,8 +64,8 @@ def _windowed_mean(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return np.tensordot(windows, kernel, axes=([2, 3], [0, 1]))
 
 
-def ssim(a: np.ndarray, b: np.ndarray, max_val: float = 1.0) -> float:
-    """Mean local SSIM, 11x11 Gaussian window (sigma 1.5), K1=0.01, K2=0.03."""
+def ssim(a: np.ndarray, b: np.ndarray) -> float:
+    """Mean local SSIM of images in [0, 1], 11x11 Gaussian window (sigma 1.5), K1=0.01, K2=0.03."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
@@ -76,8 +76,8 @@ def ssim(a: np.ndarray, b: np.ndarray, max_val: float = 1.0) -> float:
         raise DimensionError(f"image {a.shape} is smaller than the 11x11 window")
 
     kernel = _gaussian_window()
-    c1 = (0.01 * max_val) ** 2
-    c2 = (0.03 * max_val) ** 2
+    c1 = 0.01**2
+    c2 = 0.03**2
 
     mu_a = _windowed_mean(a, kernel)
     mu_b = _windowed_mean(b, kernel)

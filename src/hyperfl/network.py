@@ -171,10 +171,6 @@ def tree_copy(a) -> ParamSet:
     return {k: np.array(v, dtype=np.float64, copy=True) for k, v in a.items()}
 
 
-def tree_zeros_like(a) -> ParamSet:
-    return {k: np.zeros_like(np.asarray(v, dtype=np.float64)) for k, v in a.items()}
-
-
 # -- forward passes -------------------------------------------------------------
 
 # forward_logits and the attack objectives run these numpy passes; the autodiff
@@ -233,14 +229,10 @@ def forward_logits_sym(params: Mapping[str, "ad.Var | np.ndarray"], spec: NetSpe
 
 
 def one_hot(y: np.ndarray, num_classes: int) -> np.ndarray:
-    """Index labels -> one-hot rows; one-hot input passes through unchanged."""
+    """Index labels -> one-hot rows."""
     y = np.asarray(y)
-    if y.ndim == 2:
-        if y.shape[1] != num_classes:
-            raise DimensionError(f"one-hot labels have {y.shape[1]} columns, expected {num_classes}")
-        return y.astype(np.float64)
     if y.ndim != 1:
-        raise DimensionError(f"labels must be [batch] indices or [batch, K] one-hot, got {y.shape}")
+        raise DimensionError(f"labels must be a [batch] index vector, got shape {y.shape}")
     idx = y.astype(np.int64)
     if idx.min() < 0 or idx.max() >= num_classes:
         raise DimensionError(f"label index out of range [0, {num_classes})")
@@ -325,7 +317,7 @@ OptimState = dict[str, np.ndarray]
 
 
 def init_optim_state(params: Mapping[str, np.ndarray]) -> OptimState:
-    return tree_zeros_like(params)
+    return {k: np.zeros_like(np.asarray(v, dtype=np.float64)) for k, v in params.items()}
 
 
 def sgd_step(

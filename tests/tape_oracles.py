@@ -70,15 +70,9 @@ def total_variation_sym(x):
     return ad.add(ad.sum_(ad.abs_(dv)), ad.sum_(ad.abs_(dh)))
 
 
-def gradient_loss_sym(sim, obs, kind):
-    """Gradient-matching loss between traced gradients ``sim`` and arrays ``obs``."""
+def gradient_loss_sym(sim, obs):
+    """Cosine gradient-matching loss between traced gradients ``sim`` and arrays ``obs``."""
     names = sorted(obs)
-    if kind == "l2":
-        total = None
-        for k in names:
-            term = ad.sum_(ad.square(ad.sub(sim[k], ad.constant(obs[k]))))
-            total = term if total is None else ad.add(total, term)
-        return total
     # cosine distance over the concatenation of all tensors; obs_sq uses numpy's
     # pairwise .sum() like the tape's sum_ below (not tree_sq_norm): cos(o, o) stays within 1 eps
     obs_sq = float(sum(np.sum(np.square(o)) for o in obs.values()))
@@ -95,14 +89,14 @@ def gradient_loss_sym(sim, obs, kind):
     return ad.sub(ad.constant(np.float64(1.0)), ad.div(num, denom))
 
 
-def matching_objective_sym(params, spec, obs, label, grad_loss, tv_coeff):
+def matching_objective_sym(params, spec, obs, label, tv_coeff):
     """ig_attack's objective traced through the tape (second order)."""
     y = np.array([label], dtype=np.int64)
 
     def objective(leaves):
         x_row = ad.reshape(leaves["x"], (1, spec.in_dim))
         leaf_params = {k: ad.Var(np.asarray(params[k], dtype=np.float64)) for k in spec.param_shapes()}
-        out = gradient_loss_sym(grad_params_sym(leaf_params, spec, x_row, y), obs, grad_loss)
+        out = gradient_loss_sym(grad_params_sym(leaf_params, spec, x_row, y), obs)
         if tv_coeff > 0:
             out = ad.add(out, ad.mul(ad.constant(np.float64(tv_coeff)), total_variation_sym(leaves["x"])))
         return out

@@ -24,7 +24,17 @@ from hyperfl import config as cfgmod
 from hyperfl import datakit as dk
 from hyperfl import fedsim as fs
 from hyperfl import metrics as mx
-from hyperfl.errors import CapabilityError, ConfigError
+from hyperfl.errors import (
+    CapabilityError,
+    CapacityError,
+    ConfigError,
+    ConsistencyError,
+    DimensionError,
+    FormatError,
+    HyperflError,
+    NumericError,
+    PrivacyError,
+)
 from hyperfl.network import OptimConfig
 
 
@@ -157,7 +167,7 @@ def test_attack_overrides_merge_defaults(tmp_path):
     p.write_text('{"iterations": 7}')
     acfg, samples = cfgmod.load_attack_overrides(p)
     assert acfg.iterations == 7
-    assert acfg.step_size == 0.1 and acfg.grad_loss == "cosine" and acfg.tv_coeff == 1e-6
+    assert acfg.step_size == 0.1 and acfg.tv_coeff == 1e-6
     assert samples == 50
 
     p.write_text("{}")
@@ -189,21 +199,45 @@ def test_single_valued_keys_load_only_their_value(fedavg_run, tmp_path, capsys):
     # older files name them; their one value loads, the removed one exits 1 naming the key
     cfg = base_config(tmp_path / "run", hypernet={"hidden_bias": True})
     assert cfgmod.load_config(write_config(tmp_path / "e.json", cfg)).data["hypernet"]["hidden_bias"] is True
-    p = write_config(tmp_path / "att.json", {"init": "uniform", "optimizer": "adam", "iterations": 3})
+    att = {"grad_loss": "cosine", "init": "uniform", "optimizer": "adam", "iterations": 3}
+    p = write_config(tmp_path / "att.json", att)
     assert cfgmod.load_attack_overrides(p) == (atk.AttackConfig(iterations=3), 50)
 
     out = tmp_path / "off"
     cfg_path = write_config(tmp_path / "off.json", base_config(out, hypernet={"hidden_bias": False}))
     runs = [["train", str(cfg_path)]]
-    for key, value in (("init", "zeros"), ("optimizer", "sgd")):
+    for key, value in (("init", "zeros"), ("optimizer", "sgd"), ("grad_loss", "l2")):
         att = write_config(tmp_path / f"{key}.json", {key: value, "samples": 1})
         runs.append(["attack", str(fedavg_run / "snapshots" / "round_0002.hfl"), str(att)])
     capsys.readouterr()
-    for argv, path in zip(runs, ["hypernet/hidden_bias", "init", "optimizer"]):
+    for argv, path in zip(runs, ["hypernet/hidden_bias", "init", "optimizer", "grad_loss"]):
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"at {path}:" in err and len(err.splitlines()) == 1
     assert not out.exists()
+
+
+# the exit codes README's CLI summary documents, per error class; a bare
+# HyperflError (no subclass) is a bad request like any other
+DOCUMENTED_EXIT_CODES = {
+    HyperflError: 1, DimensionError: 1, CapabilityError: 1, CapacityError: 1, ConfigError: 1,
+    NumericError: 2, FormatError: 3, ConsistencyError: 3, PrivacyError: 3,
+}
+
+
+def test_documented_exit_codes_cover_every_error_class():
+    assert set(DOCUMENTED_EXIT_CODES) == {HyperflError, *HyperflError.__subclasses__()}
+
+
+@pytest.mark.parametrize("error", DOCUMENTED_EXIT_CODES, ids=lambda e: e.__name__)
+def test_every_error_class_exits_with_its_documented_code(tmp_path, capsys, monkeypatch, error):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_report", fail)
+    assert cli.main(["report", str(tmp_path)]) == DOCUMENTED_EXIT_CODES[error]
+    prefix = "numeric error" if error is NumericError else "error"
+    assert capsys.readouterr().err == f"{prefix}: boom\n"  # one line, no traceback
 
 
 def test_attack_block_in_experiment_config_exits_1(tmp_path, capsys):

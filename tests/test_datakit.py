@@ -219,17 +219,6 @@ def test_load_idx_empty_payload(tmp_path):
         dk.load_idx(ip, lp)
 
 
-def test_write_idx_round_trip(tmp_path):
-    ds = dk.pattern_dataset(num_classes=3, side=8, per_class=5, seed=7)
-    ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
-    dk.write_idx(ip, lp, ds, rows=8, cols=8)
-    back = dk.load_idx(ip, lp, num_classes=3)
-    assert back.n == ds.n
-    np.testing.assert_array_equal(back.y, ds.y)
-    # bytes quantize to 1/255 steps
-    assert np.max(np.abs(back.x - ds.x)) <= 0.5 / 255.0 + 1e-12
-
-
 # -- partitioner -----------------------------------------------------------------------
 
 

@@ -1104,3 +1104,47 @@ def test_no_module_compares_algorithm_names():
                 hits.append((path.name, inside[-1] if inside else "<module>"))
     assert len(hits) == len(set(hits)), hits
     assert set(hits) <= ALLOWED_COMPARISONS, set(hits) - ALLOWED_COMPARISONS
+
+
+def seed_purpose_tags() -> list[tuple[int, str]]:
+    """(tag, call site) for every SeedSequence built in src/, directly or through derive_rng.
+
+    A stream's entropy is (seed, tag, ...); the tag is an integer literal or a
+    module-level constant of the calling module.
+    """
+    sites = []
+    for path in sorted(Path(fs.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        consts = {
+            target.id: node.value.value
+            for node in tree.body
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            called = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", "")
+            if called == "derive_rng":
+                tag = node.args[1]
+            elif called == "SeedSequence":
+                (entropy,) = [kw.value for kw in node.keywords if kw.arg == "entropy"]
+                tag = entropy.elts[1]
+            else:
+                continue
+            if isinstance(tag, ast.Name) and tag.id == "tag":  # derive_rng's own body
+                continue
+            value = tag.value if isinstance(tag, ast.Constant) else consts[tag.id]
+            sites.append((value, f"{path.name}:{node.lineno}"))
+    return sites
+
+
+def test_seed_purpose_tags_are_distinct():
+    # fedsim's rule for its tags, held across src/: never reuse one for a second purpose
+    sites = seed_purpose_tags()
+    assert {site.split(":")[0] for _, site in sites} == {"attack.py", "datakit.py", "fedsim.py", "hypernet.py"}
+    by_tag: dict[int, list[str]] = {}
+    for tag, site in sites:
+        by_tag.setdefault(tag, []).append(site)
+    assert {tag: where for tag, where in by_tag.items() if len(where) > 1} == {}

@@ -27,12 +27,6 @@ def test_psnr_known_mse_closed_form():
     assert mx.psnr(a, b) == pytest.approx(20.0, abs=1e-12)
 
 
-def test_psnr_max_val_scaling():
-    a = np.zeros((4, 4))
-    b = np.full((4, 4), 0.1)
-    assert mx.psnr(a, b, max_val=2.0) == pytest.approx(20.0 + 20.0 * math.log10(2.0), abs=1e-12)
-
-
 def test_psnr_symmetric_and_monotone_in_noise():
     base = RNG.uniform(size=(12, 12))
     prev = math.inf

@@ -154,13 +154,16 @@ def test_loss_matches_straightline_with_leaky_relu():
     )
 
 
-def test_one_hot_labels_accepted_and_equal_to_indices():
+def test_labels_are_index_vectors_only():
+    # one-hot rows are refused, by one_hot and by the training loss alike
     spec = nn.dense_net("n", [6, 3])
     params = nn.init_params(spec, 2)
     x = RNG.normal(size=(5, 6))
-    y = RNG.integers(0, 3, size=5)
-    hot = nn.one_hot(y, 3)
-    assert forward_loss(params, spec, x, y) == forward_loss(params, spec, x, hot)
+    hot = nn.one_hot(RNG.integers(0, 3, size=5), 3)
+    with pytest.raises(DimensionError, match="index vector"):
+        nn.one_hot(hot, 3)
+    with pytest.raises(DimensionError, match="index vector"):
+        nn.loss_and_grad_params(params, spec, x, hot)
 
 
 def test_loss_is_permutation_invariant_over_batch():
