@@ -6,7 +6,6 @@ removed at the end.
 """
 
 import json
-import os
 import subprocess
 import sys
 import tempfile
@@ -63,14 +62,5 @@ summary = json.loads((run_dir / "report" / "summary.json").read_text())
 print("\nreport/summary.json keys:", sorted(summary))
 print("final mean accuracy:", summary["final_mean_test_acc"])
 print("attack digest:", summary["attack"])
-
-# HYPERFL_SEED beats the config's seed; handy for seed sweeps on one file.
-env_run = subprocess.run(
-    [sys.executable, "-m", "hyperfl.cli", "train", str(tmp / "experiment.json")],
-    capture_output=True, text=True,
-    env={**os.environ, "HYPERFL_SEED": "99"},
-)
-resolved = json.loads((run_dir / "config.resolved.json").read_text())
-print("\nHYPERFL_SEED=99 overrode the config seed:", resolved["seed"] == 99)
 
 workdir.cleanup()

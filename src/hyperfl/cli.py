@@ -149,7 +149,7 @@ def cmd_attack(args) -> int:
     if not snap_path.exists():
         raise FormatError(f"snapshot not found: {snap_path}")
     run_dir = _find_run_dir(snap_path)
-    cfg = cfgmod.load_config(run_dir / "config.resolved.json", apply_env=False)
+    cfg = cfgmod.load_config(run_dir / "config.resolved.json")
     acfg, samples = cfgmod.load_attack_overrides(args.config)
 
     bundle = cfg.bundle
@@ -163,6 +163,10 @@ def cmd_attack(args) -> int:
             f"snapshot was produced by {server.algorithm!r} but the run config says {cfg.algorithm!r}"
         )
 
+    # the first sample past its client's data: sample i is item i div m of client i mod m
+    limit = min(c.train.n * len(clients) + cid for cid, c in enumerate(clients))
+    if samples > limit:
+        raise ConfigError(f"samples: {samples} is more than the {limit} this snapshot's clients give in turn")
     shape = cfg.image_shape or tuple(cfgmod.default_image_shape(ds.dim))
     dp, eta_g = cfg.dp_config, cfg.round_config.eta_g
     records = []
@@ -200,7 +204,7 @@ def cmd_partition(args) -> int:
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     ds = cfgmod.build_dataset(cfg)
-    clients = int(cfg.data["partition"]["clients"])
+    clients = cfg.data["partition"]["clients"]
     indices = dk.partition_indices(ds, cfg.partition_spec_for(ds.num_classes), clients, cfg.seed)
     dk.write_manifest(out / "partition.json", indices)
     print(out / "partition.json")

@@ -9,13 +9,11 @@ itself: `_errors` implements the draft-7 keywords the schema file uses, so
 numpy stays the only runtime dependency.  Constructing an
 `ExperimentConfig` builds its model bundle, round recipe and DP settings
 once, so a config that cannot run fails there and every command reads the
-same objects.  Builders then materialize the dataset and shards
-deterministically from the resolved values, so a stored
-`config.resolved.json` is enough to rebuild a run.
-
-The environment variable ``HYPERFL_SEED`` overrides the config seed for
-`hyperfl train` and `hyperfl partition`; `hyperfl attack` re-reads the
-recorded seed, and `hyperfl report` reads no config.
+same objects.  Every value a config holds changes the run: a setting that
+only some protocols read (`PROTOCOL_SETTINGS`) must keep its default under
+any other protocol, or construction refuses it.  Builders then materialize
+the dataset and shards deterministically from the resolved values, so a
+stored `config.resolved.json` is the whole recipe of a run.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ import functools
 import json
 import math
 import operator
-import os
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
@@ -37,8 +34,6 @@ from .errors import ConfigError
 from .fedsim import PROTOCOLS, DPConfig, ModelBundle, RoundConfig
 from .hypernet import HypernetSpec, target_from_netspec
 from .network import NetSpec, OptimConfig, dense_net
-
-ENV_SEED = "HYPERFL_SEED"
 
 _DEFAULTS = {
     "workers": 1,  # accepted only as 1: sampled clients always train one after another
@@ -61,6 +56,16 @@ _DEFAULTS = {
 _DATASET_DEFAULTS = {"synthetic": {"separation": 3.0}, "pattern": {}, "idx": {"num_classes": None}}
 
 ATTACK_DEFAULTS = {**asdict(AttackConfig()), "samples": 50}
+
+# config paths that only some protocols read -> the fedsim.PROTOCOLS flags, any of
+# which marks a protocol that reads it; elsewhere the value must stay at its default
+PROTOCOL_SETTINGS = {
+    "dp": ("sanitizes",),
+    "hypernet": ("hyper", "server_steps"),
+    "rounds/eta_h": ("hyper",),
+    "rounds/eta_v": ("hyper",),
+    "rounds/server_lr": ("server_steps",),
+}
 
 
 @functools.cache
@@ -127,12 +132,27 @@ def _errors(value, schema: dict, root: dict, path: tuple = ()):
             yield path, f"{value!r} is valid under {passing} of the given schemas, not exactly one"
 
 
-def _validate(raw, schema: dict, what: str) -> None:
-    """Raise ConfigError naming the first offending path, in path order."""
+def _integers(value, schema: dict, root: dict):
+    """``value``, valid under ``schema``, with each float whose ``type`` names "integer" made an int."""
+    while "$ref" in schema:
+        schema = root["definitions"][schema["$ref"].removeprefix("#/definitions/")]
+    for sub in schema.get("oneOf", ()):
+        if next(_errors(value, sub, root), None) is None:  # the one branch that admits it
+            return _integers(value, sub, root)
+    if isinstance(value, list):
+        return [_integers(item, schema.get("items", {}), root) for item in value]
+    if isinstance(value, dict):
+        return {k: _integers(v, schema.get("properties", {}).get(k, {}), root) for k, v in value.items()}
+    return int(value) if isinstance(value, float) and "integer" in schema.get("type", ()) else value
+
+
+def _validate(raw, schema: dict, what: str):
+    """Raise ConfigError naming the first offending path, in path order; else return `_integers(raw)`."""
     first = min(_errors(raw, schema, schema), key=lambda e: e[0], default=None)
     if first is not None:
         where = "/".join(map(str, first[0])) or "<root>"
         raise ConfigError(f"{what} invalid at {where}: {first[1]}")
+    return _integers(raw, schema, schema)
 
 
 def _merge(defaults: dict, user: dict) -> dict:
@@ -153,7 +173,7 @@ def default_image_shape(dim: int) -> list[int]:
 
 def resolve(raw: dict) -> dict:
     """Validate a config dict and materialize every default into it."""
-    _validate(raw, _schema(), "config")
+    raw = _validate(raw, _schema(), "config")
     out = _merge(_DEFAULTS, raw)
     out["algorithm"] = out["algorithm"].replace("-", "_")
 
@@ -189,8 +209,12 @@ class ExperimentConfig:
         clip = math.inf if d["clip_norm"] is None else float(d["clip_norm"])
         object.__setattr__(self, "round_config", RoundConfig(**{**r, **etas}))
         object.__setattr__(self, "dp_config", DPConfig(clip_norm=clip, sigma=float(d["sigma"])))
-        if not PROTOCOLS[self.algorithm].sanitizes and self.dp_config != DPConfig():
-            raise ConfigError(f"dp: {self.algorithm} does not sanitize its uploads; only dp_fedavg does")
+        proto = PROTOCOLS[self.algorithm]
+        for path, flags in PROTOCOL_SETTINGS.items():
+            lookup = functools.partial(functools.reduce, operator.getitem, path.split("/"))
+            if not any(getattr(proto, f) for f in flags) and lookup(self.data) != lookup(_DEFAULTS):
+                readers = [name for name, p in PROTOCOLS.items() if any(getattr(p, f) for f in flags)]
+                raise ConfigError(f"{path}: read only by {' and '.join(readers)}, not by {self.algorithm}")
         object.__setattr__(self, "bundle", build_bundle(self))
 
     @property
@@ -199,7 +223,7 @@ class ExperimentConfig:
 
     @property
     def seed(self) -> int:
-        return int(self.data["seed"])
+        return self.data["seed"]
 
     @property
     def output_dir(self) -> Path:
@@ -207,7 +231,7 @@ class ExperimentConfig:
 
     @property
     def snapshot_every(self) -> int:
-        return int(self.data["snapshot_every"])
+        return self.data["snapshot_every"]
 
     def partition_spec_for(self, num_classes: int) -> PartitionSpec:
         """Concrete shard recipe once the dataset's class count is known."""
@@ -221,7 +245,7 @@ class ExperimentConfig:
     @property
     def image_shape(self) -> Optional[tuple[int, int]]:
         shape = self.data["dataset"]["image_shape"]
-        return None if shape is None else (int(shape[0]), int(shape[1]))
+        return None if shape is None else tuple(shape)
 
 
 def _read_json(path: str | Path, what: str) -> dict:
@@ -235,28 +259,18 @@ def _read_json(path: str | Path, what: str) -> dict:
     return raw
 
 
-def load_config(path: str | Path, apply_env: bool = True) -> ExperimentConfig:
-    """Read, validate, and resolve a config file.
-
-    ``apply_env`` lets ``HYPERFL_SEED`` override the seed; pass False when
-    re-reading a stored resolved config whose seed must stay as recorded.
-    """
-    resolved = resolve(_read_json(path, "config"))
-    if apply_env and os.environ.get(ENV_SEED):
-        try:
-            resolved["seed"] = int(os.environ[ENV_SEED])
-        except ValueError:
-            raise ConfigError(f"{ENV_SEED} must be an integer, got {os.environ[ENV_SEED]!r}")
-    return ExperimentConfig(resolved)
+def load_config(path: str | Path) -> ExperimentConfig:
+    """Read, validate, and resolve a config file."""
+    return ExperimentConfig(resolve(_read_json(path, "config")))
 
 
 def load_attack_overrides(path: str | Path) -> tuple[AttackConfig, int]:
     """Read a standalone attack-settings file; returns (config, sample count)."""
     raw = _read_json(path, "attack config")
     definitions = _schema()["definitions"]
-    _validate(raw, {**definitions["attack"], "definitions": definitions}, "attack config")
+    raw = _validate(raw, {**definitions["attack"], "definitions": definitions}, "attack config")
     merged = _merge(ATTACK_DEFAULTS, raw)  # the single-valued "grad_loss", "init" and "optimizer" are not fields
-    return AttackConfig(**{f.name: merged[f.name] for f in fields(AttackConfig)}), int(merged["samples"])
+    return AttackConfig(**{f.name: merged[f.name] for f in fields(AttackConfig)}), merged["samples"]
 
 
 # -- builders -------------------------------------------------------------------
@@ -282,7 +296,7 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
 def build_shards(cfg: ExperimentConfig, ds: Dataset) -> list[tuple[Dataset, Dataset]]:
     """Partition, then split each client's shard into train and test."""
     p = cfg.data["partition"]
-    parts = dk.partition(ds, cfg.partition_spec_for(ds.num_classes), int(p["clients"]), cfg.seed)
+    parts = dk.partition(ds, cfg.partition_spec_for(ds.num_classes), p["clients"], cfg.seed)
     return [dk.train_test_split(part, cfg.seed + c, p["test_fraction"]) for c, part in enumerate(parts)]
 
 

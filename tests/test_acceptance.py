@@ -481,9 +481,7 @@ def test_criterion_09_privacy_boundary():
 # -- 10: determinism ------------------------------------------------------------------
 
 
-def test_criterion_10_determinism(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("HYPERFL_SEED", raising=False)
-
+def test_criterion_10_determinism(tmp_path, capsys):
     def train(name, workers):
         """``hyperfl train``'s exit code on the config; ``name`` is its output directory."""
         out = tmp_path / name

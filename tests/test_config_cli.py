@@ -7,8 +7,10 @@ rows (spreadsheet style) rather than through the library's own readers.
 """
 
 import csv
+import functools
 import json
 import math
+import operator
 import shutil
 import struct
 import tracemalloc
@@ -96,11 +98,10 @@ def test_defaults_materialized(tmp_path):
     assert cfg.data["workers"] == 1 and cfg.data["snapshot_every"] == 0
 
 
-def test_resolved_config_round_trips(tmp_path, monkeypatch):
-    monkeypatch.delenv(cfgmod.ENV_SEED, raising=False)
+def test_resolved_config_round_trips(tmp_path):
     written = (train_run(tmp_path) / "config.resolved.json").read_bytes()
     again = cfgmod.resolve(json.loads(written))
-    assert again == cfgmod.load_config(tmp_path / "run.json", apply_env=False).data
+    assert again == cfgmod.load_config(tmp_path / "run.json").data
     ckpt.write_json(tmp_path / "again.json", again)
     assert (tmp_path / "again.json").read_bytes() == written
 
@@ -110,7 +111,8 @@ def test_constructing_a_config_builds_and_validates_it(tmp_path):
     with pytest.raises(ConfigError, match="finite clip_norm"):
         cfgmod.ExperimentConfig(resolved)
 
-    cfg = cfgmod.ExperimentConfig(cfgmod.resolve(base_config(tmp_path, rounds={"eta_h": {"momentum": 0.0}})))
+    over = {"algorithm": "hyperfl", "rounds": {"eta_h": {"momentum": 0.0}}}
+    cfg = cfgmod.ExperimentConfig(cfgmod.resolve(base_config(tmp_path, **over)))
     assert cfg.bundle == cfgmod.build_bundle(cfg)
     eta_h = OptimConfig(learning_rate=0.01, momentum=0.0, weight_decay=5e-4)
     assert cfg.round_config == fs.RoundConfig(local_epochs=1, eta_h=eta_h, batch_size=8, total_rounds=2)
@@ -127,25 +129,6 @@ def test_hyphenated_algorithm_normalized(tmp_path):
     cfg = cfgmod.ExperimentConfig(cfgmod.resolve(base_config(tmp_path, algorithm="dp-fedavg")))
     assert cfg.algorithm == "dp_fedavg"
     assert cfg.dp_config.clip_norm == math.inf and cfg.dp_config.sigma == 0.0
-
-
-def test_env_seed_overrides_config(tmp_path, monkeypatch):
-    cfg_path = write_config(tmp_path / "e.json", base_config(tmp_path / "run"))
-    monkeypatch.setenv(cfgmod.ENV_SEED, "777")
-    assert cfgmod.load_config(cfg_path).seed == 777
-
-
-def test_env_seed_ignored_when_disabled(tmp_path, monkeypatch):
-    cfg_path = write_config(tmp_path / "e.json", base_config(tmp_path / "run"))
-    monkeypatch.setenv(cfgmod.ENV_SEED, "777")
-    assert cfgmod.load_config(cfg_path, apply_env=False).seed == 5
-
-
-def test_env_seed_must_be_integer(tmp_path, monkeypatch):
-    cfg_path = write_config(tmp_path / "e.json", base_config(tmp_path / "run"))
-    monkeypatch.setenv(cfgmod.ENV_SEED, "12x")
-    with pytest.raises(ConfigError, match="integer"):
-        cfgmod.load_config(cfg_path)
 
 
 def test_malformed_json_reports_location(tmp_path):
@@ -189,7 +172,7 @@ def readme_json_blocks() -> list[dict]:
 
 def test_readme_quick_start_and_attack_settings_load(tmp_path):
     experiment, settings = readme_json_blocks()
-    cfg = cfgmod.load_config(write_config(tmp_path / "config.json", experiment), apply_env=False)
+    cfg = cfgmod.load_config(write_config(tmp_path / "config.json", experiment))
     assert cfg.algorithm == "hyperfl" and cfg.data["rounds"]["total_rounds"] == 20
     acfg, samples = cfgmod.load_attack_overrides(write_config(tmp_path / "attack.json", settings))
     assert acfg == atk.AttackConfig() and samples == 50
@@ -297,19 +280,113 @@ def test_dp_clip_null_is_unbounded(tmp_path):
     assert cfg.dp_config.clip_norm == 1.5 and cfg.dp_config.sigma == 0.5
 
 
-@pytest.mark.parametrize("algorithm", ["hyperfl", "fedavg", "pfedhn", "local"])
-@pytest.mark.parametrize("dp", [{"clip_norm": 0.01, "sigma": 5.0}, {"clip_norm": 1.0}])
-def test_dp_block_on_a_protocol_without_dp_exits_1(tmp_path, capsys, algorithm, dp):
-    # only dp_fedavg sanitizes its uploads: elsewhere a dp block would do nothing
+# the settings only some protocols read, who reads each, and values other than its default
+READERS = {
+    "dp": {"dp_fedavg"},
+    "hypernet": {"hyperfl", "pfedhn"},
+    "rounds/eta_h": {"hyperfl"},
+    "rounds/eta_v": {"hyperfl"},
+    "rounds/server_lr": {"pfedhn"},
+}
+OPTIM_CHANGES = [{"learning_rate": 0.02}, {"momentum": 0.0}, {"weight_decay": 0.0}]
+NON_DEFAULT = {
+    "dp": [{"clip_norm": 0.01, "sigma": 5.0}, {"clip_norm": 1.0}],
+    "hypernet": [{"embedding_dim": 8}, {"hidden_dim": 12}],
+    "rounds/eta_h": OPTIM_CHANGES,
+    "rounds/eta_v": OPTIM_CHANGES,
+    "rounds/server_lr": [0.5],
+}
+
+
+def setting(path: str, value) -> dict:
+    """``base_config`` overrides that put ``value`` at ``path``."""
+    block, *rest = path.split("/")
+    return {block: {rest[0]: value} if rest else value}
+
+
+def settings_for(read: bool, values_per_path: int | None = None):
+    """(path, value, algorithm) for each non-default value and each protocol that does or does not
+    read it; ids run ``<last path part><value index>-<algorithm>``, as pytest named the dp cases."""
+    for path, values in NON_DEFAULT.items():
+        for i, value in enumerate(values[:values_per_path]):
+            for algorithm in sorted(fs.PROTOCOLS):
+                if (algorithm in READERS[path]) == read:
+                    yield pytest.param(path, value, algorithm, id=f"{path.split('/')[-1]}{i}-{algorithm}")
+
+
+def test_the_refusal_table_is_the_one_tested():
+    assert set(cfgmod.PROTOCOL_SETTINGS) == set(READERS) == set(NON_DEFAULT)
+
+
+@pytest.mark.parametrize("path, value, algorithm", settings_for(read=False))
+def test_dp_block_on_a_protocol_without_dp_exits_1(tmp_path, capsys, path, value, algorithm):
+    # named for its first row: a setting the protocol does not read would do nothing, so it
+    # exits 1 naming the path and the protocols that read it
     out = tmp_path / "run"
-    cfg_path = write_config(tmp_path / "cfg.json", base_config(out, algorithm=algorithm, dp=dp))
+    cfg_path = write_config(tmp_path / "cfg.json", base_config(out, algorithm=algorithm, **setting(path, value)))
     assert cli.main(["train", str(cfg_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: dp:") and len(err.splitlines()) == 1
+    assert err.startswith(f"error: {path}:") and len(err.splitlines()) == 1
+    assert all(reader in err for reader in READERS[path])
     assert not out.exists()
-    # the default block, spelled out as config.resolved.json records it, still loads
-    over = {"algorithm": algorithm, "dp": {"clip_norm": None, "sigma": 0.0}}
-    assert cfgmod.ExperimentConfig(cfgmod.resolve(base_config(out, **over))).dp_config == fs.DPConfig()
+    # the same value loads for the protocols that read it
+    for reader in READERS[path]:
+        cfgmod.ExperimentConfig(cfgmod.resolve(base_config(out, algorithm=reader, **setting(path, value))))
+    # the default, spelled out as config.resolved.json records it, still loads
+    resolved = cfgmod.resolve(base_config(out, algorithm=algorithm))
+    default = functools.reduce(operator.getitem, path.split("/"), resolved)
+    spelled = cfgmod.resolve(base_config(out, algorithm=algorithm, **setting(path, default)))
+    assert cfgmod.ExperimentConfig(spelled).data == resolved
+
+
+@pytest.fixture(scope="module")
+def base_run(tmp_path_factory):
+    """``base_run(algorithm)``: the output directory of ``base_config`` trained, once per module."""
+    runs = {}
+
+    def get(algorithm: str) -> Path:
+        if algorithm not in runs:
+            runs[algorithm] = train_run(tmp_path_factory.mktemp(algorithm), algorithm=algorithm)
+        return runs[algorithm]
+
+    return get
+
+
+# one value per path: a value may leave a run as it was (dp1's clip_norm 1.0 bounds no update here)
+@pytest.mark.parametrize("path, value, algorithm", settings_for(read=True, values_per_path=1))
+def test_a_protocol_setting_changes_the_run_of_a_protocol_that_reads_it(
+    tmp_path, base_run, path, value, algorithm
+):
+    out = train_run(tmp_path, algorithm=algorithm, **setting(path, value))
+    assert (out / "metrics.csv").read_bytes() != (base_run(algorithm) / "metrics.csv").read_bytes()
+
+
+def without_output_dir(resolved: Path) -> bytes:
+    return b"".join(line for line in resolved.read_bytes().splitlines(True) if b'"output_dir"' not in line)
+
+
+# draft 7 counts a float with no fractional part as an integer
+WHOLE_FLOATS = {
+    "seed": {"seed": 5.0},
+    "dataset/per_class": {"dataset": {"per_class": 30.0}},
+    "dataset/image_shape": {"dataset": {"image_shape": [4.0, 4.0]}},  # a $ref to a oneOf, in a oneOf
+    "partition/clients": {"partition": {"clients": 3.0}},
+    "partition/dominant_classes": {"partition": {"dominant_classes": 1.0}},
+    "partition/samples_per_client": {"partition": {"samples_per_client": 12.0}},
+    "model/extractor": {"model": {"extractor": [16.0, 8.0]}},
+    "hypernet/hidden_dim": {"hypernet": {"hidden_dim": 100.0}},
+    "rounds/local_epochs": {"rounds": {"local_epochs": 1.0}},
+    "rounds/batch_size": {"rounds": {"batch_size": 8.0}},
+    "rounds/total_rounds": {"rounds": {"total_rounds": 2.0}},
+}
+
+
+@pytest.mark.parametrize("over", WHOLE_FLOATS.values(), ids=WHOLE_FLOATS)
+def test_an_integer_spelled_as_a_float_runs_as_the_integer(tmp_path, base_run, over):
+    out = train_run(tmp_path, algorithm="hyperfl", **over)
+    ints = base_run("hyperfl")
+    assert without_output_dir(out / "config.resolved.json") == without_output_dir(ints / "config.resolved.json")
+    assert (out / "metrics.csv").read_bytes() == (ints / "metrics.csv").read_bytes()
 
 
 def test_image_shape_defaults(tmp_path):
@@ -399,12 +476,6 @@ def test_train_writes_each_snapshot_once(tmp_path, monkeypatch, total, every, wa
     assert sorted(p.name for p in (out / "snapshots").iterdir()) == written
 
 
-def test_env_seed_recorded_in_resolved_config(tmp_path, monkeypatch):
-    monkeypatch.setenv(cfgmod.ENV_SEED, "777")
-    out = train_run(tmp_path, rounds={"total_rounds": 0})
-    assert json.loads((out / "config.resolved.json").read_text())["seed"] == 777
-
-
 def test_unknown_algorithm_exits_1(tmp_path, capsys):
     cfg_path = write_config(tmp_path / "e.json", base_config(tmp_path, algorithm="sgd"))
     assert cli.main(["train", str(cfg_path)]) == 1
@@ -437,7 +508,7 @@ def test_interrupt_mid_run_leaves_emergency_snapshot(tmp_path, monkeypatch):
     monkeypatch.setattr(fs, "run_round", interrupted_in_round_3)
     with pytest.raises(KeyboardInterrupt):
         cli.main(["train", str(cfg_path)])
-    cfg = cfgmod.load_config(out / "config.resolved.json", apply_env=False)
+    cfg = cfgmod.load_config(out / "config.resolved.json")
     shards = cfgmod.build_shards(cfg, cfgmod.build_dataset(cfg))
     flat = ckpt.read_checkpoint(out / "snapshots" / "emergency.hfl")
     server, clients = fs.tensors_to_state(flat, shards, cfgmod.build_bundle(cfg))
@@ -461,8 +532,7 @@ def test_train_and_attack_build_the_bundle_once(tmp_path, monkeypatch):
     assert calls == ["fedavg"] * 2
 
 
-def test_rerun_removes_what_the_previous_run_derived(tmp_path, monkeypatch):
-    monkeypatch.delenv(cfgmod.ENV_SEED, raising=False)
+def test_rerun_removes_what_the_previous_run_derived(tmp_path):
     out = tmp_path / "run"
     first = write_config(tmp_path / "seed7.json", base_config(out, seed=7, snapshot_every=1))
     second = write_config(tmp_path / "seed8.json", base_config(out, seed=8, snapshot_every=0))
@@ -582,20 +652,42 @@ def test_malformed_attack_settings_exit_1_naming_line_and_column(fedavg_run, tmp
     assert err.startswith("error:") and "line 3, column 14" in err and len(err.splitlines()) == 1
 
 
-def test_env_seed_leaves_an_attack_unchanged(fedavg_run, tmp_path, monkeypatch):
-    # attack re-reads the seed the run recorded; HYPERFL_SEED applies to train and partition
-    att = write_config(tmp_path / "att.json", {"iterations": 5, "samples": 2, "seed": 0})
-    summaries = []
-    for env_seed in (None, "99"):
-        run = tmp_path / f"copy-{env_seed}"
+def test_a_whole_float_under_a_list_of_types_resolves_to_the_integer(tmp_path):
+    ds = {"kind": "idx", "images": "x.idx", "labels": "y.idx", "num_classes": 3.0}  # ["integer", "null"]
+    assert type(cfgmod.resolve(base_config(tmp_path, dataset=ds))["dataset"]["num_classes"]) is int
+
+
+def test_attack_settings_spelled_as_floats_run_as_their_integers(fedavg_run, tmp_path):
+    results = []
+    ints = {"iterations": 3, "samples": 2, "seed": 1}
+    for n, spelling in enumerate((ints, {key: float(value) for key, value in ints.items()})):
+        run = tmp_path / f"copy{n}"
         shutil.copytree(fedavg_run, run)
-        if env_seed is None:
-            monkeypatch.delenv(cfgmod.ENV_SEED, raising=False)
-        else:
-            monkeypatch.setenv(cfgmod.ENV_SEED, env_seed)
+        att = write_config(tmp_path / f"att{n}.json", spelling)
         assert cli.main(["attack", str(run / "snapshots" / "round_0002.hfl"), str(att)]) == 0
-        summaries.append((run / "attack_summary.csv").read_bytes())
-    assert summaries[0] == summaries[1]
+        results.append([(run / name).read_bytes() for name in ("attack_report.json", "attack_summary.csv")])
+    assert results[0] == results[1]
+
+
+def test_attack_checks_samples_before_the_first_search(fedavg_run, tmp_path, capsys):
+    run = tmp_path / "copy"
+    shutil.copytree(fedavg_run, run)
+    snap = str(run / "snapshots" / "round_0002.hfl")
+    cfg = cfgmod.load_config(run / "config.resolved.json")
+    trains = [train for train, _ in cfgmod.build_shards(cfg, cfgmod.build_dataset(cfg))]
+    # sample i is item i div m of client i mod m, so the first client past its last item ends them
+    most = min(train.n * len(trains) + c for c, train in enumerate(trains))
+    att = write_config(tmp_path / "att.json", {"iterations": 1, "samples": most})
+    assert cli.main(["attack", snap, str(att)]) == 0
+    summary = (run / "attack_summary.csv").read_bytes()
+    assert len(summary.splitlines()) == most + 1
+    capsys.readouterr()
+    att = write_config(tmp_path / "att.json", {"iterations": 1, "samples": most + 1})
+    assert cli.main(["attack", snap, str(att)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: samples:") and len(err.splitlines()) == 1
+    assert "sample 1/" not in err  # no search ran
+    assert (run / "attack_summary.csv").read_bytes() == summary
 
 
 def test_attack_rejects_mismatched_run_config(fedavg_run, tmp_path, capsys):
@@ -750,7 +842,7 @@ def quick_start_snapshot(tmp_path_factory):
 
 def attack_inputs(snap: Path):
     """The config, bundle and shards ``hyperfl attack`` rebuilds for the run that wrote ``snap``."""
-    cfg = cfgmod.load_config(snap.parents[1] / "config.resolved.json", apply_env=False)
+    cfg = cfgmod.load_config(snap.parents[1] / "config.resolved.json")
     return cfg, cfgmod.build_bundle(cfg), cfgmod.build_shards(cfg, cfgmod.build_dataset(cfg))
 
 
@@ -1082,7 +1174,7 @@ def test_partition_manifest_lists_every_assignment(tmp_path, capsys):
         assert len(idx) == 12
         assert all(0 <= i < 90 for i in idx)
 
-    cfg = cfgmod.load_config(cfg_path, apply_env=False)
+    cfg = cfgmod.load_config(cfg_path)
     ds = cfgmod.build_dataset(cfg)
     expect = dk.partition_indices(ds, cfg.partition_spec_for(3), 3, cfg.seed)
     assert [list(map(int, e)) for e in expect] == [manifest[str(c)] for c in range(3)]

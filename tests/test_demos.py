@@ -38,7 +38,6 @@ def test_demo_exits_zero(name, tmp_path):
         "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
         "TMPDIR": str(tmp_path),
     }
-    env.pop("HYPERFL_SEED", None)
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / f"{name}.py")],
         cwd=tmp_path,

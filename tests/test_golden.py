@@ -66,7 +66,7 @@ def train(algorithm: str, work: Path):
     work.mkdir(parents=True, exist_ok=True)
     cfg_path = work / "cfg.json"
     cfg_path.write_text(json.dumps(spec))
-    cfg = cfgmod.load_config(cfg_path, apply_env=False)
+    cfg = cfgmod.load_config(cfg_path)
     shards = cfgmod.build_shards(cfg, cfgmod.build_dataset(cfg))
     server, clients, records = fs.run_experiment(
         cfg.algorithm, cfg.bundle, shards, cfg.round_config, seed=cfg.seed, dp=cfg.dp_config

@@ -28,7 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = cfgmod._schema()
 ATTACK_SCHEMA = {**SCHEMA["definitions"]["attack"], "definitions": SCHEMA["definitions"]}
 OPTIM = {"learning_rate": 0.1, "momentum": 0.5, "weight_decay": 0.0}
-COMMON = {  # a config the runtime accepts too: its dp block needs dp_fedavg
+COMMON = {  # every key set: the schema accepts it, the runtime only what its dp_fedavg reads
     "algorithm": "dp_fedavg",
     "seed": 3,
     "output_dir": "runs/x",
@@ -214,7 +214,10 @@ def test_schema_algorithm_enum_matches_the_protocol_table():
 
 def test_runtime_never_imports_jsonschema(tmp_path):
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(dict(COMMON, dataset=DATASETS[0], output_dir=str(tmp_path / "run"))))
+    # COMMON sets every key, and no protocol reads them all: keep those dp_fedavg reads
+    rounds = {k: v for k, v in COMMON["rounds"].items() if k not in ("eta_h", "eta_v", "server_lr")}
+    reads = {k: v for k, v in COMMON.items() if k != "hypernet"} | {"rounds": rounds}
+    cfg.write_text(json.dumps(dict(reads, dataset=DATASETS[0], output_dir=str(tmp_path / "run"))))
     code = (
         "import sys, hyperfl, hyperfl.cli\n"
         "assert hyperfl.cli.main(['partition', sys.argv[1]]) == 0\n"
@@ -222,7 +225,6 @@ def test_runtime_never_imports_jsonschema(tmp_path):
     )
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    env.pop("HYPERFL_SEED", None)
     proc = subprocess.run(
         [sys.executable, "-c", code, str(cfg)],
         cwd=tmp_path,
