@@ -22,8 +22,7 @@ config = {
     "dataset": {"kind": "pattern", "num_classes": 4, "side": 8, "per_class": 40},
     "partition": {"clients": 4, "groups": 2, "dominant_classes": 2,
                   "samples_per_client": 24},
-    "model": {"extractor": [64, 12], "classifier": [12, 4],
-              "activation": "leaky_relu"},
+    "model": {"extractor": [64, 12], "classifier": [12, 4]},
     "rounds": {"local_epochs": 1, "batch_size": 8, "total_rounds": 3},
 }
 (tmp / "experiment.json").write_text(json.dumps(config, indent=2))

@@ -8,7 +8,7 @@ Library layout:
 - ``datakit``     synthetic data, IDX files, non-IID partitioning
 - ``fedsim``      federated protocols (local / fedavg / dp_fedavg / hyperfl / pfedhn)
 - ``attack``      gradient-inversion harness and analytic baselines
-- ``metrics``     psnr / ssim / accuracy / convergence summaries
+- ``metrics``     psnr / accuracy / convergence summaries
 - ``checkpoint``  byte-exact tensor container
 - ``config``      schema-validated experiment configs
 - ``cli``         train / attack / partition / report entry points
@@ -64,7 +64,7 @@ from .fedsim import (
     sample_clients,
 )
 from .hypernet import HypernetSpec, hypernet_forward, init_hypernet
-from .metrics import RoundRecord, convergence_stats, psnr, ssim
+from .metrics import RoundRecord, convergence_stats, psnr
 from .network import NetSpec, OptimConfig, dense_net, init_params
 
 __all__ = [
@@ -118,7 +118,6 @@ __all__ = [
     "run_round",
     "sample_clients",
     "score_reconstruction",
-    "ssim",
     "synth_dataset",
     "total_variation",
     "train_test_split",

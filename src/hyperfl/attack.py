@@ -528,7 +528,9 @@ def hyperfl_bilevel_attack(view: TranscriptView, cfg: AttackConfig):
     full model-inversion attack; reported scores measure what this search
     finds, not what the transcript leaks (`analytic_hyperfl_recovery`
     reads a batch-1 input off the head-bias gradients exactly).  Each
-    stage gets the full configured iteration budget.
+    stage gets the full configured iteration budget.  The report holds
+    stage one's ``embedding_residual`` and stage two's ``inversion_loss``
+    and ``trace``.
     """
     view = _require_view(view)
     if view.hyper_spec is None:
@@ -549,14 +551,7 @@ def hyperfl_bilevel_attack(view: TranscriptView, cfg: AttackConfig):
 
     objective = _inversion_objective(theta_gen, fe_spec, target.reshape(1, -1), cfg.tv_coeff)
     best, upper_loss, trace = _optimize(objective, {"x": _init_image(view.image_shape, cfg)}, cfg)
-    report = {
-        "algorithm": view.algorithm,
-        "embedding_residual": residual,
-        "inversion_loss": upper_loss,
-        "iterations": {"lower": cfg.iterations, "upper": cfg.iterations},
-        "trace": trace,
-    }
-    return best["x"], report
+    return best["x"], {"embedding_residual": residual, "inversion_loss": upper_loss, "trace": trace}
 
 
 def analytic_hyperfl_recovery(view: TranscriptView) -> np.ndarray:
@@ -708,15 +703,11 @@ def snapshot_transcript(
 
 
 def score_reconstruction(transcript: Transcript, x_hat: np.ndarray) -> dict[str, float]:
-    """PSNR/SSIM of a reconstruction against the transcript's ground truth, and
+    """PSNR of a reconstruction against the transcript's ground truth, and
     ``analytic_psnr`` of the exact batch-1 recovery (the positive control) from the
     first layer's or HyperFL's head-bias gradients, NaN if every bias entry is degenerate."""
     x_true = transcript.x_true
     p = mx.psnr(x_hat, x_true)
-    try:
-        s = mx.ssim(x_hat, x_true)
-    except DimensionError:  # image smaller than the SSIM window
-        s = math.nan
     view = transcript.public()
     try:
         if view.hyper_spec is not None:
@@ -728,17 +719,16 @@ def score_reconstruction(transcript: Transcript, x_hat: np.ndarray) -> dict[str,
         analytic = math.nan
     else:
         analytic = mx.psnr(x.reshape(x_true.shape), x_true)
-    return {"psnr": p, "ssim": s, "analytic_psnr": analytic}
+    return {"psnr": p, "analytic_psnr": analytic}
 
 
 def sample_record(sample_id, algorithm, x_hat, scores, trace) -> dict:
-    """Flat JSON-ready record of one attacked sample; a missing ``analytic_psnr`` score is NaN."""
+    """Flat JSON-ready record of one attacked sample."""
     return {
         "sample": int(sample_id),
         "algorithm": str(algorithm),
         "psnr": float(scores["psnr"]),
-        "ssim": float(scores["ssim"]),
-        "analytic_psnr": float(scores.get("analytic_psnr", math.nan)),
+        "analytic_psnr": float(scores["analytic_psnr"]),
         "trace": [[r.iteration, r.loss, r.best_loss] for r in trace] if trace else [],
         "reconstruction": np.asarray(x_hat, dtype=np.float64).ravel().tolist(),
     }
@@ -749,16 +739,12 @@ def write_attack_report(path, cfg: AttackConfig, samples: Sequence[Mapping]) -> 
     write_json(path, {"config": asdict(cfg), "samples": list(samples)})
 
 
-_SUMMARY_FIELDS = ("sample", "algorithm", "psnr", "ssim", "analytic_psnr")
+_SUMMARY_FIELDS = ("sample", "algorithm", "psnr", "analytic_psnr")
 
 
 def write_attack_summary_csv(path, samples: Sequence[Mapping]) -> None:
     """Per-sample score table, written atomically; the analytic column is the exact-recovery control."""
-    rows = (
-        [int(s["sample"]), s["algorithm"], float(s["psnr"]), float(s["ssim"]),
-         float(s.get("analytic_psnr", math.nan))]
-        for s in samples
-    )
+    rows = ([int(s["sample"]), s["algorithm"], float(s["psnr"]), float(s["analytic_psnr"])] for s in samples)
     write_csv(path, _SUMMARY_FIELDS, rows)
 
 

@@ -12,7 +12,7 @@ Every artifact lands under the config's output directory:
     final_accuracy.json    client id -> last-round test accuracy
     snapshots/             full-state checkpoints (cadence configurable)
     attack_report.json     per-sample reconstructions and traces
-    attack_summary.csv     per-sample PSNR/SSIM table
+    attack_summary.csv     per-sample PSNR table
     report/                summary.json plus plot-ready per-metric series
 
 A rerun of train into a run directory first deletes what the previous run
@@ -261,13 +261,8 @@ def _attack_digest(path: Path) -> Optional[dict]:
         return None
     rows = atk.read_attack_summary_csv(path)
     if not rows:
-        return {"samples": 0, "mean_psnr": None, "mean_ssim": None}
-    ssim = [r["ssim"] for r in rows]
-    return {
-        "samples": len(rows),
-        "mean_psnr": float(np.mean([r["psnr"] for r in rows])),
-        "mean_ssim": float(np.mean(ssim)) if not any(math.isnan(s) for s in ssim) else None,
-    }
+        return {"samples": 0, "mean_psnr": None}
+    return {"samples": len(rows), "mean_psnr": float(np.mean([r["psnr"] for r in rows]))}
 
 
 def _jsonable(obj):

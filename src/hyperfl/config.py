@@ -11,9 +11,10 @@ numpy stays the only runtime dependency.  Constructing an
 once, so a config that cannot run fails there and every command reads the
 same objects.  Every value a config holds changes the run: a setting that
 only some protocols read (`PROTOCOL_SETTINGS`) must keep its default under
-any other protocol, or construction refuses it.  Builders then materialize
-the dataset and shards deterministically from the resolved values, so a
-stored `config.resolved.json` is the whole recipe of a run.
+any other protocol, and `model.activation` its default on nets with no hidden
+layer, or construction refuses it.  Builders then materialize the dataset and
+shards deterministically from the resolved values, so a stored
+`config.resolved.json` is the whole recipe of a run.
 """
 
 from __future__ import annotations
@@ -315,6 +316,11 @@ def build_bundle(cfg: ExperimentConfig) -> ModelBundle:
     if shape is not None and shape[0] * shape[1] != m["extractor"][0]:
         raise ConfigError(
             f"dataset/image_shape {shape} does not hold the extractor's {m['extractor'][0]} inputs"
+        )
+    if m["activation"] != _DEFAULTS["model"]["activation"] and len(m["extractor"]) == len(m["classifier"]) == 2:
+        raise ConfigError(  # each net's last layer is linear and nothing sits between the two
+            f"model/activation: read only by nets with a hidden layer, "
+            f"not by extractor {m['extractor']} and classifier {m['classifier']}"
         )
     fe = dense_net("fe", m["extractor"], activation=m["activation"])
     cls = dense_net("cls", m["classifier"], activation=m["activation"])

@@ -51,45 +51,6 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
     return min(10.0 * math.log10(1.0 / mse), PSNR_CAP_DB)
 
 
-def _gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
-    half = (size - 1) / 2.0
-    coords = np.arange(size) - half
-    g = np.exp(-(coords**2) / (2.0 * sigma**2))
-    kernel = np.outer(g, g)
-    return kernel / kernel.sum()
-
-
-def _windowed_mean(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    windows = np.lib.stride_tricks.sliding_window_view(img, kernel.shape)
-    return np.tensordot(windows, kernel, axes=([2, 3], [0, 1]))
-
-
-def ssim(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean local SSIM of images in [0, 1], 11x11 Gaussian window (sigma 1.5), K1=0.01, K2=0.03."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionError(f"ssim operands differ in shape: {a.shape} vs {b.shape}")
-    if a.ndim != 2:
-        raise DimensionError(f"ssim expects 2-d images, got shape {a.shape}")
-    if min(a.shape) < 11:
-        raise DimensionError(f"image {a.shape} is smaller than the 11x11 window")
-
-    kernel = _gaussian_window()
-    c1 = 0.01**2
-    c2 = 0.03**2
-
-    mu_a = _windowed_mean(a, kernel)
-    mu_b = _windowed_mean(b, kernel)
-    var_a = _windowed_mean(a * a, kernel) - mu_a**2
-    var_b = _windowed_mean(b * b, kernel) - mu_b**2
-    cov = _windowed_mean(a * b, kernel) - mu_a * mu_b
-
-    num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
-    den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
-    return float(np.mean(num / den))
-
-
 def accuracy(params: ParamSet, spec: NetSpec, x: np.ndarray, y: np.ndarray) -> float:
     """Argmax-logit classification rate; argmax breaks ties toward class 0."""
     logits = forward_logits(params, spec, x)

@@ -649,7 +649,7 @@ def test_bilevel_attack_zero_budget_is_the_floor():
     x_hat, report = atk.hyperfl_bilevel_attack(tr.public(), cfg)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(1, atk._TAG_INIT)))
     assert np.array_equal(x_hat, rng.uniform(0.0, 1.0, size=(H, W)))
-    assert "embedding_residual" in report and "inversion_loss" in report
+    assert set(report) == {"embedding_residual", "inversion_loss", "trace"}
 
 
 def test_bilevel_attack_stays_far_below_positive_control():
@@ -946,30 +946,28 @@ def test_attack_report_round_trip(tmp_path):
     csv_path = tmp_path / "summary.csv"
     atk.write_attack_summary_csv(csv_path, [rec])
     lines = csv_path.read_text().splitlines()
-    assert lines[0] == "sample,algorithm,psnr,ssim,analytic_psnr"
+    assert lines[0] == "sample,algorithm,psnr,analytic_psnr"
     assert lines[1].startswith("0,fedavg,")
 
 
 def test_attack_summary_empty_has_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     atk.write_attack_summary_csv(path, [])
-    assert path.read_text() == "sample,algorithm,psnr,ssim,analytic_psnr\n"
+    assert path.read_text() == "sample,algorithm,psnr,analytic_psnr\n"
 
 
 def test_attack_summary_round_trip_keeps_nan_analytic_psnr(tmp_path):
-    scores = [{"psnr": 0.1 + 0.2, "ssim": math.nan, "analytic_psnr": math.nan}, {"psnr": 12.5, "ssim": -0.25}]
+    scores = [{"psnr": 0.1 + 0.2, "analytic_psnr": math.nan}, {"psnr": 12.5, "analytic_psnr": 7.25}]
     recs = [atk.sample_record(i, "hyperfl", np.zeros((2, 2)), s, []) for i, s in enumerate(scores)]
     path = tmp_path / "summary.csv"
     atk.write_attack_summary_csv(path, recs)
     back = atk.read_attack_summary_csv(path)
     assert [(r["sample"], r["algorithm"]) for r in back] == [(0, "hyperfl"), (1, "hyperfl")]
     assert [r["psnr"] for r in back] == [0.1 + 0.2, 12.5]  # repr cells read back exactly
-    assert math.isnan(back[0]["ssim"]) and back[1]["ssim"] == -0.25
-    assert all(math.isnan(r["analytic_psnr"]) for r in back)  # given as NaN, and missing
+    assert math.isnan(back[0]["analytic_psnr"]) and back[1]["analytic_psnr"] == 7.25
 
 
-def test_score_reconstruction_small_image_has_nan_ssim():
+def test_score_reconstruction_gives_psnr_and_the_analytic_control():
     img, tr = fedavg_tr()
     scores = atk.score_reconstruction(tr, tr.x_true)
-    assert scores["psnr"] == 100.0
-    assert math.isnan(scores["ssim"])  # 8x8 is below the SSIM window
+    assert scores == {"psnr": 100.0, "analytic_psnr": 100.0}

@@ -159,7 +159,7 @@ def test_read_checkpoint_streams_without_copying_the_container(tmp_path):
     assert all(back[k].tobytes() == params[k].tobytes() for k in params)
 
 
-SAMPLE = atk.sample_record(0, "fedavg", np.zeros((2, 2)), {"psnr": 1.0, "ssim": 0.5}, [])
+SAMPLE = atk.sample_record(0, "fedavg", np.zeros((2, 2)), {"psnr": 1.0, "analytic_psnr": 2.0}, [])
 RESULT_WRITERS = {
     "metrics.csv": lambda p: mx.write_metrics_csv(p, [mx.RoundRecord(round=0, client_id="0")]),
     "timings.csv": lambda p: mx.write_timings_csv(p, [(0, 0.5)]),

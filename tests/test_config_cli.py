@@ -361,6 +361,32 @@ def test_a_protocol_setting_changes_the_run_of_a_protocol_that_reads_it(
     assert (out / "metrics.csv").read_bytes() != (base_run(algorithm) / "metrics.csv").read_bytes()
 
 
+@pytest.mark.parametrize("activation", ["leaky_relu", "linear"])
+def test_activation_on_nets_with_no_hidden_layer_exits_1(tmp_path, capsys, activation):
+    # base_config's [16, 8] extractor and [8, 3] classifier are one layer each, and
+    # each net's last layer is linear: the value would do nothing
+    out = tmp_path / "run"
+    cfg_path = write_config(tmp_path / "cfg.json", base_config(out, model={"activation": activation}))
+    assert cli.main(["train", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: model/activation:") and len(err.splitlines()) == 1
+    assert not out.exists()
+    # the default, spelled out as config.resolved.json records it, still loads
+    spelled = cfgmod.resolve(base_config(out, model={"activation": "relu"}))
+    assert cfgmod.ExperimentConfig(spelled).data == cfgmod.resolve(base_config(out))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [{"extractor": [16, 12, 8]}, {"classifier": [8, 6, 3]}],
+    ids=["extractor-hidden", "classifier-hidden"],
+)
+def test_activation_changes_the_run_of_a_net_with_a_hidden_layer(tmp_path, model):
+    relu = train_run(tmp_path, "relu", model=model)
+    leaky = train_run(tmp_path, "leaky", model={**model, "activation": "leaky_relu"})
+    assert (relu / "metrics.csv").read_bytes() != (leaky / "metrics.csv").read_bytes()
+
+
 def without_output_dir(resolved: Path) -> bytes:
     return b"".join(line for line in resolved.read_bytes().splitlines(True) if b'"output_dir"' not in line)
 
@@ -601,18 +627,18 @@ def test_failed_cli_write_keeps_previous_file_and_leaves_no_temp(tmp_path, monke
 
 def test_attack_summary_reports_oracle_and_search_columns(attacked_run):
     lines = (attacked_run / "attack_summary.csv").read_text().splitlines()
-    assert lines[0] == "sample,algorithm,psnr,ssim,analytic_psnr"
+    assert lines[0] == "sample,algorithm,psnr,analytic_psnr"
     rows = [line.split(",") for line in lines[1:]]
     assert [r[0] for r in rows] == ["0", "1"] and all(r[1] == "fedavg" for r in rows)
     for r in rows:
         assert 0.0 < float(r[2]) < mx.PSNR_CAP_DB  # search got somewhere, not everywhere
         # noiseless batch-1 gradients admit exact closed-form recovery
-        assert float(r[4]) == mx.PSNR_CAP_DB
+        assert float(r[3]) == mx.PSNR_CAP_DB
 
     report = json.loads((attacked_run / "attack_report.json").read_text())
     assert report["config"]["iterations"] == 40
     assert [s["psnr"] for s in report["samples"]] == [float(r[2]) for r in rows]
-    assert [s["analytic_psnr"] for s in report["samples"]] == [float(r[4]) for r in rows]
+    assert [s["analytic_psnr"] for s in report["samples"]] == [float(r[3]) for r in rows]
     assert all(s["trace"][-1][0] == 40 for s in report["samples"])  # rows are triples
 
 
@@ -626,7 +652,7 @@ def test_hyperfl_attack_control_and_progress(tmp_path, capsys):
     assert out.strip() == str(run)
     rows = [line.split(",") for line in (run / "attack_summary.csv").read_text().splitlines()[1:]]
     # the head-bias gradients hold every batch-1 input exactly
-    assert [float(r[4]) for r in rows] == [mx.PSNR_CAP_DB] * 3
+    assert [float(r[3]) for r in rows] == [mx.PSNR_CAP_DB] * 3
     # one progress line per sample on stderr: index/total, the search's PSNR, seconds
     progress = err.splitlines()
     assert [line.split(":")[0] for line in progress] == ["sample 1/3", "sample 2/3", "sample 3/3"]
@@ -640,7 +666,35 @@ def test_attack_with_zero_samples_writes_header_only(fedavg_run, tmp_path):
     att = tmp_path / "att.json"
     att.write_text('{"samples": 0}')
     assert cli.main(["attack", str(run / "snapshots" / "round_0002.hfl"), str(att)]) == 0
-    assert (run / "attack_summary.csv").read_text() == "sample,algorithm,psnr,ssim,analytic_psnr\n"
+    assert (run / "attack_summary.csv").read_text() == "sample,algorithm,psnr,analytic_psnr\n"
+
+
+@pytest.mark.parametrize(
+    "algorithm, over, shape",
+    [
+        ("hyperfl", {"dataset": {"dim": 32}, "model": {"extractor": [32, 16], "classifier": [16, 3]}}, [1, 32]),
+        (
+            "fedavg",
+            {
+                "dataset": {"kind": "pattern", "num_classes": 3, "side": 8, "per_class": 30},
+                "model": {"extractor": [64, 12], "classifier": [12, 3]},
+            },
+            [8, 8],
+        ),
+    ],
+    ids=["quickstart-1x32", "pattern-8x8"],
+)
+def test_every_attack_summary_column_carries_a_value(tmp_path, algorithm, over, shape):
+    # on the image shapes the repo ships, no score column may be one that can never be finite
+    run = train_run(tmp_path, algorithm=algorithm, **over)
+    assert json.loads((run / "config.resolved.json").read_text())["dataset"]["image_shape"] == shape
+    att = write_config(tmp_path / "att.json", {"iterations": 5, "samples": 2, "seed": 0})
+    assert cli.main(["attack", str(run / "snapshots" / "round_0002.hfl"), str(att)]) == 0
+    with open(run / "attack_summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 and all(r["algorithm"] == algorithm for r in rows)
+    for column in rows[0].keys() - {"algorithm"}:
+        assert any(math.isfinite(float(r[column])) for r in rows), column
 
 
 def test_malformed_attack_settings_exit_1_naming_line_and_column(fedavg_run, tmp_path, capsys):
@@ -932,7 +986,7 @@ def test_attack_reruns_are_byte_identical(run_of, tmp_path, algorithm):
     assert outputs[0] == outputs[1]
     rows = [line.split(",") for line in outputs[0][0].decode().splitlines()[1:]]
     assert [r[:2] for r in rows] == [[str(i), algorithm] for i in range(4)]
-    analytic = [float(r[4]) for r in rows]
+    analytic = [float(r[3]) for r in rows]
     if algorithm == "pfedhn":  # the inverted one-step delta is the batch-1 gradient
         assert analytic == [mx.PSNR_CAP_DB] * 4
     else:  # noise blurs the exact recovery
@@ -1057,9 +1111,7 @@ def test_report_summary_and_series_match_hand_means(attacked_run):
         for line in (attacked_run / "attack_summary.csv").read_text().splitlines()[1:]
     ]
     digest = summary["attack"]
-    assert digest["samples"] == 2
-    assert digest["mean_psnr"] == pytest.approx(float(np.mean(csv_psnr)), rel=1e-12)
-    assert digest["mean_ssim"] is None  # 4x4 images are below the SSIM window
+    assert digest == {"samples": 2, "mean_psnr": pytest.approx(float(np.mean(csv_psnr)), rel=1e-12)}
 
 
 def test_report_single_round_has_no_convergence_block(tmp_path):
@@ -1121,16 +1173,21 @@ def test_report_on_metrics_without_client_rows_exits_3(fedavg_run, tmp_path, cap
     assert err.startswith("error:") and "no client rows" in err and len(err.splitlines()) == 1
 
 
+HEADER_FAULT = "expected header 'sample,algorithm,psnr,analytic_psnr'"
+
+
 @pytest.mark.parametrize(
-    "line, edit",
+    "line, edit, says",
     [
-        (2, lambda cells: cells[:2] + ["abc"] + cells[3:]),  # non-numeric psnr
-        (3, lambda cells: cells[:4]),  # short row
-        (1, lambda cells: cells[:4]),  # header without the analytic column
+        (2, lambda cells: cells[:2] + ["abc"] + cells[3:], "'abc'"),  # non-numeric psnr
+        (3, lambda cells: cells[:3], "3 fields, expected 4"),  # short row
+        (1, lambda cells: cells[:3], HEADER_FAULT),  # header without the analytic column
+        # a summary written before the ssim column left: no reader for the old layout
+        (1, lambda cells: ["sample", "algorithm", "psnr", "ssim", "analytic_psnr"], HEADER_FAULT),
     ],
-    ids=["non-numeric-psnr", "short-row", "wrong-header"],
+    ids=["non-numeric-psnr", "short-row", "wrong-header", "old-ssim-header"],
 )
-def test_report_on_malformed_attack_summary_exits_3(attacked_run, tmp_path, capsys, line, edit):
+def test_report_on_malformed_attack_summary_exits_3(attacked_run, tmp_path, capsys, line, edit, says):
     shutil.copy(attacked_run / "metrics.csv", tmp_path / "metrics.csv")
     lines = (attacked_run / "attack_summary.csv").read_text().splitlines()
     lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))
@@ -1138,6 +1195,7 @@ def test_report_on_malformed_attack_summary_exits_3(attacked_run, tmp_path, caps
     assert cli.main(["report", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"line {line}:" in err and len(err.splitlines()) == 1
+    assert str(tmp_path / "attack_summary.csv") in err and says in err
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ hyperparameter moves them by more than 1e-5.
 The attack check follows the same rules.  Each 10-round state is attacked
 through the public transcript API, 2 samples at 50 iterations with seed 0,
 and ``tests/golden/attack_<algorithm>.csv`` holds, per sample, the trace rows,
-the three scores and every pixel of the reconstruction.  The trace keeps only
+the two scores and every pixel of the reconstruction.  The trace keeps only
 iterations 0 and 50, so the pixels are what sees the search's trajectory.  At
 50 iterations a rounding-sized change moves the results by about 1e-14 and a
 0.2 % change of the step size by more than 1e-4; at 200 iterations rounding
@@ -90,7 +90,7 @@ def trained(tmp_path_factory):
 def attack_rows(cfg, server, clients) -> list[list]:
     """``[sample, quantity, index, value]`` rows of the golden attack on a trained state.
 
-    Per sample: ``loss`` and ``best_loss`` indexed by iteration, the three
+    Per sample: ``loss`` and ``best_loss`` indexed by iteration, the two
     scores at index 0, and ``pixel`` indexed by position in the flattened
     reconstruction.
     """
@@ -104,7 +104,7 @@ def attack_rows(cfg, server, clients) -> list[list]:
         rec = atk.sample_record(i, tr.view.algorithm, x_hat, atk.score_reconstruction(tr, x_hat), trace)
         for it, loss, best in rec["trace"]:
             rows += [[i, "loss", it, float(loss)], [i, "best_loss", it, float(best)]]
-        rows += [[i, name, 0, rec[name]] for name in ("psnr", "ssim", "analytic_psnr")]
+        rows += [[i, name, 0, rec[name]] for name in ("psnr", "analytic_psnr")]
         rows += [[i, "pixel", j, px] for j, px in enumerate(rec["reconstruction"])]
     return rows
 

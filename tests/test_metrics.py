@@ -1,11 +1,10 @@
-"""PSNR / SSIM / accuracy closed forms and convergence summaries."""
+"""PSNR / accuracy closed forms and convergence summaries."""
 
 import math
 
 import numpy as np
 import pytest
 
-from hyperfl import datakit as dk
 from hyperfl import metrics as mx
 from hyperfl import network as nn
 from hyperfl.errors import ConfigError, ConsistencyError, DimensionError
@@ -41,47 +40,6 @@ def test_psnr_symmetric_and_monotone_in_noise():
 def test_psnr_shape_mismatch():
     with pytest.raises(DimensionError):
         mx.psnr(np.zeros((2, 2)), np.zeros((2, 3)))
-
-
-# -- ssim -------------------------------------------------------------------
-
-
-def test_ssim_identical_is_one():
-    img = RNG.uniform(size=(16, 20))
-    assert mx.ssim(img, img) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_ssim_inverted_high_contrast_is_negative():
-    ds = dk.pattern_dataset(num_classes=2, side=16, per_class=1, seed=1)
-    img = ds.x[0].reshape(16, 16)
-    assert mx.ssim(img, 1.0 - img) < -0.5
-
-
-def test_ssim_independent_noise_near_zero():
-    scores = []
-    for seed in range(20):
-        rng = np.random.default_rng(seed)
-        a = rng.uniform(size=(24, 24))
-        b = rng.uniform(size=(24, 24))
-        scores.append(mx.ssim(a, b))
-    assert abs(np.mean(scores)) < 0.1
-
-
-def test_ssim_symmetric_and_bounded():
-    for seed in range(5):
-        rng = np.random.default_rng(seed)
-        a = rng.uniform(size=(14, 14))
-        b = np.clip(a + 0.3 * rng.standard_normal((14, 14)), 0, 1)
-        s = mx.ssim(a, b)
-        assert s == pytest.approx(mx.ssim(b, a), abs=1e-15)
-        assert -1.0 <= s <= 1.0
-
-
-def test_ssim_window_size_guard():
-    with pytest.raises(DimensionError):
-        mx.ssim(np.zeros((10, 30)), np.zeros((10, 30)))
-    with pytest.raises(DimensionError):
-        mx.ssim(np.zeros(256), np.zeros(256))
 
 
 # -- accuracy ------------------------------------------------------------------
