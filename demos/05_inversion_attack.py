@@ -28,8 +28,8 @@ spec = dk.PartitionSpec(groups=dk.consecutive_groups(4, 2, 2), samples_per_clien
 parts = dk.partition(ds, spec, 4, SEED)
 shards = [dk.train_test_split(p, SEED + c) for c, p in enumerate(parts)]
 
-fe = nn.dense_net("fe", [SIDE * SIDE, 12], activation="leaky_relu")
-cls = nn.dense_net("cls", [12, 4], activation="leaky_relu")
+fe = nn.dense_net("fe", [SIDE * SIDE, 12])
+cls = nn.dense_net("cls", [12, 4])
 hyper = hn.HypernetSpec(target=hn.target_from_netspec(fe), embedding_dim=8, hidden_dim=16)
 bundle = fs.ModelBundle(fe=fe, cls=cls, hyper=hyper)
 cfg = fs.RoundConfig(local_epochs=1, batch_size=8, total_rounds=3)

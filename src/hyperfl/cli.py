@@ -16,7 +16,8 @@ Every artifact lands under the config's output directory:
     report/                summary.json plus plot-ready per-metric series
 
 A rerun of train into a run directory first deletes what the previous run
-derived (`DERIVED`); `partition.json` stays.
+derived (`DERIVED`); `partition.json` stays.  A rerun whose config, dataset
+or shards fail leaves the previous run as it was.
 
 Exit codes: 0 success, else the ``exit_code`` its error class declares in
 :mod:`hyperfl.errors` (1 bad configuration, 2 numeric failure mid-run, 3
@@ -92,6 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_train(args) -> int:
     cfg = cfgmod.load_config(args.config)
+    # shards before the output directory: a dataset that cannot be read or split leaves a previous run intact
+    shards = cfgmod.build_shards(cfg, cfgmod.build_dataset(cfg))
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     (out / "snapshots").mkdir(exist_ok=True)
@@ -99,8 +102,6 @@ def cmd_train(args) -> int:
         for path in [p for pattern in DERIVED for p in out.glob(pattern)]:
             path.unlink()
     ckpt.write_json(out / "config.resolved.json", cfg.data)
-
-    shards = cfgmod.build_shards(cfg, cfgmod.build_dataset(cfg))
     bundle, rounds = cfg.bundle, cfg.round_config
 
     timings: list[tuple[int, float]] = []

@@ -5,7 +5,7 @@ hypernetwork architecture, the training recipe, and an output directory.
 `load_config` validates it against the published schema (unknown keys are
 rejected), fills in defaults, and returns a resolved view whose dict form
 round-trips through JSON byte-for-byte.  The package checks the schema
-itself: `_errors` implements the draft-7 keywords the schema file uses, so
+itself: `_walk` implements the draft-7 keywords the schema file uses, so
 numpy stays the only runtime dependency.  Constructing an
 `ExperimentConfig` builds its model bundle, round recipe and DP settings
 once, so a config that cannot run fails there and every command reads the
@@ -94,66 +94,57 @@ def _is(value, type_name: str) -> bool:
     )
 
 
-def _errors(value, schema: dict, root: dict, path: tuple = ()):
-    """Yield (path, message) for each way ``value`` breaks ``schema``, as draft 7 reads it."""
+def _walk(value, schema: dict, root: dict, errors: list, path: tuple = ()):
+    """``value`` with each float that ``schema`` types "integer" made an int; appends a
+    (path, message) pair to ``errors`` for each way ``value`` breaks ``schema``, as draft 7 reads it."""
     while "$ref" in schema:  # draft 7 ignores a $ref's siblings
         schema = root["definitions"][schema["$ref"].removeprefix("#/definitions/")]
     types = schema.get("type", [])
     if types and not any(_is(value, t) for t in ([types] if isinstance(types, str) else types)):
-        yield path, f"{value!r} is not of type {types!r}"
+        errors.append((path, f"{value!r} is not of type {types!r}"))
     allowed = schema.get("enum", [schema["const"]] if "const" in schema else None)
     if allowed is not None and not any(
         a == value and isinstance(a, bool) == isinstance(value, bool) for a in allowed  # true is not 1
     ):
-        yield path, f"{value!r} is not one of {allowed!r}"
+        errors.append((path, f"{value!r} is not one of {allowed!r}"))
     for key, breaks in _BOUNDS.items():
         if key in schema and _is(value, "number") and breaks(value, schema[key]):
-            yield path, f"{value!r} is out of range ({key} {schema[key]!r})"
+            errors.append((path, f"{value!r} is out of range ({key} {schema[key]!r})"))
     if isinstance(value, str) and len(value) < schema.get("minLength", 0):
-        yield path, f"{value!r} is too short"
+        errors.append((path, f"{value!r} is too short"))
     if isinstance(value, list):
         if not schema.get("minItems", 0) <= len(value) <= schema.get("maxItems", math.inf):
-            yield path, f"{value!r} has {len(value)} items"
-        for i, item in enumerate(value if "items" in schema else ()):
-            yield from _errors(item, schema["items"], root, path + (i,))
+            errors.append((path, f"{value!r} has {len(value)} items"))
+        value = [_walk(item, schema.get("items", {}), root, errors, path + (i,)) for i, item in enumerate(value)]
     if isinstance(value, dict):
         props = schema.get("properties", {})
         for key in schema.get("required", ()):
             if key not in value:
-                yield path, f"{key!r} is a required property"
+                errors.append((path, f"{key!r} is a required property"))
         extra = [k for k in value if k not in props]
         if extra and schema.get("additionalProperties", True) is False:
-            yield path, f"unexpected properties {extra!r}"
-        for key, sub in props.items():
-            if key in value:
-                yield from _errors(value[key], sub, root, path + (key,))
+            errors.append((path, f"unexpected properties {extra!r}"))
+        value = {k: _walk(v, props.get(k, {}), root, errors, path + (k,)) for k, v in value.items()}
     if "oneOf" in schema:
-        passing = sum(next(_errors(value, sub, root, path), None) is None for sub in schema["oneOf"])
-        if passing != 1:
-            yield path, f"{value!r} is valid under {passing} of the given schemas, not exactly one"
-
-
-def _integers(value, schema: dict, root: dict):
-    """``value``, valid under ``schema``, with each float whose ``type`` names "integer" made an int."""
-    while "$ref" in schema:
-        schema = root["definitions"][schema["$ref"].removeprefix("#/definitions/")]
-    for sub in schema.get("oneOf", ()):
-        if next(_errors(value, sub, root), None) is None:  # the one branch that admits it
-            return _integers(value, sub, root)
-    if isinstance(value, list):
-        return [_integers(item, schema.get("items", {}), root) for item in value]
-    if isinstance(value, dict):
-        return {k: _integers(v, schema.get("properties", {}).get(k, {}), root) for k, v in value.items()}
-    return int(value) if isinstance(value, float) and "integer" in schema.get("type", ()) else value
+        branches = [(_walk(value, sub, root, errs := [], path), errs) for sub in schema["oneOf"]]
+        passing = [v for v, errs in branches if not errs]
+        if len(passing) == 1:
+            value = passing[0]  # the one branch that admits it types its integers
+        else:
+            errors.append((path, f"{value!r} is valid under {len(passing)} of the given schemas, not exactly one"))
+    return int(value) if "integer" in types and _is(value, "integer") else value
 
 
 def _validate(raw, schema: dict, what: str):
-    """Raise ConfigError naming the first offending path, in path order; else return `_integers(raw)`."""
-    first = min(_errors(raw, schema, schema), key=lambda e: e[0], default=None)
+    """Raise ConfigError naming the first offending path, in path order; else return ``raw``
+    with each float the schema types "integer" made an int."""
+    errors: list = []
+    value = _walk(raw, schema, schema, errors)
+    first = min(errors, key=lambda e: e[0], default=None)
     if first is not None:
         where = "/".join(map(str, first[0])) or "<root>"
         raise ConfigError(f"{what} invalid at {where}: {first[1]}")
-    return _integers(raw, schema, schema)
+    return value
 
 
 def _merge(defaults: dict, user: dict) -> dict:
@@ -195,7 +186,12 @@ class ExperimentConfig:
     """Resolved configuration; ``data`` is the JSON-ready resolved dict.
 
     Construction builds the typed objects once and raises ConfigError for a
-    config that cannot run, so a bad value fails here, not mid-run.
+    config that cannot run, so a bad value fails here, not mid-run.  Beyond
+    the schema and the typed objects' own checks it refuses a setting the
+    protocol does not read left off its default (`PROTOCOL_SETTINGS`),
+    `model.activation` off its default on nets with no hidden layer, an
+    extractor input width that the dataset or `image_shape` does not match,
+    and a classifier with fewer logits than the dataset has classes.
     """
 
     data: dict
@@ -311,6 +307,10 @@ def build_bundle(cfg: ExperimentConfig) -> ModelBundle:
     if ds["kind"] == "pattern" and m["extractor"][0] != ds["side"] ** 2:
         raise ConfigError(
             f"extractor input width {m['extractor'][0]} does not match {ds['side']}x{ds['side']} images"
+        )
+    if ds["num_classes"] is not None and m["classifier"][-1] < ds["num_classes"]:
+        raise ConfigError(  # a wider classifier trains: its extra logits are never targets
+            f"model/classifier: {m['classifier'][-1]} logits, fewer than the dataset's {ds['num_classes']} classes"
         )
     shape = ds["image_shape"]
     if shape is not None and shape[0] * shape[1] != m["extractor"][0]:

@@ -51,6 +51,7 @@ from .network import (
     OptimConfig,
     OptimState,
     ParamSet,
+    check_tree,
     concat_specs,
     init_optim_state,
     init_params,
@@ -467,18 +468,14 @@ def aggregate(uploads: Iterable[ParamSet], weights: Sequence[float]) -> ParamSet
         raise ConsistencyError(f"aggregation weights sum to {total}, expected 1 within 1e-9")
     w = w / total
 
-    keys = anchor.keys()
-    acc = {k: np.zeros_like(anchor[k], dtype=np.float64) for k in keys}
+    shapes = {k: np.shape(a) for k, a in anchor.items()}
+    acc = {k: np.zeros_like(anchor[k], dtype=np.float64) for k in shapes}
     n = 0
     for u in itertools.chain([anchor], uploads):
         if n == len(w):
             raise ConsistencyError(f"more than {len(w)} uploads but {len(w)} weights")
-        if u.keys() != keys:
-            raise DimensionError(f"upload {n} has different tensor names")
-        for k in keys:
-            if np.asarray(u[k]).shape != np.asarray(anchor[k]).shape:
-                raise DimensionError(f"upload {n} tensor {k} has mismatched shape")
-        for k in keys:
+        check_tree(u, shapes, f"upload {n}")
+        for k in shapes:
             acc[k] += w[n] * (np.asarray(u[k], dtype=np.float64) - anchor[k])
         n += 1
     if n != len(w):
@@ -489,7 +486,7 @@ def aggregate(uploads: Iterable[ParamSet], weights: Sequence[float]) -> ParamSet
     # the sign of -0.0 entries)
     return {
         k: anchor[k] + acc[k] if np.any(acc[k]) else np.array(anchor[k], dtype=np.float64, copy=True)
-        for k in keys
+        for k in shapes
     }
 
 

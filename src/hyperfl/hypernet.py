@@ -31,7 +31,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DimensionError, NumericError
-from .network import NetSpec, OptimConfig, ParamSet
+from .network import NetSpec, OptimConfig, ParamSet, check_tree
 
 TargetSpec = tuple[tuple[str, tuple[int, ...]], ...]
 
@@ -83,16 +83,7 @@ def _phi_shapes(spec: HypernetSpec) -> MappingProxyType:
 
 def check_phi(phi_h, spec: HypernetSpec) -> None:
     """Raise :class:`DimensionError` unless ``phi_h`` has exactly the spec's tensors and shapes."""
-    shapes = _phi_shapes(spec)
-    if phi_h.keys() != shapes.keys():
-        raise DimensionError(
-            f"hypernet parameter names {sorted(phi_h)} do not match spec {sorted(shapes)}"
-        )
-    for name, shape in shapes.items():
-        val = phi_h[name]
-        got = val.shape if isinstance(val, (np.ndarray, LowRankHead)) else np.shape(val)
-        if got != shape:
-            raise DimensionError(f"{name}: expected shape {shape}, got {got}")
+    check_tree(phi_h, _phi_shapes(spec), "hypernet parameter")
 
 
 def _target_fan_in(shape: tuple[int, ...]) -> int:
@@ -228,19 +219,13 @@ def hypernet_backward(
     weight's gradient g aᵀ comes back as the pair ``(g, a)`` of flat
     arrays, and its pullback agrees with the dense one to rounding.
     """
-    target_names = {name for name, _ in spec.target}
-    if d_theta.keys() != target_names:
-        raise DimensionError(
-            f"cotangent names {sorted(d_theta)} do not match target names {sorted(target_names)}"
-        )
+    check_tree(d_theta, dict(spec.target), "cotangent")
     row, hidden, phi = _trunk(v, phi_h, spec)
 
     d_phi: ParamSet = {}
     d_hidden = None
-    for name, shape in spec.target:
+    for name, _ in spec.target:
         cot = np.asarray(d_theta[name], dtype=np.float64)
-        if cot.shape != shape:
-            raise DimensionError(f"cotangent {name}: expected shape {shape}, got {cot.shape}")
         g, w = cot.reshape(1, -1), phi[f"hyper/head/{name}/W"]
         if isinstance(w, LowRankHead):
             d_phi[f"hyper/head/{name}/W"] = (cot.flatten(), hidden.reshape(-1))

@@ -118,17 +118,22 @@ def init_params(spec: NetSpec, rng: np.random.Generator | int) -> ParamSet:
     return params
 
 
+def check_tree(tree: Mapping, shapes: Mapping[str, tuple[int, ...]], what: str) -> None:
+    """Raise :class:`DimensionError` unless ``tree`` has exactly the names in ``shapes``,
+    each with the shape given there, as ``np.shape`` reads it (a ``LowRankHead`` by its
+    ``shape``)."""
+    if tree.keys() != shapes.keys():
+        raise DimensionError(f"{what} names {sorted(tree)} do not match {sorted(shapes)}")
+    for name, shape in shapes.items():
+        if np.shape(tree[name]) != shape:
+            raise DimensionError(f"{what} {name}: expected shape {shape}, got {np.shape(tree[name])}")
+
+
 def check_params(params: Mapping[str, np.ndarray], spec: NetSpec) -> None:
     shapes = spec.param_shapes()
-    if set(params.keys()) != set(shapes.keys()):
-        raise DimensionError(
-            f"parameter names {sorted(params)} do not match spec names {sorted(shapes)}"
-        )
-    for name, shape in shapes.items():
-        arr = np.asarray(params[name])
-        if arr.shape != shape:
-            raise DimensionError(f"{name}: expected shape {shape}, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+    check_tree(params, shapes, "parameter")
+    for name in shapes:
+        if not np.all(np.isfinite(params[name])):
             raise NumericError(f"{name} contains non-finite values")
 
 

@@ -62,9 +62,11 @@ def test_criterion_01_gradient_correctness():
         d_hid = int(rng.integers(3, 7))
         classes = int(rng.integers(2, 4))
         batch = int(rng.integers(2, 4))
+        fe_hid, cls_hid = (int(w) for w in rng.integers(3, 7, size=2))
 
-        fe = nn.dense_net("fe", [d_in, d_hid], activation="leaky_relu")
-        cls = nn.dense_net("cls", [d_hid, classes], activation="leaky_relu")
+        # a hidden layer in each net, so the gradients pass through the activation
+        fe = nn.dense_net("fe", [d_in, fe_hid, d_hid], activation="leaky_relu")
+        cls = nn.dense_net("cls", [d_hid, cls_hid, classes], activation="leaky_relu")
         full = nn.concat_specs(fe, cls)
         params = nn.init_params(full, rng)
         x = rng.standard_normal((batch, d_in))
@@ -293,8 +295,8 @@ def attack_bench():
     spec = dk.PartitionSpec(groups=dk.consecutive_groups(4, 2, 2), samples_per_client=24)
     parts = dk.partition(ds, spec, 4, seed)
     shards = [dk.train_test_split(p, seed + c) for c, p in enumerate(parts)]
-    fe = nn.dense_net("fe", [64, 12], activation="leaky_relu")
-    cls = nn.dense_net("cls", [12, 4], activation="leaky_relu")
+    fe = nn.dense_net("fe", [64, 12])
+    cls = nn.dense_net("cls", [12, 4])
     hyper = hn.HypernetSpec(target=hn.target_from_netspec(fe), embedding_dim=8, hidden_dim=16)
     bundle = fs.ModelBundle(fe=fe, cls=cls, hyper=hyper)
     cfg = fs.RoundConfig(local_epochs=1, batch_size=8, total_rounds=3)

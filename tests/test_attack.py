@@ -47,7 +47,7 @@ def stripe_image(h, w, seed):
 
 
 H = W = 8
-FE = nn.dense_net("fe", [H * W, 12], activation="leaky_relu")
+FE = nn.dense_net("fe", [H * W, 12])
 CLS = nn.dense_net("cls", [12, 3])
 FULL = nn.concat_specs(FE, CLS)
 PARAMS = nn.init_params(FULL, np.random.default_rng(5))

@@ -245,6 +245,28 @@ def test_extractor_width_checked_against_dataset(tmp_path):
         cfgmod.build_bundle(cfgmod.ExperimentConfig(cfgmod.resolve(cfg)))
 
 
+@pytest.mark.parametrize(
+    "dataset",
+    [
+        {"kind": "synthetic", "num_classes": 5, "dim": 16, "per_class": 30},
+        {"kind": "pattern", "num_classes": 5, "side": 4, "per_class": 30},
+        {"kind": "idx", "images": "absent.idx", "labels": "absent.idx", "num_classes": 5},
+    ],
+    ids=["synthetic", "pattern", "idx"],
+)
+def test_a_classifier_narrower_than_the_class_count_exits_1(tmp_path, capsys, dataset):
+    out = tmp_path / "run"
+    cfg_path = write_config(tmp_path / "c.json", base_config(out, dataset=dataset, model={"classifier": [8, 3]}))
+    assert cli.main(["train", str(cfg_path)]) == 1  # refused before the idx files are read
+    err = capsys.readouterr().err
+    assert err.startswith("error: model/classifier: 3 logits") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_a_classifier_wider_than_the_class_count_trains(tmp_path):
+    assert (train_run(tmp_path, model={"classifier": [8, 5]}) / "metrics.csv").exists()
+
+
 def test_image_shape_checked_against_extractor_width(tmp_path, capsys):
     out = tmp_path / "run"
     cfg_path = write_config(tmp_path / "e.json", base_config(out, dataset={"image_shape": [5, 5]}))
@@ -260,6 +282,7 @@ def test_group_layout_wraps_consecutive_classes(tmp_path):
             base_config(
                 tmp_path,
                 dataset={"num_classes": 10},
+                model={"classifier": [8, 10]},
                 partition={"groups": 5, "dominant_classes": 3},
             )
         )
@@ -580,6 +603,22 @@ def test_rerun_removes_what_the_previous_run_derived(tmp_path):
     assert (out / "partition.json").read_bytes() == partition
     # the seed-7 snapshot is gone, so it cannot be attacked with the seed-8 shards
     assert cli.main(["attack", str(snap), str(att)]) == 3
+
+
+@pytest.mark.parametrize(
+    "over, code",
+    [
+        ({"partition": {"samples_per_client": 900}}, 1),  # more than the dominant classes hold
+        ({"dataset": {"kind": "idx", "images": "absent.idx", "labels": "absent.idx"}}, 3),
+    ],
+    ids=["shards-too-large", "idx-file-missing"],
+)
+def test_a_rerun_that_fails_before_training_leaves_the_previous_run(tmp_path, monkeypatch, over, code):
+    monkeypatch.chdir(tmp_path)
+    out = train_run(tmp_path)
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert cli.main(["train", str(write_config(tmp_path / "failing.json", base_config(out, **over)))]) == code
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
 def test_cli_leaves_working_directory_clean(tmp_path, monkeypatch):

@@ -145,6 +145,29 @@ def test_aggregate_weight_validation():
     np.testing.assert_allclose(out["w"], np.ones(2), rtol=1e-12)
 
 
+@pytest.mark.parametrize("fault", ["missing", "misshapen"])
+@pytest.mark.parametrize("check", ["check_params", "check_phi", "hypernet_backward", "aggregate"])
+def test_each_tree_check_refuses_a_fault_naming_the_tensor(check, fault):
+    b = small_bundle()
+    params = nn.init_params(b.fe, 0)
+    phi, v = hn.init_hypernet(b.hyper, seed=0)
+    tree, call = {
+        "check_params": (params, lambda t: nn.check_params(t, b.fe)),
+        "check_phi": (phi, lambda t: hn.check_phi(t, b.hyper)),
+        "hypernet_backward": (params, lambda t: hn.hypernet_backward(t, v, phi, b.hyper)),
+        "aggregate": (params, lambda t: fs.aggregate([params, t], [0.5, 0.5])),
+    }[check]
+    call(tree)  # the intact tree passes
+    name = sorted(tree)[-1]
+    bad = dict(tree)
+    if fault == "missing":
+        del bad[name]
+    else:
+        bad[name] = np.zeros(tree[name].shape + (1,))
+    with pytest.raises(DimensionError, match=re.escape(name)):
+        call(bad)
+
+
 def anchored_mean(uploads, weights):
     """The anchored formula over a list, one tensor at a time: the reference for the fold."""
     w = np.asarray(weights, dtype=np.float64)
