@@ -274,6 +274,7 @@ def load_attack_overrides(path: str | Path) -> tuple[AttackConfig, int]:
 
 
 def build_dataset(cfg: ExperimentConfig) -> Dataset:
+    """The dataset the config names; an IDX pair is also checked against the model."""
     ds = cfg.data["dataset"]
     if ds["kind"] == "synthetic":
         return dk.synth_dataset(
@@ -287,7 +288,13 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
         return dk.pattern_dataset(
             num_classes=ds["num_classes"], side=ds["side"], per_class=ds["per_class"], seed=cfg.seed
         )
-    return dk.load_idx(ds["images"], ds["labels"], num_classes=ds["num_classes"])
+    data = dk.load_idx(ds["images"], ds["labels"], num_classes=ds["num_classes"])
+    fe, cls = cfg.bundle.fe, cfg.bundle.cls  # only now are an IDX file's width and classes known
+    if data.dim != fe.in_dim:
+        raise ConfigError(f"model/extractor: input width {fe.in_dim} does not match the dataset's {data.dim} features")
+    if cls.out_dim < data.num_classes:
+        raise ConfigError(f"model/classifier: {cls.out_dim} logits, fewer than the dataset's {data.num_classes} classes")
+    return data
 
 
 def build_shards(cfg: ExperimentConfig, ds: Dataset) -> list[tuple[Dataset, Dataset]]:

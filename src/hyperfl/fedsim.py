@@ -28,7 +28,10 @@ Round records
 A trained client's :class:`~hyperfl.metrics.RoundRecord` is built in one
 place, :func:`run_round`'s client loop, where its loss, gradient norm and
 drift are computed, for every protocol.  :func:`evaluate_clients` is the only
-evaluation path; it fills in ``test_acc`` for every client, round 0 included.
+evaluation path.  Round 0 evaluates every client; each later round of
+:func:`run_experiment` evaluates only the clients it trained, and a client
+that sat out keeps its ``test_acc`` from the round before, since its state
+is the same object and its test set the same.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -420,8 +423,12 @@ def dp_sanitize(update: ParamSet, dp: DPConfig, rng: np.random.Generator) -> Par
 
     The clip bound is enforced literally: after the min(1, C/norm) scaling a
     rounding-error overshoot is corrected by a further tiny multiply, so the
-    returned norm is <= C in exact float comparison.  With sigma == 0 and a
-    norm already within the bound, the update passes through bitwise.
+    returned norm is <= C in exact float comparison.  The noise is one
+    ``standard_normal`` draw over every entry, split in the update's key
+    order and added in place into its slices, so each tensor gets bitwise
+    what a ``normal(0.0, sigma*C)`` draw per tensor in that order gives.
+    The result is always in fresh arrays; with sigma == 0 and a norm already
+    within the bound it holds the update's values bitwise.
     """
     norm = tree_norm(update)
     out = update
@@ -432,12 +439,17 @@ def dp_sanitize(update: ParamSet, dp: DPConfig, rng: np.random.Generator) -> Par
             if post <= dp.clip_norm:
                 break
             out = tree_scale(out, dp.clip_norm / post)
-    else:
-        out = tree_copy(out)
-    if dp.sigma > 0.0:
-        std = dp.sigma * dp.clip_norm
-        out = {k: a + rng.normal(0.0, std, size=a.shape) for k, a in out.items()}
-    return out
+    if dp.sigma == 0.0:
+        return tree_copy(out) if out is update else out
+    noise = rng.standard_normal(sum(np.size(a) for a in out.values()))
+    noise *= dp.sigma * dp.clip_norm
+    noise += 0.0  # normal(0.0, s) returns 0.0 + s*z, which makes a -0.0 noise entry +0.0
+    noisy, start = {}, 0
+    for k, a in out.items():
+        n = noise[start : start + np.size(a)].reshape(np.shape(a))
+        noisy[k] = np.add(a, n, out=n)
+        start += n.size
+    return noisy
 
 
 # -- aggregation ---------------------------------------------------------------------
@@ -447,8 +459,9 @@ def aggregate(uploads: Iterable[ParamSet], weights: Sequence[float]) -> ParamSet
     """Weighted elementwise mean of parameter sets, folded in as they arrive.
 
     ``uploads`` may be any iterable; it is consumed lazily, one upload at a
-    time, so only the first upload, the running sum and the current upload
-    are held.  Weights must be nonnegative with sum within 1e-9 of 1 (they
+    time, so only the first upload, the running sum, one scratch buffer per
+    tensor (where each w_i (u_i - u0) is formed in place) and the current
+    upload are held.  Weights must be nonnegative with sum within 1e-9 of 1 (they
     are then renormalized exactly).  Computed as u0 + sum_i w_i (u_i - u0),
     summed elementwise in upload order, which makes a single upload (and any
     set of identical uploads) return the common value bitwise.  Checks run
@@ -470,13 +483,16 @@ def aggregate(uploads: Iterable[ParamSet], weights: Sequence[float]) -> ParamSet
 
     shapes = {k: np.shape(a) for k, a in anchor.items()}
     acc = {k: np.zeros_like(anchor[k], dtype=np.float64) for k in shapes}
+    scratch = {k: np.empty_like(a) for k, a in acc.items()}
     n = 0
     for u in itertools.chain([anchor], uploads):
         if n == len(w):
             raise ConsistencyError(f"more than {len(w)} uploads but {len(w)} weights")
         check_tree(u, shapes, f"upload {n}")
         for k in shapes:
-            acc[k] += w[n] * (np.asarray(u[k], dtype=np.float64) - anchor[k])
+            d = np.subtract(u[k], anchor[k], out=scratch[k], dtype=np.float64)
+            d *= w[n]
+            acc[k] += d
         n += 1
     if n != len(w):
         raise ConsistencyError(f"{n} uploads but {len(w)} weights")
@@ -601,6 +617,7 @@ def run_round(
     dp: DPConfig,
     seed: int,
     wire: Wire | None = None,
+    last_acc: Mapping[int, float] | None = None,
 ) -> tuple[ServerState, list[ClientState], list[RoundRecord]]:
     """One communication round; returns one record per client.
 
@@ -610,8 +627,10 @@ def run_round(
     client trains.  pFedHN instead broadcasts h(v_cid; phi) from the
     server's current hypernetwork, and each upload goes into one server
     step on phi and v_cid; that step's size is the row's hypernet drift.
-    Unsampled clients keep NaN step metrics.  Every client, trained or not,
-    then gets its ``test_acc`` from one :func:`evaluate_clients` call.
+    Unsampled clients keep NaN step metrics.  One :func:`evaluate_clients`
+    call then gives ``test_acc`` to each client that trained and each whose
+    id ``last_acc`` (client id -> last round's accuracy) lacks; every other
+    client did not change, so it keeps its ``last_acc``.
     """
     wire = wire if wire is not None else Wire()
     t = server.round_t + 1
@@ -675,8 +694,11 @@ def run_round(
         merged = aggregate((train_client(cid) for cid in sampled), list(sizes / sizes.sum()))
         changes = {proto.tree: merged if proto.hyper else tree_add(getattr(server, proto.tree), merged)}
 
-    accs = evaluate_clients(new_clients, bundle)
-    return replace(server, round_t=t, **changes), new_clients, _records(t, new_clients, accs, trained)
+    last_acc = last_acc or {}
+    stale = [c for c in new_clients if c.id in trained or c.id not in last_acc]
+    accs = {**last_acc, **dict(zip((c.id for c in stale), evaluate_clients(stale, bundle)))}
+    records = _records(t, new_clients, [accs[c.id] for c in new_clients], trained)
+    return replace(server, round_t=t, **changes), new_clients, records
 
 
 # -- experiment loop -----------------------------------------------------------------------
@@ -703,7 +725,8 @@ def run_experiment(
     if on_round is not None:
         on_round(0, server, clients)
     for _ in range(cfg.total_rounds):
-        server, clients, round_records = run_round(server, clients, bundle, cfg, dp, seed, wire=wire)
+        last_acc = {c.id: r.test_acc for c, r in zip(clients, records[-len(clients):])}
+        server, clients, round_records = run_round(server, clients, bundle, cfg, dp, seed, wire, last_acc)
         records.extend(round_records)
         if on_round is not None:
             on_round(server.round_t, server, clients)

@@ -9,13 +9,17 @@ faults and CPU time (imports included) come from the operating system's
 record of that process.  The quick start (seed 7, 20 rounds) trains under
 each protocol of ``fedsim.PROTOCOLS``, dp_fedavg at C 5.0 and sigma 0.01.
 Each round-20 snapshot is then attacked, 150 iterations on 4 samples; local
-shares nothing to attack.  A last process repeats the hyperfl training with
-the cyclic garbage collector off and counts what the collector then finds
-(expected 0: reference counting alone frees every step).
+shares nothing to attack.  A further process repeats the hyperfl training
+with the cyclic garbage collector off and counts what the collector then
+finds (expected 0: reference counting alone frees every step).  Last, each
+protocol trains again at ``sampling_rate`` 0.5, where half the clients sit
+out each round but the last and keep their previous accuracy; these runs
+are not attacked.
 
-The closing table gives the sha256 prefix of each artifact, in the layout of
-ROADMAP's Baseline table, so a claim that a change leaves them byte-identical
-can be read off one run.  "resolved" is ``config.resolved.json`` without its
+The first closing table gives the sha256 prefix of each artifact, in the
+layout of ROADMAP's Baseline table, and the second those of the half-sampled
+runs, so a claim that a change leaves them byte-identical can be read off
+one run.  "resolved" is ``config.resolved.json`` without its
 machine-specific ``output_dir`` line.  The script informs and never fails:
 a process that fails shows its exit code, and a missing file shows ``—``.
 """
@@ -84,18 +88,23 @@ def without_output_dir(path: Path) -> bytes | None:
     )
 
 
+def train(work: Path, name: str, algorithm: str, **over) -> tuple[Path, float]:
+    """Write the quick-start config of ``algorithm`` as ``name``, train it; its output dir and CPU."""
+    out = work / name
+    cfg = {"algorithm": algorithm, "output_dir": str(out), **QUICK_START, **over}
+    if algorithm == "dp_fedavg":
+        cfg["dp"] = DP
+    cfg_path = work / f"{name}.json"
+    cfg_path.write_text(json.dumps(cfg, indent=2), encoding="utf-8")
+    return out, run(f"{name} train", ["-m", "hyperfl.cli", "train", str(cfg_path)])
+
+
 def main(work: Path) -> None:
     att_path = work / "attack.json"
     att_path.write_text(json.dumps(ATTACK), encoding="utf-8")
     rows = []
     for algorithm in ALGORITHMS:
-        out = work / algorithm
-        cfg = {"algorithm": algorithm, "output_dir": str(out), **QUICK_START}
-        if algorithm == "dp_fedavg":
-            cfg["dp"] = DP
-        cfg_path = work / f"{algorithm}.json"
-        cfg_path.write_text(json.dumps(cfg, indent=2), encoding="utf-8")
-        cpu = run(f"{algorithm} train", ["-m", "hyperfl.cli", "train", str(cfg_path)])
+        out, cpu = train(work, algorithm, algorithm)
         snapshot = out / "snapshots" / "round_0020.hfl"
         if snapshot.exists():
             # hyperfl's holds the server's hypernetwork and, per client, the
@@ -111,10 +120,22 @@ def main(work: Path) -> None:
 
     run("hyperfl train, cyclic collector off", ["-c", COLLECTOR_OFF, str(work / "hyperfl.json")])
 
+    half, rounds = [], {**QUICK_START["rounds"], "sampling_rate": 0.5}
+    for algorithm in ALGORITHMS:
+        out, cpu = train(work, f"{algorithm}_half", algorithm, rounds=rounds)
+        hashes = [read(out / "metrics.csv"), read(out / "snapshots" / "round_0020.hfl")]
+        half.append(f"| {algorithm} | {cpu:.2f} | " + " | ".join(map(digest, hashes)) + " |")
+
     print()
     print("| algorithm | CPU s | `metrics.csv` | `round_0020.hfl` | resolved | `attack_summary.csv` | `attack_report.json` |")
     print("|---|---|---|---|---|---|---|")
     print("\n".join(rows))
+    print()
+    print("sampling_rate 0.5:")
+    print()
+    print("| algorithm | CPU s | `metrics.csv` | `round_0020.hfl` |")
+    print("|---|---|---|---|")
+    print("\n".join(half))
 
 
 if __name__ == "__main__":

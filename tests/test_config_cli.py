@@ -621,6 +621,36 @@ def test_a_rerun_that_fails_before_training_leaves_the_previous_run(tmp_path, mo
     assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
+@pytest.mark.parametrize(
+    "model, named",
+    [
+        ({"extractor": [16, 8], "classifier": [8, 3]}, "model/classifier: 3 logits, fewer than the dataset's 5 classes"),
+        ({"extractor": [25, 8], "classifier": [8, 5]}, "model/extractor: input width 25 does not match the dataset's 16"),
+    ],
+    ids=["too-few-logits", "wrong-width"],
+)
+def test_a_rerun_whose_model_does_not_fit_the_idx_files_leaves_the_previous_run(
+    tmp_path, monkeypatch, capsys, model, named
+):
+    # with num_classes omitted, only the files tell the width and the classes
+    rng = np.random.default_rng(0)
+    n = 500
+    (tmp_path / "img.idx").write_bytes(
+        struct.pack(">IIII", dk.IDX_IMAGES_MAGIC, n, 4, 4) + rng.integers(0, 256, n * 16, dtype=np.uint8).tobytes()
+    )
+    (tmp_path / "lbl.idx").write_bytes(struct.pack(">II", dk.IDX_LABELS_MAGIC, n) + bytes(i % 5 for i in range(n)))
+    monkeypatch.chdir(tmp_path)
+    idx = {"kind": "idx", "images": "img.idx", "labels": "lbl.idx"}
+    out = train_run(tmp_path, dataset=idx, model={"extractor": [16, 8], "classifier": [8, 5]})
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    failing = write_config(tmp_path / "failing.json", base_config(out, dataset=idx, model=model))
+    assert cli.main(["train", str(failing)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and named in err
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
 def test_cli_leaves_working_directory_clean(tmp_path, monkeypatch):
     cwd = tmp_path / "cwd"
     cwd.mkdir()

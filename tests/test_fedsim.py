@@ -280,10 +280,12 @@ def test_sample_ceil_count():
 
 
 def test_dp_identity_when_within_bound_and_sigma_zero():
-    u = {"a": np.array([0.3, -0.4]), "b": np.array([[-0.0]])}  # norm 0.5
+    u = {"a": np.array([0.3, -0.4]), "b": np.array([[-0.0]]), "c": np.array(0.0)}  # norm 0.5
     out = fs.dp_sanitize(u, fs.DPConfig(clip_norm=1.0, sigma=0.0), np.random.default_rng(0))
+    assert list(out) == list(u)
     for k in u:
         assert out[k].tobytes() == u[k].tobytes()
+        assert out[k] is not u[k] and not np.shares_memory(out[k], u[k])  # fresh arrays, not the caller's
 
 
 def test_dp_clips_norm_ten_to_exactly_one():
@@ -308,6 +310,34 @@ def test_dp_noise_magnitude():
     u = {"w": np.zeros(200_000)}
     out = fs.dp_sanitize(u, fs.DPConfig(clip_norm=2.0, sigma=0.5), np.random.default_rng(11))
     assert np.std(out["w"]) == pytest.approx(1.0, rel=0.02)  # sigma * C
+
+
+def per_tensor_noise(update, dp, rng):
+    """dp_sanitize's output with its noise drawn tensor by tensor, one normal(0.0, sigma*C) each in name order.
+
+    The clip is dp_sanitize's own with no noise; what this checks is the draw.
+    """
+    clipped = fs.dp_sanitize(update, fs.DPConfig(dp.clip_norm, 0.0), rng)
+    return {k: a + rng.normal(0.0, dp.sigma * dp.clip_norm, size=a.shape) for k, a in clipped.items()}
+
+
+@pytest.mark.parametrize("seed", range(30))
+@pytest.mark.parametrize("clipped", [False, True], ids=["within-bound", "clipped"])
+def test_dp_noise_is_bitwise_one_draw_per_tensor(seed, clipped):
+    rng = np.random.default_rng(seed)
+    shapes = [(3,)] + [tuple(rng.integers(0, 5, size=rng.integers(0, 4))) for _ in range(rng.integers(0, 5))]
+    update = {f"t{i}": rng.normal(size=s) for i, s in enumerate(shapes)}  # keys in name order
+    for a in update.values():
+        a[rng.uniform(size=a.shape) < 0.3] = -0.0
+    update["t0"][0] = 1.0  # a nonzero norm to clip
+    norm = nn.tree_norm(update)
+    clip = norm / 2 if clipped else norm * 2
+    dp = fs.DPConfig(clip_norm=clip, sigma=float(rng.uniform(0.01, 2.0)))
+    got = fs.dp_sanitize(update, dp, np.random.default_rng(seed + 100))
+    want = per_tensor_noise(update, dp, np.random.default_rng(seed + 100))
+    assert list(got) == list(want)
+    for k in want:
+        assert got[k].shape == want[k].shape and got[k].tobytes() == want[k].tobytes()
 
 
 def test_dp_config_validation():
@@ -729,6 +759,26 @@ def test_round_records_shape_and_nan_policy(algorithm):
         if math.isnan(r.train_loss):
             assert math.isnan(r.grad_sq_norm)
             assert math.isnan(r.hypernet_drift) and math.isnan(r.extractor_drift)
+
+
+@pytest.mark.parametrize("algorithm", fs.ALGORITHMS)
+def test_run_experiment_evaluates_only_the_clients_each_round_trained(algorithm, monkeypatch):
+    bundle, shards = small_bundle(), make_shards(4, n=18)
+    cfg = quick_cfg(total_rounds=3, sampling_rate=0.5, batch_size=6)
+    assert fs.accuracy is mx.accuracy
+    calls = []
+    monkeypatch.setattr(fs, "accuracy", lambda *args: calls.append(args) or mx.accuracy(*args))
+    states = {}
+    _, _, records = fs.run_experiment(
+        algorithm, bundle, shards, cfg, seed=17, dp=fs.DPConfig(clip_norm=1.0, sigma=0.01),
+        on_round=lambda t, server, clients: states.setdefault(t, clients),
+    )
+    trained = sum(not math.isnan(r.train_loss) for r in records)
+    assert trained == 2 + 2 + 4  # the last round trains everyone
+    assert len(calls) == len(shards) + trained  # round 0, then each trained client once
+    for t, clients in states.items():
+        got = [r.test_acc for r in records if r.round == t]
+        assert np.array(got).tobytes() == np.array(fs.evaluate_clients(clients, bundle)).tobytes()
 
 
 @pytest.mark.parametrize("algorithm", fs.ALGORITHMS)
